@@ -166,12 +166,6 @@ def cmd_denoise(args):
     from .network import load_weights
     model = load_weights(args.weights, global_residual=args.residual)
     cube = read_hsi(args.input)
-    req = model.config.downsample_factor()
-    for axis, name in ((0, "H"), (1, "W"), (2, "B")):
-        if cube.shape[axis] % req[axis] != 0:
-            raise ValueError(
-                f"{name} extent {cube.shape[axis]} not divisible by {req[axis]}; "
-                f"crop or pad the cube so the encoder can downsample")
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
     out, _ = model.forward(x)
     restored = np.clip(out[0, 0], 0.0, 1.0).astype(np.float32)
@@ -230,19 +224,13 @@ def cmd_gcs(args):
     from .network import load_weights
     model = load_weights(args.weights, global_residual=args.residual)
     cube = read_hsi(args.input)
-    req = model.config.downsample_factor()
-    for axis, name in ((0, "H"), (1, "W"), (2, "B")):
-        if cube.shape[axis] % req[axis] != 0:
-            raise ValueError(
-                f"{name} extent {cube.shape[axis]} not divisible by {req[axis]}; "
-                f"crop or pad the cube so the encoder can downsample")
     layer = _layer_index(args.layer, len(model.units))
-    parent = os.path.dirname(args.out_prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
     _, traces = model.forward(x, keep_traces=True)
     matrices = [gcs_matrix(t, eps=args.eps) for t in pooling_traces(traces, layer)]
+    parent = os.path.dirname(args.out_prefix)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     meta = {"weights": args.weights, "input": args.input,
             "layer": args.layer, "eps": args.eps}
     written = []

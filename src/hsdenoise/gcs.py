@@ -22,7 +22,7 @@ import io
 
 import numpy as np
 
-from .qru import BACKWARD, FORWARD, PoolingTrace, _band_order
+from .qru import PoolingTrace, _band_order
 from .tensors import ConfigError
 
 
@@ -49,36 +49,6 @@ class GcsMatrix:
 
     def defined(self):
         return ~np.isnan(self.values)
-
-
-def _check_band_index(name, value, n_bands):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer band index, got {value!r}")
-    if value < 1 or value > n_bands:
-        raise ConfigError(f"{name}={value} outside the band range 1..{n_bands}")
-
-
-def phi(trace, i, j):
-    """Contribution of band i to hidden state j (1-based band indices).
-
-    The walk runs in the trace's own direction, so a forward trace requires
-    i <= j and a backward trace requires i >= j.
-    """
-    if not isinstance(trace, PoolingTrace):
-        raise ConfigError("phi needs a single-direction pooling trace")
-    n_bands = trace.z.shape[-1]
-    _check_band_index("i", i, n_bands)
-    _check_band_index("j", j, n_bands)
-    order = list(_band_order(n_bands, trace.direction))
-    pos = {band: p for p, band in enumerate(order)}
-    pi, pj = pos[i - 1], pos[j - 1]
-    if pi > pj:
-        raise ConfigError(
-            f"band {i} is processed after band {j} in a {trace.direction} trace")
-    out = (1.0 - trace.f[..., i - 1]) * trace.z[..., i - 1]
-    for p in range(pi + 1, pj + 1):
-        out = out * trace.f[..., order[p]]
-    return out
 
 
 def gcs_matrix(trace, eps=1e-6):

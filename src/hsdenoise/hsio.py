@@ -9,10 +9,15 @@ The on-disk container ("HSI1") is deliberately minimal and fully pinned:
            fastest (C order of an (H, W, B) array)
 
 so a 2x2x1 cube occupies 4 + 2 + 12 + 16 = 34 bytes, and read(write(c))
-is bit-exact on every host.  External 31-band datasets are not parsed
-here; see `convert_external` for the mapping recipe.
+is bit-exact on every host.  External datasets are not parsed here; the
+README's "File formats" section has the conversion recipe.
+
+BlobReader is the one bounds-checked reader behind the HSI1, Q3DW and Q3DA
+parsers: all three start with a 4-byte magic and a u16 version, and every
+read names the byte offset where a short or malformed file went wrong.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -31,6 +36,55 @@ class HsiError(ValueError):
     """Malformed cube container."""
 
 
+class BlobReader:
+    """Cursor over a whole little-endian file; every read is bounds-checked
+    and raises `error` (the format's own error class) naming the offset."""
+
+    def __init__(self, blob, error):
+        self.blob = blob
+        self.error = error
+        self.offset = 0
+
+    @classmethod
+    def open(cls, path, error, magic, version):
+        """Read `path`, then check its magic and u16 version."""
+        with open(path, "rb") as fh:
+            reader = cls(fh.read(), error)
+        got = reader.take(4, "magic")
+        if got != magic:
+            raise error(f"bad magic {got!r} at byte 0, expected {magic!r}")
+        (found,) = reader.unpack("<H", "version")
+        if found != version:
+            raise error(f"unsupported version {found} at byte 4")
+        return reader
+
+    def take(self, count, what):
+        start = self.offset
+        have = len(self.blob) - start
+        if count > have:
+            raise self.error(
+                f"truncated {what} at byte offset {start}: "
+                f"expected {count} bytes, got {have}")
+        self.offset += count
+        return self.blob[start:start + count]
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, dtype, shape, what):
+        """A fresh array of `shape` read from the next bytes."""
+        dtype = np.dtype(dtype)
+        # Python ints: header extents from a corrupt file must not wrap.
+        raw = self.take(math.prod(shape) * dtype.itemsize, what)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+    def finish(self):
+        """Reject anything after the last field."""
+        extra = len(self.blob) - self.offset
+        if extra:
+            raise self.error(f"{extra} trailing bytes at byte offset {self.offset}")
+
+
 def write_hsi(path, cube):
     """Write an (H, W, B) cube to the HSI1 container."""
     cube = np.asarray(cube)
@@ -47,29 +101,13 @@ def write_hsi(path, cube):
 
 def read_hsi(path):
     """Read an HSI1 container back into a float32 (H, W, B) array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise HsiError("bad magic at byte 0: not an HSI1 cube file")
-    if len(blob) < 18:
-        raise HsiError(f"truncated header: need 18 bytes, file has {len(blob)}")
-    version, h, w, b = struct.unpack("<HIII", blob[4:18])
-    if version != VERSION:
-        raise HsiError(f"unsupported version {version} at byte 4")
+    reader = BlobReader.open(path, HsiError, MAGIC, VERSION)
+    h, w, b = reader.unpack("<III", "extents")
     if h < 1 or w < 1 or b < 1:
         raise HsiError(f"non-positive extent in header at byte 6: {(h, w, b)}")
-    expected = 4 * h * w * b
-    actual = len(blob) - 18
-    if actual < expected:
-        raise HsiError(
-            f"truncated payload at byte 18: expected {expected} bytes "
-            f"of samples, got {actual}")
-    if actual > expected:
-        raise HsiError(
-            f"trailing bytes after payload at byte {18 + expected}: "
-            f"expected {expected} bytes of samples, got {actual}")
-    values = np.frombuffer(blob, dtype="<f4", count=h * w * b, offset=18)
-    return values.reshape(h, w, b).copy()
+    cube = reader.array("<f4", (h, w, b), "samples")
+    reader.finish()
+    return cube
 
 
 class Patch:
@@ -206,15 +244,3 @@ def gen_synthetic(height, width, bands, seed, rank=4):
     if hi > lo:
         cube = (cube - lo) / (hi - lo)
     return cube.astype(np.float32)
-
-
-def convert_external(path):
-    """Not implemented on purpose: no dataset-specific parsers ship here.
-
-    Recipe for 31-band reflectance data or similar: load the source with its
-    own tooling into an (H, W, 31) float array, normalize() it into [0, 1],
-    and write_hsi() the result.  Everything downstream consumes HSI1.
-    """
-    raise NotImplementedError(
-        "load the data externally, normalize it, and write_hsi it; "
-        "see the convert_external docstring for the mapping")

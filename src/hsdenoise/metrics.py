@@ -101,8 +101,3 @@ def sam(x, ref):
     # arccos(cos) form needs for |cos| slightly above 1.
     angles = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
     return float(np.mean(angles))
-
-
-def metrics_triple(x, ref):
-    """(psnr dB, ssim, sam radians) in one call."""
-    return psnr(x, ref), ssim(x, ref), sam(x, ref)

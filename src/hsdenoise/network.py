@@ -20,15 +20,8 @@ import struct
 
 import numpy as np
 
-from .qru import (
-    BACKWARD,
-    BIDIRECTIONAL,
-    C3dUnit,
-    FORWARD,
-    QruParams,
-    QruUnit,
-    make_variant,
-)
+from .hsio import BlobReader
+from .qru import BACKWARD, BIDIRECTIONAL, FORWARD, QruUnit, bank_count, make_variant
 from .tensors import ConfigError, ConvKernel, ConvSpec, ShapeError
 
 SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
@@ -65,7 +58,6 @@ class NetworkConfig:
             raise ConfigError("network needs at least 3 layers")
         self.layers = list(layers)
         self.global_residual = bool(global_residual)
-        self.skip_merge = "add"
         self._validate()
 
     def _validate(self):
@@ -228,7 +220,8 @@ class Model:
         for ax, name in ((0, "H"), (1, "W"), (2, "B")):
             if x.shape[2 + ax] % req[ax] != 0:
                 raise ConfigError(
-                    f"{name} extent {x.shape[2 + ax]} not divisible by {req[ax]}"
+                    f"{name} extent {x.shape[2 + ax]} not divisible by {req[ax]}; "
+                    f"crop or pad the cube so the encoder can downsample"
                 )
         n = len(self.units)
         skip_targets = set(self.config._skip_targets())
@@ -343,24 +336,13 @@ def save_weights(path, model):
 
 
 def load_weights(path, global_residual=True):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise WeightsError(f"bad magic {raw[:4]!r} at offset 0, expected {MAGIC!r}")
-    version, n_layers = struct.unpack_from("<HH", raw, 4)
-    if version != VERSION:
-        raise WeightsError(f"unsupported weights version {version} at offset 4")
-    off = 8
+    reader = BlobReader.open(path, WeightsError, MAGIC, VERSION)
+    (n_layers,) = reader.unpack("<H", "layer count")
     layer_specs = []
     units = []
     for j in range(n_layers):
-        try:
-            vtag, dtag = struct.unpack_from("<BB", raw, off)
-            cout, cin, kh, kw, kb = struct.unpack_from("<5I", raw, off + 2)
-            pairs = struct.unpack_from("<6I", raw, off + 22)
-        except struct.error as exc:
-            raise WeightsError(f"truncated layer header at offset {off}") from exc
-        off += 46
+        vtag, dtag, cout, cin, kh, kw, kb, *pairs = reader.unpack(
+            "<BB5I6I", f"layer {j + 1} header")
         if vtag not in _VARIANT_NAMES or dtag not in _DIR_NAMES:
             raise WeightsError(f"unknown variant/direction tags in layer {j + 1}")
         kind = _VARIANT_NAMES[vtag]
@@ -371,27 +353,13 @@ def load_weights(path, global_residual=True):
         transposed = any(d > 1 for d in dens)
         stride = tuple(d if transposed else n for n, d in zip(nums, dens))
         wshape = ((cin, cout) if transposed else (cout, cin)) + (kh, kw, kb)
-        n_banks = 1 if kind == "c3d" else (4 if direction == BIDIRECTIONAL else 2)
-        kernels = []
-        for _ in range(n_banks):
-            wn = int(np.prod(wshape))
-            need = (wn + cout) * 4
-            if off + need > len(raw):
-                raise WeightsError(
-                    f"truncated payload at offset {off}: need {need} more bytes"
-                )
-            w = np.frombuffer(raw, dtype="<f4", count=wn, offset=off).reshape(wshape)
-            off += wn * 4
-            b = np.frombuffer(raw, dtype="<f4", count=cout, offset=off)
-            off += cout * 4
-            kernels.append(ConvKernel(w.copy(), b.copy()))
+        banks = [
+            ConvKernel(reader.array("<f4", wshape, f"layer {j + 1} weights"),
+                       reader.array("<f4", (cout,), f"layer {j + 1} bias"))
+            for _ in range(bank_count(kind, direction))
+        ]
         spec = ConvSpec(stride, (kh // 2, kw // 2, kb // 2))
-        if kind == "c3d":
-            units.append(C3dUnit(kernels[0], spec, transposed))
-        else:
-            params = [QruParams(kernels[i], kernels[i + 1]) for i in range(0, n_banks, 2)]
-            units.append(QruUnit(params, spec, direction, transposed))
+        units.append(QruUnit(banks, spec, direction, transposed))
         layer_specs.append(LayerSpec(cin, cout, stride, transposed, direction, kind))
-    if off != len(raw):
-        raise WeightsError(f"{len(raw) - off} trailing bytes at offset {off}")
+    reader.finish()
     return Model(NetworkConfig(layer_specs, global_residual), units)

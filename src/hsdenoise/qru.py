@@ -10,7 +10,10 @@ independent parameter banks whose hidden states are added elementwise
 (bidirectional). Ablation variants swap the 3x3x3 kernels for 3x3x1
 (qru2d) or drop the gate and recurrence entirely (c3d).
 
-The recurrence is sequential in the band index but elementwise over
+All banks of a unit read the same input, so QruUnit stacks them along the
+output channels and runs one convolution forward and one convolution
+backward per call; c3d is the one-bank case without the recurrence. The
+recurrence is sequential in the band index but elementwise over
 (batch, channel, height, width), so each step is one vectorized blend.
 """
 
@@ -36,20 +39,6 @@ BIDIRECTIONAL = "bidirectional"
 DIRECTIONS = (FORWARD, BACKWARD, BIDIRECTIONAL)
 
 
-class QruParams:
-    """One direction's parameter pair: candidate bank wz and gate bank wf."""
-
-    __slots__ = ("wz", "wf")
-
-    def __init__(self, wz, wf):
-        if wz.weight.shape != wf.weight.shape:
-            raise ShapeError(
-                f"wz and wf banks must match: {wz.weight.shape} vs {wf.weight.shape}"
-            )
-        self.wz = wz
-        self.wf = wf
-
-
 class PoolingTrace:
     """Captured (z, f, h) of one directional pass, for backward and GCS."""
 
@@ -60,14 +49,6 @@ class PoolingTrace:
         self.f = f
         self.h = h
         self.direction = direction
-
-
-def gates_forward(x, params, spec, transposed=False):
-    """Candidate and gate tensors from the two conv banks of one direction."""
-    conv = tconv3d_forward if transposed else conv3d_forward
-    z = activate(conv(x, params.wz, spec), "tanh")
-    f = activate(conv(x, params.wf, spec), "sigmoid")
-    return z, f
 
 
 def _band_order(n_bands, direction):
@@ -117,146 +98,122 @@ def qru_pool_backward(trace, grad_h):
     return gz, gf
 
 
-def qru3d_forward(x, params, spec, direction, params_back=None, transposed=False):
-    """One unit application: gates then pooling; bidirectional adds both
-    directional passes, run with independent parameter sets."""
-    if direction == BIDIRECTIONAL:
-        if params_back is None:
-            raise ConfigError("bidirectional unit needs a second parameter set")
-        zf, ff = gates_forward(x, params, spec, transposed)
-        zb, fb = gates_forward(x, params_back, spec, transposed)
-        return qru_pool_forward(zf, ff, FORWARD) + qru_pool_forward(zb, fb, BACKWARD)
-    z, f = gates_forward(x, params, spec, transposed)
-    return qru_pool_forward(z, f, direction)
+def bank_count(kind, direction):
+    """Kernel banks of one unit: one for c3d, else a (wz, wf) pair per
+    recurrence direction."""
+    if kind == "c3d":
+        return 1
+    return 4 if direction == BIDIRECTIONAL else 2
+
+
+_TAGS = {FORWARD: "fwd", BACKWARD: "bwd"}
 
 
 class QruUnit:
-    """A gated unit: one or two QruParams, a ConvSpec, and a direction.
+    """One convolution that produces every bank of the unit, plus a mixer.
+
+    `banks` lists ConvKernels in Q3DW declaration order: [w] for c3d,
+    [wz, wf] for a forward or backward unit, [wz_fwd, wf_fwd, wz_bwd,
+    wf_bwd] for a bidirectional one. Each call stacks them along the output
+    channels and runs one convolution (and one convolution backward).
+    Gated units split the result into (tanh z, sigmoid f) pairs, pool each
+    pair along the bands and add the directions. The one-bank c3d unit only
+    applies `activation`, which accepts "identity" as a test hook so
+    gradient checkers can probe an exactly linear layer.
 
     `transposed` selects the upsampling (adjoint) convolution, in which
     case the stride is read as the fractional stride 1/s.
     """
 
-    variant = "qru3d"
-
-    def __init__(self, params_list, spec, direction, transposed=False):
+    def __init__(self, banks, spec, direction, transposed=False, activation="tanh"):
         if direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {direction!r}")
-        need = 2 if direction == BIDIRECTIONAL else 1
-        if len(params_list) != need:
-            raise ConfigError(f"{direction} unit needs {need} parameter sets")
-        self.params_list = list(params_list)
+        need = 4 if direction == BIDIRECTIONAL else 2
+        if len(banks) not in (1, need):
+            raise ConfigError(f"{direction} unit needs 1 or {need} kernel banks, got {len(banks)}")
+        if any(k.weight.shape != banks[0].weight.shape for k in banks):
+            raise ShapeError("the kernel banks of one unit must share one shape")
+        self.banks = list(banks)
         self.spec = spec
         self.direction = direction
         self.transposed = transposed
+        self.activation = activation
 
-    def _branch_dirs(self):
+    @property
+    def gated(self):
+        return len(self.banks) > 1
+
+    def _directions(self):
         if self.direction == BIDIRECTIONAL:
             return [FORWARD, BACKWARD]
         return [self.direction]
 
+    def _out_axis(self):
+        """Output-channel axis of the weights: c2 when transposed, else c1."""
+        return 1 if self.transposed else 0
+
+    def _stacked(self):
+        if not self.gated:
+            return self.banks[0]
+        return ConvKernel(
+            np.concatenate([k.weight for k in self.banks], axis=self._out_axis()),
+            np.concatenate([k.bias for k in self.banks]),
+        )
+
     def forward(self, x, keep_trace=False):
+        conv = tconv3d_forward if self.transposed else conv3d_forward
+        pre = np.split(conv(x, self._stacked(), self.spec), len(self.banks), axis=1)
+        if not self.gated:
+            y = activate(pre[0], self.activation)
+            return y, ((x, y) if keep_trace else None)
         y = None
-        traces = [] if keep_trace else None
-        for params, d in zip(self.params_list, self._branch_dirs()):
-            z, f = gates_forward(x, params, self.spec, self.transposed)
+        traces = []
+        for d, z_pre, f_pre in zip(self._directions(), pre[0::2], pre[1::2]):
+            z = activate(z_pre, "tanh")
+            f = activate(f_pre, "sigmoid")
             h = qru_pool_forward(z, f, d)
             y = h if y is None else y + h
             if keep_trace:
                 traces.append(PoolingTrace(z, f, h, d))
-        if keep_trace:
-            return y, (x, traces)
-        return y, None
+        return y, ((x, traces) if keep_trace else None)
 
     def backward(self, trace, grad_y):
-        x, branch_traces = trace
+        x, saved = trace
+        if self.gated:
+            parts = []
+            for tr in saved:
+                gz, gf = qru_pool_backward(tr, grad_y)
+                parts += [activate_grad(tr.z, gz, "tanh"), activate_grad(tr.f, gf, "sigmoid")]
+            g_pre = np.concatenate(parts, axis=1)
+        else:
+            g_pre = activate_grad(saved, grad_y, self.activation)
         conv_bwd = tconv3d_backward if self.transposed else conv3d_backward
-        gx = None
+        gx, gw, gb = conv_bwd(x, self._stacked(), self.spec, g_pre)
+        n = len(self.banks)
         grads = []
-        for params, tr in zip(self.params_list, branch_traces):
-            gz, gf = qru_pool_backward(tr, grad_y)
-            gz_pre = activate_grad(tr.z, gz, "tanh")
-            gf_pre = activate_grad(tr.f, gf, "sigmoid")
-            gxz, gwz, gbz = conv_bwd(x, params.wz, self.spec, gz_pre)
-            gxf, gwf, gbf = conv_bwd(x, params.wf, self.spec, gf_pre)
-            gx = gxz + gxf if gx is None else gx + gxz + gxf
-            grads.extend([gwz, gbz, gwf, gbf])
+        for w, b in zip(np.split(gw, n, axis=self._out_axis()), np.split(gb, n)):
+            grads += [w, b]
         return gx, grads
 
-    def param_arrays(self):
-        out = []
-        for p in self.params_list:
-            out.extend([p.wz.weight, p.wz.bias, p.wf.weight, p.wf.bias])
-        return out
-
     def kernels(self):
-        out = []
-        for p in self.params_list:
-            out.extend([p.wz, p.wf])
-        return out
+        return list(self.banks)
+
+    def param_arrays(self):
+        return [a for k in self.banks for a in (k.weight, k.bias)]
 
     def param_count(self):
         return sum(a.size for a in self.param_arrays())
 
     def param_names(self):
-        out = []
-        if self.direction == BIDIRECTIONAL:
-            tags = ["fwd", "bwd"]
+        if self.gated:
+            banks = [f"{_TAGS[d]}.{w}" for d in self._directions() for w in ("wz", "wf")]
         else:
-            tags = ["fwd" if self.direction == FORWARD else "bwd"]
-        for tag in tags:
-            for bank in ("wz", "wf"):
-                out.extend([f"{tag}.{bank}.weight", f"{tag}.{bank}.bias"])
-        return out
+            banks = ["w"]
+        return [f"{b}.{part}" for b in banks for part in ("weight", "bias")]
 
     def astype(self, dtype):
-        params = [QruParams(p.wz.astype(dtype), p.wf.astype(dtype)) for p in self.params_list]
-        return QruUnit(params, self.spec, self.direction, self.transposed)
-
-
-class C3dUnit:
-    """Ablation unit: plain conv plus tanh, no gate, no recurrence.
-
-    `activation` accepts "identity" as a test hook so gradient checkers can
-    probe an exactly linear layer.
-    """
-
-    variant = "c3d"
-
-    def __init__(self, kernel, spec, transposed=False, activation="tanh"):
-        self.kernel = kernel
-        self.spec = spec
-        self.transposed = transposed
-        self.activation = activation
-        self.direction = FORWARD
-
-    def forward(self, x, keep_trace=False):
-        conv = tconv3d_forward if self.transposed else conv3d_forward
-        y = activate(conv(x, self.kernel, self.spec), self.activation)
-        return y, ((x, y) if keep_trace else None)
-
-    def backward(self, trace, grad_y):
-        x, y = trace
-        conv_bwd = tconv3d_backward if self.transposed else conv3d_backward
-        g_pre = activate_grad(y, grad_y, self.activation)
-        gx, gw, gb = conv_bwd(x, self.kernel, self.spec, g_pre)
-        return gx, [gw, gb]
-
-    def param_arrays(self):
-        return [self.kernel.weight, self.kernel.bias]
-
-    def kernels(self):
-        return [self.kernel]
-
-    def param_count(self):
-        return self.kernel.weight.size + self.kernel.bias.size
-
-    def param_names(self):
-        return ["w.weight", "w.bias"]
-
-    def astype(self, dtype):
-        return C3dUnit(self.kernel.astype(dtype), self.spec, self.transposed,
-                       self.activation)
+        return QruUnit([k.astype(dtype) for k in self.banks], self.spec, self.direction,
+                       self.transposed, self.activation)
 
 
 VARIANT_KINDS = ("qru3d", "qru2d", "c3d")
@@ -291,18 +248,9 @@ class VariantFactory:
         return ConvKernel(weight, np.zeros(cout, dtype=dtype))
 
     def build(self, rng, cin, cout, stride, direction, transposed=False, dtype=np.float32):
-        spec = ConvSpec(stride, self.pad)
-        if self.kind == "c3d":
-            return C3dUnit(self._new_kernel(rng, cin, cout, transposed, dtype), spec, transposed)
-        n_sets = 2 if direction == BIDIRECTIONAL else 1
-        params = [
-            QruParams(
-                self._new_kernel(rng, cin, cout, transposed, dtype),
-                self._new_kernel(rng, cin, cout, transposed, dtype),
-            )
-            for _ in range(n_sets)
-        ]
-        return QruUnit(params, spec, direction, transposed)
+        banks = [self._new_kernel(rng, cin, cout, transposed, dtype)
+                 for _ in range(bank_count(self.kind, direction))]
+        return QruUnit(banks, ConvSpec(stride, self.pad), direction, transposed)
 
 
 def make_variant(kind, width_multiplier=1.0):

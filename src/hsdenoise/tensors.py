@@ -156,6 +156,9 @@ def _forward_core(x, weight, stride, pad, out_dtype):
             ).reshape((h1 - h0) * wo * bo, feat)
             y = blk @ wmat.T
             out[n, :, h0:h1] = y.reshape(h1 - h0, wo, bo, c1).transpose(3, 0, 1, 2)
+            # Free this slab's buffers before the next one is built, so the
+            # heap never holds two column buffers at once.
+            del blk, y
     return out
 
 
@@ -189,6 +192,7 @@ def _input_grad_core(gy, weight, stride, pad, in_hwb, out_dtype):
                             dj : dj + wo * sw : sw,
                             dk : dk + bo * sb : sb,
                         ] += cols[:, :, :, :, di, dj, dk]
+            del gblk, cols
     gx = gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b]
     return gx.astype(out_dtype, copy=False)
 
@@ -213,6 +217,7 @@ def _weight_grad_core(x, gy, weight_shape, stride, pad):
                 gy[n, :, h0:h1].transpose(1, 2, 3, 0), dtype=np.float64
             ).reshape(hh * wo * bo, c1)
             gw += gblk.T @ blk
+            del blk, gblk
     return gw.reshape(weight_shape)
 
 

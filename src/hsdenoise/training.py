@@ -31,6 +31,7 @@ import time
 
 import numpy as np
 
+from .hsio import BlobReader
 from .metrics import psnr
 from .network import WeightsError, save_weights
 from .noise import add_gaussian_iid, synthesize_case
@@ -106,42 +107,19 @@ def save_optimizer_state(path, state):
 
 def load_optimizer_state(path):
     """Read an Adam state sidecar back into an AdamState."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    def need(offset, count, what):
-        if offset + count > len(blob):
-            raise WeightsError(
-                f"optimizer state truncated at byte {len(blob)}: "
-                f"need {count} bytes for {what} at offset {offset}")
-        return blob[offset:offset + count]
-
-    if need(0, 4, "magic") != b"Q3DA":
-        raise WeightsError("bad magic at byte 0: not an optimizer state file")
-    version, step, epoch, n_arrays = struct.unpack("<HQII", need(4, 18, "header"))
-    if version != 1:
-        raise WeightsError(f"unsupported optimizer state version {version} at byte 4")
-    beta1, beta2, eps = struct.unpack("<ddd", need(22, 24, "hyperparameters"))
-    offset = 46
+    reader = BlobReader.open(path, WeightsError, b"Q3DA", 1)
+    step, epoch, n_arrays = reader.unpack("<QII", "header")
+    beta1, beta2, eps = reader.unpack("<ddd", "hyperparameters")
     state = AdamState.__new__(AdamState)
     state.m, state.v = [], []
     state.step, state.epoch = step, epoch
     state.beta1, state.beta2, state.eps = beta1, beta2, eps
     for idx in range(n_arrays):
-        (ndim,) = struct.unpack("<I", need(offset, 4, f"array {idx} ndim"))
-        offset += 4
-        dims = struct.unpack(f"<{ndim}I", need(offset, 4 * ndim, f"array {idx} dims"))
-        offset += 4 * ndim
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        nbytes = 8 * count
-        m = np.frombuffer(need(offset, nbytes, f"array {idx} m"), dtype="<f8").reshape(dims).copy()
-        offset += nbytes
-        v = np.frombuffer(need(offset, nbytes, f"array {idx} v"), dtype="<f8").reshape(dims).copy()
-        offset += nbytes
-        state.m.append(m)
-        state.v.append(v)
-    if offset != len(blob):
-        raise WeightsError(f"trailing bytes after optimizer state at byte {offset}")
+        (ndim,) = reader.unpack("<I", f"array {idx} ndim")
+        dims = reader.unpack(f"<{ndim}I", f"array {idx} dims")
+        state.m.append(reader.array("<f8", dims, f"array {idx} m"))
+        state.v.append(reader.array("<f8", dims, f"array {idx} v"))
+    reader.finish()
     return state
 
 

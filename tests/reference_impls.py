@@ -76,6 +76,39 @@ def pool_phi_sum(z, f, j):
     return total
 
 
+def _check_band_index(name, value, n_bands):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer band index, got {value!r}")
+    if value < 1 or value > n_bands:
+        raise ValueError(f"{name}={value} outside the band range 1..{n_bands}")
+
+
+def phi(trace, i, j):
+    """Contribution of band i to hidden state j (1-based band indices).
+
+    `trace` is any object with z, f (band axis last) and a direction of
+    "forward" or "backward". The gate product is built literally, one
+    factor per band walked after i, so a forward trace requires i <= j and
+    a backward trace requires i >= j.
+    """
+    n_bands = trace.z.shape[-1]
+    _check_band_index("i", i, n_bands)
+    _check_band_index("j", j, n_bands)
+    if trace.direction == "forward":
+        order = list(range(n_bands))
+    elif trace.direction == "backward":
+        order = list(range(n_bands - 1, -1, -1))
+    else:
+        raise ValueError(f"phi needs a forward or backward trace, got {trace.direction!r}")
+    pi, pj = order.index(i - 1), order.index(j - 1)
+    if pi > pj:
+        raise ValueError(f"band {i} is processed after band {j} in a {trace.direction} trace")
+    out = (1.0 - trace.f[..., i - 1]) * trace.z[..., i - 1]
+    for p in range(pi + 1, pj + 1):
+        out = out * trace.f[..., order[p]]
+    return out
+
+
 def fd_grad(func, arrays, eps=1e-3):
     """Central finite differences of scalar-valued func w.r.t. each array.
 

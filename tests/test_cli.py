@@ -5,6 +5,7 @@ subprocesses so they cover interpreter startup and environment handling.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from hsdenoise.cli import main, parse_config_file, resolve_settings
-from hsdenoise.hsio import read_hsi, write_hsi
-from hsdenoise.network import build_network, desk_config, save_weights
+from hsdenoise.hsio import HsiError, read_hsi, write_hsi
+from hsdenoise.network import WeightsError, build_network, desk_config, load_weights, save_weights
+from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
 
 
 def run_cli(*argv):
@@ -263,6 +265,43 @@ class TestTrainCommand:
                        "--out-dir", str(tmp_path / "run"))
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+class TestTruncatedFiles:
+    """Every proper prefix of a valid file is refused with the format's own
+    error naming a byte offset, and the command reading it exits with 2."""
+
+    def check_prefixes(self, tmp_path, blob, reader, error, argv):
+        path = tmp_path / "cut"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(error) as info:
+                reader(str(path))
+            assert re.search(r"(byte|offset) \d+", str(info.value)), (n, info.value)
+            assert run_cli(*argv(str(path))) == 2, n
+
+    def test_hsi_prefixes(self, tmp_path):
+        src, _ = make_cube(tmp_path, "c.hsi", shape=(2, 2, 2), seed=13)
+        out = tmp_path / "noisy.hsi"
+        self.check_prefixes(tmp_path, open(src, "rb").read(), read_hsi, HsiError,
+                            lambda p: ("add-noise", p, out, "--iid-sigma", 10))
+
+    def test_q3dw_prefixes(self, tmp_path):
+        src, _ = make_cube(tmp_path, "c.hsi", shape=(4, 4, 2), seed=14)
+        path = tmp_path / "w.q3dw"
+        save_weights(path, build_network(desk_config(width=1, kind="c3d"), seed=2))
+        out = tmp_path / "out.hsi"
+        self.check_prefixes(tmp_path, path.read_bytes(), load_weights, WeightsError,
+                            lambda p: ("denoise", src, out, "--weights", p))
+
+    def test_q3da_prefixes(self, tmp_path):
+        src, _ = make_cube(tmp_path, "c.hsi", shape=(4, 4, 2), seed=15)
+        path = tmp_path / "s.q3da"
+        save_optimizer_state(path, AdamState([np.zeros((2, 2), dtype=np.float32)]))
+        out_dir = tmp_path / "run"
+        self.check_prefixes(tmp_path, path.read_bytes(), load_optimizer_state, WeightsError,
+                            lambda p: ("train", "--data", src, "--out-dir", out_dir,
+                                       "--patch-size", 4, "--resume-state", p))
 
 
 class TestDeterminism:

@@ -5,7 +5,6 @@ import pytest
 
 from hsdenoise.hsio import (
     HsiError,
-    convert_external,
     denormalize,
     extract_patches,
     gen_synthetic,
@@ -202,8 +201,3 @@ class TestSynthetic:
             gen_synthetic(0, 4, 4, seed=0)
         with pytest.raises(ConfigError):
             gen_synthetic(4, 4, 4, seed=0, rank=0)
-
-    def test_converter_is_a_stub(self):
-        """The external-data converter documents instead of parsing."""
-        with pytest.raises(NotImplementedError):
-            convert_external("anything.mat")

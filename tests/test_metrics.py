@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference_impls import ssim_direct
-from hsdenoise.metrics import MetricError, metrics_triple, psnr, psnr_per_band, sam, ssim
+from hsdenoise.metrics import MetricError, psnr, psnr_per_band, sam, ssim
 from hsdenoise.noise import add_gaussian_iid
 from hsdenoise.tensors import ConfigError, ShapeError
 
@@ -102,10 +102,3 @@ class TestSam:
     def test_all_zero_rejected(self):
         with pytest.raises(MetricError):
             sam(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
-
-
-def test_metrics_triple_bundles_all_three():
-    ref = rand_cube((16, 16, 2), seed=12) + 0.05
-    x = ref + 0.01
-    p, s, a = metrics_triple(x, ref)
-    assert p > 30 and 0 < s <= 1 and a >= 0

@@ -4,29 +4,50 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hsdenoise.qru as qru
 from reference_impls import fd_grad, max_rel_err, pool_phi_sum, pool_unrolled_b2
-from hsdenoise.tensors import ConfigError, ConvKernel, ConvSpec
+from hsdenoise.tensors import (
+    ConfigError,
+    ConvKernel,
+    ConvSpec,
+    activate,
+    activate_grad,
+    conv3d_backward,
+    conv3d_forward,
+    tconv3d_backward,
+    tconv3d_forward,
+)
 from hsdenoise.qru import (
     BACKWARD,
     BIDIRECTIONAL,
     FORWARD,
     PoolingTrace,
-    QruParams,
-    gates_forward,
+    QruUnit,
     make_variant,
-    qru3d_forward,
     qru_pool_backward,
     qru_pool_forward,
 )
 
 
-def rand_params(rng, cin=2, cout=3, k=(3, 3, 3), dtype=np.float64):
+def rand_banks(rng, cin=2, cout=3, k=(3, 3, 3), dtype=np.float64):
+    """One direction's random [wz, wf] banks, in declaration order."""
     def kern():
         w = rng.standard_normal((cout, cin) + k).astype(dtype) * 0.3
         b = rng.standard_normal(cout).astype(dtype) * 0.1
         return ConvKernel(w, b)
 
-    return QruParams(kern(), kern())
+    return [kern(), kern()]
+
+
+def gated(banks, direction=FORWARD):
+    """A stride-1 gated unit over explicit banks."""
+    return QruUnit(banks, ConvSpec(), direction)
+
+
+def gates_of(unit, x):
+    """The (z, f) tensors of a one-direction unit, read from its trace."""
+    _, (_, traces) = unit.forward(x, keep_trace=True)
+    return traces[0].z, traces[0].f
 
 
 def rand_zf(rng, shape):
@@ -39,19 +60,19 @@ class TestGates:
     def test_zero_input_zero_bias(self):
         """Zero input with zero biases: z is 0 everywhere, f is 0.5."""
         rng = np.random.default_rng(0)
-        p = rand_params(rng)
-        p.wz.bias[:] = 0
-        p.wf.bias[:] = 0
+        wz, wf = rand_banks(rng)
+        wz.bias[:] = 0
+        wf.bias[:] = 0
         x = np.zeros((1, 2, 5, 5, 4))
-        z, f = gates_forward(x, p, ConvSpec())
+        z, f = gates_of(gated([wz, wf]), x)
         assert not z.any()
         np.testing.assert_allclose(f, 0.5, atol=0)
 
     def test_output_ranges(self):
         rng = np.random.default_rng(1)
-        p = rand_params(rng)
+        unit = gated(rand_banks(rng))
         x = rng.standard_normal((2, 2, 5, 5, 4))
-        z, f = gates_forward(x, p, ConvSpec())
+        z, f = gates_of(unit, x)
         assert np.all(np.abs(z) < 1)
         assert np.all((f > 0) & (f < 1))
         assert z.shape == f.shape
@@ -199,17 +220,100 @@ class TestUnitGradients:
             assert max_rel_err(got, want) <= 1e-3
 
 
+def per_bank_unit(unit, x, grad_y):
+    """The unit computed one bank at a time: a separate convolution and
+    convolution backward per bank, then activations and pooling.
+    Returns (y, grad_x, per-bank grads in param_arrays() order)."""
+    conv = tconv3d_forward if unit.transposed else conv3d_forward
+    conv_bwd = tconv3d_backward if unit.transposed else conv3d_backward
+    banks = unit.kernels()
+    if len(banks) == 1:
+        y = activate(conv(x, banks[0], unit.spec), unit.activation)
+        g_pre = activate_grad(y, grad_y, unit.activation)
+        gx, gw, gb = conv_bwd(x, banks[0], unit.spec, g_pre)
+        return y, gx, [gw, gb]
+    dirs = [FORWARD, BACKWARD] if unit.direction == BIDIRECTIONAL else [unit.direction]
+    y, gx, grads = 0.0, 0.0, []
+    for d, wz, wf in zip(dirs, banks[0::2], banks[1::2]):
+        z = activate(conv(x, wz, unit.spec), "tanh")
+        f = activate(conv(x, wf, unit.spec), "sigmoid")
+        h = qru_pool_forward(z, f, d)
+        y = y + h
+        gz, gf = qru_pool_backward(PoolingTrace(z, f, h, d), grad_y)
+        for kern, g_pre in ((wz, activate_grad(z, gz, "tanh")),
+                            (wf, activate_grad(f, gf, "sigmoid"))):
+            gx_bank, gw, gb = conv_bwd(x, kern, unit.spec, g_pre)
+            gx = gx + gx_bank
+            grads += [gw, gb]
+    return y, gx, grads
+
+
+class TestStackedUnit:
+    @pytest.mark.parametrize("kind,direction,transposed", UNIT_CASES)
+    def test_matches_per_bank_composition(self, kind, direction, transposed, monkeypatch):
+        """One stacked convolution equals the bank-by-bank route to 1e-10,
+        with one convolution call forward and one backward per unit."""
+        rng = np.random.default_rng(19)
+        stride = (2, 2, 1) if transposed else (1, 1, 1)
+        unit = make_variant(kind).build(
+            rng, cin=2, cout=3, stride=stride, direction=direction,
+            transposed=transposed, dtype=np.float64,
+        )
+        hwb = (2, 3, 4) if transposed else (5, 4, 4)
+        x = rng.standard_normal((1, 2) + hwb)
+        y0, _ = unit.forward(x)
+        r = rng.standard_normal(y0.shape)
+        want_y, want_gx, want_grads = per_bank_unit(unit, x, r)
+
+        calls = []
+        for name in ("conv3d_forward", "tconv3d_forward",
+                     "conv3d_backward", "tconv3d_backward"):
+            def counted(*args, _fn=getattr(qru, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(qru, name, counted)
+        prefix = "tconv3d" if transposed else "conv3d"
+        y, trace = unit.forward(x, keep_trace=True)
+        assert calls == [prefix + "_forward"]
+        gx, grads = unit.backward(trace, r)
+        assert calls == [prefix + "_forward", prefix + "_backward"]
+
+        assert max_rel_err(y, want_y, floor=1.0) <= 1e-10
+        assert max_rel_err(gx, want_gx, floor=1.0) <= 1e-10
+        assert len(grads) == len(want_grads) == len(unit.param_arrays())
+        for got, want, p in zip(grads, want_grads, unit.param_arrays()):
+            assert got.shape == p.shape
+            assert max_rel_err(got, want, floor=1.0) <= 1e-10
+
+    @pytest.mark.parametrize("kind,direction,transposed", UNIT_CASES)
+    def test_param_arrays_are_live_storage(self, kind, direction, transposed):
+        """Writing into any param_arrays() entry changes the next forward."""
+        rng = np.random.default_rng(20)
+        stride = (2, 2, 1) if transposed else (1, 1, 1)
+        unit = make_variant(kind).build(
+            rng, cin=2, cout=3, stride=stride, direction=direction,
+            transposed=transposed, dtype=np.float64,
+        )
+        hwb = (2, 3, 4) if transposed else (5, 4, 4)
+        x = rng.standard_normal((1, 2) + hwb)
+        for p in unit.param_arrays():
+            before, _ = unit.forward(x)
+            p.reshape(-1)[0] += 0.5
+            after, _ = unit.forward(x)
+            assert np.abs(after - before).max() > 1e-6
+
+
 class TestUnitForward:
     def test_forward_unit_is_causal_beyond_one_band(self):
         """Band b of a forward unit ignores perturbations at bands > b+1."""
         rng = np.random.default_rng(12)
-        p = rand_params(rng, cin=1, cout=2)
+        unit = gated(rand_banks(rng, cin=1, cout=2))
         x = rng.standard_normal((1, 1, 4, 4, 6))
-        y = qru3d_forward(x, p, ConvSpec(), FORWARD)
+        y, _ = unit.forward(x)
         j = 4
         xp = x.copy()
         xp[..., j] += 0.5
-        yp = qru3d_forward(xp, p, ConvSpec(), FORWARD)
+        yp, _ = unit.forward(xp)
         diff = np.abs(yp - y).max(axis=(0, 1, 2, 3))
         assert np.all(diff[: j - 1] < 1e-6)
         assert diff[j] > 1e-6
@@ -218,22 +322,22 @@ class TestUnitForward:
         """A bidirectional unit whose backward gate saturates at 1 returns
         (numerically) just the forward branch."""
         rng = np.random.default_rng(13)
-        pf = rand_params(rng, cin=1, cout=2)
-        pb = rand_params(rng, cin=1, cout=2)
-        pb.wf.weight[:] = 0
-        pb.wf.bias[:] = 40.0
+        pf = rand_banks(rng, cin=1, cout=2)
+        pb = rand_banks(rng, cin=1, cout=2)
+        pb[1].weight[:] = 0
+        pb[1].bias[:] = 40.0
         x = rng.standard_normal((1, 1, 4, 4, 5))
-        both = qru3d_forward(x, pf, ConvSpec(), BIDIRECTIONAL, params_back=pb)
-        fwd = qru3d_forward(x, pf, ConvSpec(), FORWARD)
+        both, _ = gated(pf + pb, BIDIRECTIONAL).forward(x)
+        fwd, _ = gated(pf).forward(x)
         np.testing.assert_allclose(both, fwd, atol=1e-12)
 
     def test_output_ranges_by_direction(self):
         rng = np.random.default_rng(14)
-        pf = rand_params(rng, cin=1, cout=2)
-        pb = rand_params(rng, cin=1, cout=2)
+        pf = rand_banks(rng, cin=1, cout=2)
+        pb = rand_banks(rng, cin=1, cout=2)
         x = rng.standard_normal((1, 1, 5, 5, 6))
-        uni = qru3d_forward(x, pf, ConvSpec(), FORWARD)
-        bi = qru3d_forward(x, pf, ConvSpec(), BIDIRECTIONAL, params_back=pb)
+        uni, _ = gated(pf).forward(x)
+        bi, _ = gated(pf + pb, BIDIRECTIONAL).forward(x)
         assert np.all(np.abs(uni) < 1)
         assert np.all(np.abs(bi) < 2)
 
@@ -263,17 +367,15 @@ class TestVariants:
     def test_qru2d_kernel_shape(self):
         rng = np.random.default_rng(16)
         unit = make_variant("qru2d").build(rng, 2, 4, (1, 1, 1), FORWARD)
-        assert unit.params_list[0].wz.weight.shape == (4, 2, 3, 3, 1)
+        assert unit.kernels()[0].weight.shape == (4, 2, 3, 3, 1)
 
     def test_c3d_is_tanh_of_conv(self):
         rng = np.random.default_rng(17)
         unit = make_variant("c3d").build(rng, 2, 3, (1, 1, 1), FORWARD, dtype=np.float64)
         x = rng.standard_normal((1, 2, 5, 5, 4))
         y, _ = unit.forward(x)
-        from hsdenoise.tensors import conv3d_forward
-
         np.testing.assert_allclose(
-            y, np.tanh(conv3d_forward(x, unit.kernel, unit.spec)), atol=1e-6
+            y, np.tanh(conv3d_forward(x, unit.kernels()[0], unit.spec)), atol=1e-6
         )
 
     def test_c3d_has_half_the_parameters(self):
