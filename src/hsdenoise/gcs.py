@@ -60,6 +60,8 @@ def gcs_matrix(trace, eps=1e-6):
     """
     if not isinstance(trace, PoolingTrace):
         raise ConfigError("gcs_matrix needs a single-direction pooling trace")
+    if not eps > 0:
+        raise ConfigError(f"eps must be positive, got {eps!r}")
     z = np.asarray(trace.z, dtype=np.float64)
     f = np.asarray(trace.f, dtype=np.float64)
     h = np.asarray(trace.h, dtype=np.float64)

@@ -15,17 +15,17 @@ encoder's downsampling layers, and <conv(x), y> == <x, tconv(y)> holds
 bit-for-bit in exact arithmetic with zero bias.
 
 Convolution here means cross-correlation (no kernel flip), the usual
-deep-learning convention. Compute is chunked im2col plus matmul with
-float64 accumulation; results are cast back to the working dtype, so
-float32 networks still get stable sums.
+deep-learning convention. Each core walks the kernel offsets (di, dj, dk)
+and runs one float64 GEMM per offset, with the batch folded into its long
+axis: forward acc += W[:, :, di, dj, dk] @ slab; input gradient, which is
+also the transposed map, gxp[taps] += W[:, :, di, dj, dk].T @ grad; weight
+gradient gw[:, :, di, dj, dk] = grad @ slab.T. Results are cast back to
+the working dtype once, so float32 networks still get stable sums. Besides
+one offset's slab and product, a call holds the float64 padded input (or
+padded gradient grid) and its float64 accumulator.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-# Rough per-chunk budget for the materialized column buffer, in float64
-# elements (about 64 MB). Keeps peak memory flat on large cubes.
-_CHUNK_ELEMS = 8_000_000
 
 
 class ShapeError(ValueError):
@@ -64,9 +64,6 @@ class ConvKernel:
 
     def astype(self, dtype):
         return ConvKernel(self.weight.astype(dtype), self.bias.astype(dtype))
-
-    def copy(self):
-        return ConvKernel(self.weight.copy(), self.bias.copy())
 
 
 class ConvSpec:
@@ -116,109 +113,64 @@ def _out_extents(in_hwb, ksize, stride, pad):
     return tuple(out)
 
 
-def _pad_input(x, pad):
+def _taps(ksize, stride, out_hwb):
+    """Yield each kernel offset (di, dj, dk) with the stepped slices it reads
+    on a padded channels-first grid to produce an out_hwb output."""
+    for offset in np.ndindex(*ksize):
+        yield offset, (slice(None), slice(None)) + tuple(
+            slice(d, d + (o - 1) * s + 1, s) for d, o, s in zip(offset, out_hwb, stride)
+        )
+
+
+def _channels_first(x, pad=(0, 0, 0)):
+    """Float64 copy (C, N, H + 2ph, W + 2pw, B + 2pb) of x, zero-bordered."""
+    n_n, c, h, w, b = x.shape
     ph, pw, pb = pad
-    if ph == 0 and pw == 0 and pb == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw), (pb, pb)))
+    xp = np.zeros((c, n_n, h + 2 * ph, w + 2 * pw, b + 2 * pb))
+    xp[:, :, ph : ph + h, pw : pw + w, pb : pb + b] = x.transpose(1, 0, 2, 3, 4)
+    return xp
 
 
-def _windows(xp, ksize, stride):
-    """Strided window view (N, C, Ho, Wo, Bo, kh, kw, kb) of padded input."""
-    sh, sw, sb = stride
-    win = sliding_window_view(xp, ksize, axis=(2, 3, 4))
-    return win[:, :, ::sh, ::sw, ::sb]
-
-
-def _h_chunks(ho, wo, bo, feat):
-    """Yield (h0, h1) output-row slabs sized to the column-buffer budget."""
-    per_row = max(1, wo * bo * feat)
-    step = max(1, _CHUNK_ELEMS // per_row)
-    for h0 in range(0, ho, step):
-        yield h0, min(ho, h0 + step)
+def _batch_first(a, dtype):
+    """Channels-first (C, N, H, W, B) back to a contiguous (N, C, H, W, B)."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3, 4), dtype=dtype)
 
 
 def _forward_core(x, weight, stride, pad, out_dtype):
-    """Cross-correlation without bias; float64 accumulation inside."""
+    """Cross-correlation without bias: one GEMM per kernel offset."""
     n_n, c2 = x.shape[:2]
     c1 = weight.shape[0]
-    ksize = weight.shape[2:]
-    ho, wo, bo = _out_extents(x.shape[2:], ksize, stride, pad)
-    xp = _pad_input(x, pad)
-    win = _windows(xp, ksize, stride)
-    feat = c2 * int(np.prod(ksize))
-    wmat = weight.reshape(c1, feat).astype(np.float64, copy=False)
-    out = np.empty((n_n, c1, ho, wo, bo), dtype=out_dtype)
-    for n in range(n_n):
-        for h0, h1 in _h_chunks(ho, wo, bo, feat):
-            blk = np.asarray(
-                win[n, :, h0:h1].transpose(1, 2, 3, 0, 4, 5, 6), dtype=np.float64
-            ).reshape((h1 - h0) * wo * bo, feat)
-            y = blk @ wmat.T
-            out[n, :, h0:h1] = y.reshape(h1 - h0, wo, bo, c1).transpose(3, 0, 1, 2)
-            # Free this slab's buffers before the next one is built, so the
-            # heap never holds two column buffers at once.
-            del blk, y
-    return out
+    out_hwb = _out_extents(x.shape[2:], weight.shape[2:], stride, pad)
+    xp = _channels_first(x, pad)
+    w64 = weight.astype(np.float64, copy=False)  # mixed-dtype matmul ran 2x slower
+    acc = np.zeros((c1, n_n * int(np.prod(out_hwb))))
+    for (di, dj, dk), taps in _taps(weight.shape[2:], stride, out_hwb):
+        acc += w64[:, :, di, dj, dk] @ xp[taps].reshape(c2, -1)
+    return _batch_first(acc.reshape((c1, n_n) + out_hwb), out_dtype)
 
 
 def _input_grad_core(gy, weight, stride, pad, in_hwb, out_dtype):
     """Adjoint of _forward_core: scatter grad_out back onto the input grid."""
     n_n, c1 = gy.shape[:2]
     c2 = weight.shape[1]
-    kh, kw, kb = weight.shape[2:]
-    sh, sw, sb = stride
-    ph, pw, pb = pad
-    h, w, b = in_hwb
-    ho, wo, bo = gy.shape[2:]
-    feat = c2 * kh * kw * kb
-    wmat = weight.reshape(c1, feat).astype(np.float64, copy=False)
-    gxp = np.zeros((n_n, c2, h + 2 * ph, w + 2 * pw, b + 2 * pb), dtype=np.float64)
-    for n in range(n_n):
-        for h0, h1 in _h_chunks(ho, wo, bo, feat):
-            hh = h1 - h0
-            gblk = np.asarray(
-                gy[n, :, h0:h1].transpose(1, 2, 3, 0), dtype=np.float64
-            ).reshape(hh * wo * bo, c1)
-            cols = (gblk @ wmat).reshape(hh, wo, bo, c2, kh, kw, kb)
-            cols = cols.transpose(3, 0, 1, 2, 4, 5, 6)
-            for di in range(kh):
-                for dj in range(kw):
-                    for dk in range(kb):
-                        gxp[
-                            n,
-                            :,
-                            h0 * sh + di : h0 * sh + di + hh * sh : sh,
-                            dj : dj + wo * sw : sw,
-                            dk : dk + bo * sb : sb,
-                        ] += cols[:, :, :, :, di, dj, dk]
-            del gblk, cols
-    gx = gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b]
-    return gx.astype(out_dtype, copy=False)
+    (h, w, b), (ph, pw, pb) = in_hwb, pad
+    g = _channels_first(gy).reshape(c1, -1)
+    w64 = weight.astype(np.float64, copy=False)
+    gxp = np.zeros((c2, n_n, h + 2 * ph, w + 2 * pw, b + 2 * pb))
+    for (di, dj, dk), taps in _taps(weight.shape[2:], stride, gy.shape[2:]):
+        gxp[taps] += (w64[:, :, di, dj, dk].T @ g).reshape((c2, n_n) + gy.shape[2:])
+    return _batch_first(gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b], out_dtype)
 
 
 def _weight_grad_core(x, gy, weight_shape, stride, pad):
     """Correlate conv input against grad_out; returns float64 weight grad."""
-    n_n, c2 = x.shape[:2]
-    c1 = weight_shape[0]
-    ksize = weight_shape[2:]
-    ho, wo, bo = gy.shape[2:]
-    xp = _pad_input(x, pad)
-    win = _windows(xp, ksize, stride)
-    feat = c2 * int(np.prod(ksize))
-    gw = np.zeros((c1, feat), dtype=np.float64)
-    for n in range(n_n):
-        for h0, h1 in _h_chunks(ho, wo, bo, feat):
-            hh = h1 - h0
-            blk = np.asarray(
-                win[n, :, h0:h1].transpose(1, 2, 3, 0, 4, 5, 6), dtype=np.float64
-            ).reshape(hh * wo * bo, feat)
-            gblk = np.asarray(
-                gy[n, :, h0:h1].transpose(1, 2, 3, 0), dtype=np.float64
-            ).reshape(hh * wo * bo, c1)
-            gw += gblk.T @ blk
-            del blk, gblk
-    return gw.reshape(weight_shape)
+    c1, c2 = weight_shape[:2]
+    xp = _channels_first(x, pad)
+    g = _channels_first(gy).reshape(c1, -1)
+    gw = np.empty(weight_shape)
+    for (di, dj, dk), taps in _taps(weight_shape[2:], stride, gy.shape[2:]):
+        gw[:, :, di, dj, dk] = g @ xp[taps].reshape(c2, -1).T
+    return gw
 
 
 def conv3d_forward(x, kernel, spec):

@@ -189,6 +189,11 @@ class TrainOptions:
             raise ConfigError("epochs must be positive")
         if start_epoch < 0 or start_epoch >= epochs:
             raise ConfigError(f"start epoch {start_epoch} outside [0, {epochs})")
+        if batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {batch_size}")
+        if max_steps_per_epoch is not None and max_steps_per_epoch < 1:
+            raise ConfigError(
+                f"max steps per epoch must be at least 1, got {max_steps_per_epoch}")
         self.seed = seed
         self.epochs = epochs
         self.start_epoch = start_epoch

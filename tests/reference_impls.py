@@ -9,6 +9,7 @@ Frozen: do not refactor these to call into hsdenoise.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv3d_reference(x, weight, bias, stride, pad):
@@ -43,6 +44,35 @@ def conv3d_reference(x, weight, bias, stride, pad):
                                         )
                         out[n, co, i, j, k] = acc + bias[co]
     return out
+
+
+def _im2col_windows(x, ksize, stride, pad):
+    """Unchunked window view (N, Cin, Ho, Wo, Bo, kh, kw, kb) of the
+    zero-padded float64 input, one window per output voxel."""
+    ph, pw, pb = pad
+    sh, sw, sb = stride
+    xp = np.pad(np.asarray(x, dtype=np.float64),
+                ((0, 0), (0, 0), (ph, ph), (pw, pw), (pb, pb)))
+    win = sliding_window_view(xp, tuple(ksize), axis=(2, 3, 4))
+    return win[:, :, ::sh, ::sw, ::sb]
+
+
+def conv3d_im2col(x, weight, bias, stride, pad):
+    """Cross-correlation as one einsum over every window at once.
+
+    Same contract as conv3d_reference, fast enough for network-scale
+    channel counts on small spatial extents.
+    """
+    win = _im2col_windows(x, np.shape(weight)[2:], stride, pad)
+    out = np.einsum("nchwbijk,ocijk->nohwb", win, np.asarray(weight, dtype=np.float64))
+    return out + np.asarray(bias, dtype=np.float64).reshape(1, -1, 1, 1, 1)
+
+
+def conv3d_weight_grad_im2col(x, grad_out, ksize, stride, pad):
+    """Gradient of sum(conv3d_im2col(x, w, 0, ...) * grad_out) w.r.t. w:
+    every window of x weighted by the grad_out value at its output voxel."""
+    win = _im2col_windows(x, ksize, stride, pad)
+    return np.einsum("nchwbijk,nohwb->ocijk", win, np.asarray(grad_out, dtype=np.float64))
 
 
 def pool_unrolled_b2(z, f):

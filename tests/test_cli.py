@@ -208,6 +208,17 @@ class TestGcsCommand:
         assert code == 2
         assert "outside 1..3" in capsys.readouterr().err
 
+    def test_zero_epsilon_fails_without_output(self, tmp_path, capsys):
+        """--eps 0 exits 2 and leaves no artifact behind."""
+        weights = make_weights(tmp_path)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
+        out_dir = tmp_path / "out"
+        code = run_cli("gcs", src, "--weights", weights, "--eps", 0,
+                       "--out-prefix", str(out_dir / "g"))
+        assert code == 2
+        assert "eps must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestTrainCommand:
     def test_small_fixed_run(self, tmp_path):
@@ -225,6 +236,17 @@ class TestTrainCommand:
         assert "# command: train" in log
         assert "epoch,stage,lr,batch_size,loss,val_psnr" in log
         assert "seconds" not in log
+
+    def test_stepless_run_rejected(self, tmp_path, capsys):
+        """A batch size under which no step could run exits 2 and writes no log."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir),
+                       "--policy", "fixed", "--epochs", 1, "--width", 4,
+                       "--batch-size", -1, "--sigma", 25, "--patch-size", 8)
+        assert code == 2
+        assert "batch size must be at least 1, got -1" in capsys.readouterr().err
+        assert not (out_dir / "trainlog.csv").exists()
 
     def test_resume_matches_straight_run(self, tmp_path):
         """Two epochs plus a resumed two equal a straight four, bitwise."""

@@ -132,6 +132,15 @@ class TestGcsMatrix:
         assert m.excluded[0] == 1
         assert m.values[0, 0] == pytest.approx(np.sqrt(3), rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_epsilon_rejected(self, eps):
+        """Without a positive threshold, |h| == 0 would enter the ratio."""
+        z = np.zeros((1, 1, 2, 2, 1))
+        f = np.full_like(z, 0.5)
+        tr = PoolingTrace(z, f, qru_pool_forward(z, f, FORWARD), FORWARD)
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            gcs_matrix(tr, eps=eps)
+
     def test_degenerate_hidden_state_absent(self):
         """An all-zero hidden state yields an absent entry, not zero."""
         z = np.zeros((1, 1, 2, 2, 1))

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_impls import conv3d_reference, fd_grad, max_rel_err
+from reference_impls import (
+    conv3d_im2col,
+    conv3d_reference,
+    conv3d_weight_grad_im2col,
+    fd_grad,
+    max_rel_err,
+)
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
@@ -206,6 +212,55 @@ class TestTconv:
         x = np.zeros((1, 1, 2, 2, 2))
         with pytest.raises(ConfigError, match="up-down"):
             tconv3d_forward(x, delta_kernel(), ConvSpec((2, 2, 2), (0, 0, 0)))
+
+
+# Stacked kernels (c1, c2, kh, kw, kb) and strides of the standard network,
+# every bank of a unit concatenated along its output channels.
+NET_KERNELS = {
+    "L01": ((64, 1, 3, 3, 3), (1, 1, 1)),
+    "L03": ((64, 16, 3, 3, 3), (2, 2, 1)),
+    "L08-transposed": ((64, 64, 3, 3, 3), (2, 2, 1)),
+    "L12": ((4, 16, 3, 3, 3), (1, 1, 1)),
+    "qru2d": ((32, 16, 3, 3, 1), (1, 1, 1)),
+}
+
+
+def assert_rel(actual, expected, tol=1e-10):
+    """Largest deviation within tol of the largest expected magnitude."""
+    scale = float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(actual - expected))) <= tol * scale
+
+
+@pytest.mark.parametrize("name", sorted(NET_KERNELS))
+def test_network_kernels_match_im2col_oracle(name):
+    """Both maps and all gradients of each stacked network kernel agree with
+    the im2col oracle to 1e-10 in float64; the input-side maps through
+    <conv_ref(x), y> == <x, map(y)>."""
+    wshape, stride = NET_KERNELS[name]
+    c1, c2 = wshape[:2]
+    ksize = wshape[2:]
+    pad = tuple(k // 2 for k in ksize)
+    spec = ConvSpec(stride, pad)
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((2, c2, 8, 6, 5))
+    w = rng.standard_normal(wshape)
+    b = rng.standard_normal(c1)
+    assert_rel(conv3d_forward(x, ConvKernel(w, b), spec),
+               conv3d_im2col(x, w, b, stride, pad))
+
+    y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
+    y = rng.standard_normal(y_ref.shape)
+    lhs = float(np.vdot(y_ref, y))
+    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), spec, y)
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), spec)
+    assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
+    assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
+
+    gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
+    assert_rel(gw, gw_ref)
+    # <tconv(y), x> is <conv(x), y>, so both weight gradients are gw_ref.
+    _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), spec, x)
+    assert_rel(tgw, gw_ref)
 
 
 class TestActivations:

@@ -295,6 +295,12 @@ class TestTrainLoop:
             TrainOptions(epochs=0)
         with pytest.raises(ConfigError):
             TrainOptions(epochs=2, start_epoch=2)
+        for size in (0, -1):
+            with pytest.raises(ConfigError, match=f"batch size .* got {size}"):
+                TrainOptions(policy="fixed", batch_size=size)
+        for steps in (0, -2):
+            with pytest.raises(ConfigError, match=f"max steps .* got {steps}"):
+                TrainOptions(max_steps_per_epoch=steps)
 
     def test_foreign_state_rejected(self):
         """An optimizer state sized for another model is refused."""
