@@ -218,15 +218,19 @@ def _layer_index(text, n_layers):
 
 def cmd_gcs(args):
     import numpy as np
-    from .gcs import (GcsMatrix, gcs_matrix, gcs_to_csv, overlay_values,
-                      pooling_traces, relative_bands, values_to_pgm)
+    from .gcs import (GcsMatrix, check_eps, gcs_matrix, gcs_to_csv, no_recurrence,
+                      overlay_values, pooling_traces, relative_bands, values_to_pgm)
     from .hsio import read_hsi
     from .network import load_weights
     model = load_weights(args.weights, global_residual=args.residual)
-    cube = read_hsi(args.input)
     layer = _layer_index(args.layer, len(model.units))
+    check_eps(args.eps)
+    if not model.units[layer].gated:
+        raise no_recurrence(layer)
+    cube = read_hsi(args.input)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
-    _, traces = model.forward(x, keep_traces=True)
+    # A layer's traces depend only on the layers up to it.
+    _, traces = model.forward(x, keep_traces=True, through=layer)
     matrices = [gcs_matrix(t, eps=args.eps) for t in pooling_traces(traces, layer)]
     parent = os.path.dirname(args.out_prefix)
     if parent:

@@ -17,9 +17,6 @@ everywhere yields an absent entry.  Absent entries, including the empty
 triangle of a one-directional trace, are stored as NaN, never as 0.
 """
 
-import csv
-import io
-
 import numpy as np
 
 from .qru import PoolingTrace, _band_order
@@ -51,39 +48,67 @@ class GcsMatrix:
         return ~np.isnan(self.values)
 
 
-def gcs_matrix(trace, eps=1e-6):
-    """Band-contribution matrix of one trace.
+def check_eps(eps):
+    """The epsilon guard must be a positive number; NaN is not."""
+    if not eps > 0:
+        raise ConfigError(f"eps must be positive, got {eps!r}")
 
-    Contributions are accumulated incrementally along the walk (each step
-    multiplies all earlier contributions by the new gate), so the whole
-    matrix costs one extra recurrence pass rather than one per cell.
+
+def no_recurrence(layer):
+    """The error for a layer without a pooling recurrence (zero-based)."""
+    return ConfigError(f"layer {layer} has no pooling recurrence to analyze")
+
+
+def _walk_rows(a, order):
+    """Float64 (bands, numel) copy of a trace array, one row per band in
+    walk order."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T[order], dtype=np.float64)
+
+
+def gcs_matrix(trace, eps=1e-6):
+    """Band-contribution matrix of one trace, in one walk along the bands.
+
+    The trace is laid out band-major in walk order, and the walk keeps the
+    squared contribution of every band reached so far as one row of `sq`:
+    at step p, row i holds (f_p * ... * f_{i+1} * (1 - f_i) * z_i)^2. Step p
+    multiplies the earlier rows by f_p^2, then one matrix-vector product
+    with w^2, where w = 1 / h_p on elements with |h_p| >= eps and 0
+    elsewhere, gives the squared norms of the whole column of band p. That
+    is O(bands^2 * numel) arithmetic in O(bands) numpy calls.
     """
     if not isinstance(trace, PoolingTrace):
         raise ConfigError("gcs_matrix needs a single-direction pooling trace")
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps!r}")
-    z = np.asarray(trace.z, dtype=np.float64)
-    f = np.asarray(trace.f, dtype=np.float64)
-    h = np.asarray(trace.h, dtype=np.float64)
-    n_bands = z.shape[-1]
-    h_numel = int(np.prod(z.shape[:-1]))
-    values = np.full((n_bands, n_bands), np.nan)
+    check_eps(eps)
+    n_bands = np.shape(trace.z)[-1]
+    order = np.asarray(_band_order(n_bands, trace.direction))
+    sq = _walk_rows(trace.z, order)
+    f2 = _walk_rows(trace.f, order)
+    sq *= 1.0 - f2
+    np.square(sq, out=sq)
+    np.square(f2, out=f2)
+    w2 = _walk_rows(trace.h, order)
+    include = np.abs(w2) >= eps
+    np.square(w2, out=w2)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, w2, out=w2)
+    w2[~include] = 0.0
+    h_numel = sq.shape[1]
+    kept = np.count_nonzero(include, axis=1)
     excluded = np.zeros(n_bands, dtype=np.int64)
-    order = list(_band_order(n_bands, trace.direction))
-    contrib = np.zeros_like(z)
+    excluded[order] = h_numel - kept
+    values = np.full((n_bands, n_bands), np.nan)
     for p, b in enumerate(order):
-        gate = f[..., b]
-        for earlier in order[:p]:
-            contrib[..., earlier] *= gate
-        contrib[..., b] = (1.0 - gate) * z[..., b]
-        include = np.abs(h[..., b]) >= eps
-        excluded[b] = h_numel - int(np.count_nonzero(include))
-        if excluded[b] == h_numel:
+        sq[:p] *= f2[p]
+        if kept[p] == 0:
             continue
-        denom = h[..., b][include]
-        for i in order[:p + 1]:
-            ratio = contrib[..., i][include] / denom
-            values[i, b] = float(np.sqrt(np.sum(ratio * ratio)))
+        total = sq[:p + 1] @ w2[p]
+        bad = ~np.isfinite(total)
+        if bad.any():
+            # A non-finite contribution on an excluded element turns its
+            # zero weight into NaN; sum the included elements alone.
+            total[bad] = np.where(include[p], sq[:p + 1][bad] * w2[p], 0.0).sum(axis=1)
+        values[order[:p + 1], b] = np.sqrt(total)
     return GcsMatrix(values, trace.direction, h_numel, excluded, eps)
 
 
@@ -147,7 +172,7 @@ def pooling_traces(net_traces, layer):
     branches = unit_trace[1]
     if not (isinstance(branches, list)
             and all(isinstance(t, PoolingTrace) for t in branches)):
-        raise ConfigError(f"layer {layer} has no pooling recurrence to analyze")
+        raise no_recurrence(layer)
     return branches
 
 
@@ -167,21 +192,16 @@ def overlay_values(matrices):
 def gcs_to_csv(gcs):
     """CSV rendering: comment lines carry the metadata, then one header row
     and one row per contributing band; absent cells are empty."""
-    buf = io.StringIO()
-    buf.write(f"# direction: {gcs.direction}\n")
-    buf.write(f"# eps: {gcs.eps:g}\n")
-    buf.write(f"# h_numel: {gcs.h_numel}\n")
-    buf.write("# excluded: " + ",".join(str(int(e)) for e in gcs.excluded) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    n = gcs.n_bands
-    writer.writerow(["band"] + [str(j + 1) for j in range(n)])
-    for i in range(n):
-        row = [str(i + 1)]
-        for j in range(n):
-            v = gcs.values[i, j]
-            row.append("" if np.isnan(v) else f"{v:.8g}")
-        writer.writerow(row)
-    return buf.getvalue()
+    lines = [
+        f"# direction: {gcs.direction}",
+        f"# eps: {gcs.eps:g}",
+        f"# h_numel: {gcs.h_numel}",
+        "# excluded: " + ",".join(str(int(e)) for e in gcs.excluded),
+        ",".join(["band"] + [str(j + 1) for j in range(gcs.n_bands)]),
+    ]
+    for i, row in enumerate(gcs.values.tolist()):
+        lines.append(",".join([str(i + 1)] + ["" if v != v else f"{v:.8g}" for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 def values_to_pgm(values):

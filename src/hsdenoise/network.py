@@ -203,11 +203,17 @@ class Model:
         gradient checking)."""
         return Model(self.config, [u.astype(dtype) for u in self.units])
 
-    def forward(self, x, keep_traces=False):
+    def forward(self, x, keep_traces=False, through=None):
         """Run the network; returns (output, traces or None).
 
         Traces hold each unit's own trace plus every layer output, enough
         for backward() and for the spectral-dependency diagnostics.
+
+        `through` (zero-based layer index) stops right after that unit and
+        returns its output, without the global residual, and the traces of
+        the layers run so far. A layer reads only earlier layers, so those
+        traces equal the first through+1 of a full pass. The input is
+        checked against the whole network either way.
         """
         x = np.asarray(x)
         if x.ndim != 5:
@@ -224,11 +230,14 @@ class Model:
                     f"crop or pad the cube so the encoder can downsample"
                 )
         n = len(self.units)
+        if through is not None and not 0 <= through < n:
+            raise ConfigError(f"layer {through} outside 0..{n - 1}")
+        stop = n if through is None else through + 1
         skip_targets = set(self.config._skip_targets())
         outputs = []
         unit_traces = [] if keep_traces else None
         cur = x
-        for j, unit in enumerate(self.units):
+        for j, unit in enumerate(self.units[:stop]):
             if j in skip_targets:
                 cur = cur + outputs[self.config._skip_source(j)]
             cur, tr = unit.forward(cur, keep_trace=keep_traces)
@@ -236,7 +245,7 @@ class Model:
             if keep_traces:
                 unit_traces.append(tr)
         y = outputs[-1]
-        if self.config.global_residual:
+        if through is None and self.config.global_residual:
             y = y + x
         if keep_traces:
             return y, {"input": x, "outputs": outputs, "units": unit_traces}

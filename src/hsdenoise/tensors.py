@@ -20,9 +20,11 @@ and runs one float64 GEMM per offset, with the batch folded into its long
 axis: forward acc += W[:, :, di, dj, dk] @ slab; input gradient, which is
 also the transposed map, gxp[taps] += W[:, :, di, dj, dk].T @ grad; weight
 gradient gw[:, :, di, dj, dk] = grad @ slab.T. Results are cast back to
-the working dtype once, so float32 networks still get stable sums. Besides
-one offset's slab and product, a call holds the float64 padded input (or
-padded gradient grid) and its float64 accumulator.
+the working dtype once, so float32 networks still get stable sums. The
+public maps build each operand's float64 channels-first grid once and hand
+it to the cores, so a backward converts grad_out once for both of its
+cores. Besides one offset's slab and product, a call holds those grids and
+one float64 accumulator.
 """
 
 import numpy as np
@@ -136,12 +138,12 @@ def _batch_first(a, dtype):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3, 4), dtype=dtype)
 
 
-def _forward_core(x, weight, stride, pad, out_dtype):
-    """Cross-correlation without bias: one GEMM per kernel offset."""
-    n_n, c2 = x.shape[:2]
+def _forward_core(xp, weight, stride, out_dtype):
+    """Cross-correlation without bias of a padded channels-first grid: one
+    GEMM per kernel offset."""
+    c2, n_n = xp.shape[:2]
     c1 = weight.shape[0]
-    out_hwb = _out_extents(x.shape[2:], weight.shape[2:], stride, pad)
-    xp = _channels_first(x, pad)
+    out_hwb = _out_extents(xp.shape[2:], weight.shape[2:], stride, (0, 0, 0))
     w64 = weight.astype(np.float64, copy=False)  # mixed-dtype matmul ran 2x slower
     acc = np.zeros((c1, n_n * int(np.prod(out_hwb))))
     for (di, dj, dk), taps in _taps(weight.shape[2:], stride, out_hwb):
@@ -149,27 +151,28 @@ def _forward_core(x, weight, stride, pad, out_dtype):
     return _batch_first(acc.reshape((c1, n_n) + out_hwb), out_dtype)
 
 
-def _input_grad_core(gy, weight, stride, pad, in_hwb, out_dtype):
-    """Adjoint of _forward_core: scatter grad_out back onto the input grid."""
-    n_n, c1 = gy.shape[:2]
+def _input_grad_core(g, weight, stride, pad, in_hwb, out_dtype):
+    """Adjoint of _forward_core: scatter a channels-first grad_out back onto
+    the input grid."""
+    c1, n_n = g.shape[:2]
     c2 = weight.shape[1]
     (h, w, b), (ph, pw, pb) = in_hwb, pad
-    g = _channels_first(gy).reshape(c1, -1)
     w64 = weight.astype(np.float64, copy=False)
     gxp = np.zeros((c2, n_n, h + 2 * ph, w + 2 * pw, b + 2 * pb))
-    for (di, dj, dk), taps in _taps(weight.shape[2:], stride, gy.shape[2:]):
-        gxp[taps] += (w64[:, :, di, dj, dk].T @ g).reshape((c2, n_n) + gy.shape[2:])
+    flat = g.reshape(c1, -1)
+    for (di, dj, dk), taps in _taps(weight.shape[2:], stride, g.shape[2:]):
+        gxp[taps] += (w64[:, :, di, dj, dk].T @ flat).reshape((c2, n_n) + g.shape[2:])
     return _batch_first(gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b], out_dtype)
 
 
-def _weight_grad_core(x, gy, weight_shape, stride, pad):
-    """Correlate conv input against grad_out; returns float64 weight grad."""
+def _weight_grad_core(xp, g, weight_shape, stride):
+    """Correlate a padded channels-first conv input against a channels-first
+    grad_out; returns float64 weight grad."""
     c1, c2 = weight_shape[:2]
-    xp = _channels_first(x, pad)
-    g = _channels_first(gy).reshape(c1, -1)
+    flat = g.reshape(c1, -1)
     gw = np.empty(weight_shape)
-    for (di, dj, dk), taps in _taps(weight_shape[2:], stride, gy.shape[2:]):
-        gw[:, :, di, dj, dk] = g @ xp[taps].reshape(c2, -1).T
+    for (di, dj, dk), taps in _taps(weight_shape[2:], stride, g.shape[2:]):
+        gw[:, :, di, dj, dk] = flat @ xp[taps].reshape(c2, -1).T
     return gw
 
 
@@ -185,7 +188,7 @@ def conv3d_forward(x, kernel, spec):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(x, weight, spec.stride, spec.pad, out_dtype)
+    y = _forward_core(_channels_first(x, spec.pad), weight, spec.stride, out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -200,8 +203,9 @@ def conv3d_backward(x, kernel, spec, grad_out):
     )
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gx = _input_grad_core(grad_out, weight, spec.stride, spec.pad, x.shape[2:], x.dtype)
-    gw = _weight_grad_core(x, grad_out, weight.shape, spec.stride, spec.pad)
+    g = _channels_first(grad_out)
+    gx = _input_grad_core(g, weight, spec.stride, spec.pad, x.shape[2:], x.dtype)
+    gw = _weight_grad_core(_channels_first(x, spec.pad), g, weight.shape, spec.stride)
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 
@@ -241,7 +245,7 @@ def tconv3d_forward(x, kernel, spec):
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c2}")
     out_hwb = _tconv_out_hwb(x.shape[2:], weight.shape[2:], spec.stride, spec.pad)
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _input_grad_core(x, weight, spec.stride, spec.pad, out_hwb, out_dtype)
+    y = _input_grad_core(_channels_first(x), weight, spec.stride, spec.pad, out_hwb, out_dtype)
     y += bias.reshape(1, c2, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -255,8 +259,9 @@ def tconv3d_backward(x, kernel, spec, grad_out):
     expect = (x.shape[0], weight.shape[1]) + out_hwb
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gx = _forward_core(grad_out, weight, spec.stride, spec.pad, x.dtype)
-    gw = _weight_grad_core(grad_out, x, weight.shape, spec.stride, spec.pad)
+    gp = _channels_first(grad_out, spec.pad)
+    gx = _forward_core(gp, weight, spec.stride, x.dtype)
+    gw = _weight_grad_core(gp, _channels_first(x), weight.shape, spec.stride)
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hsdenoise.cli import main, parse_config_file, resolve_settings
+from hsdenoise.gcs import gcs_matrix, gcs_to_csv, pooling_traces
 from hsdenoise.hsio import HsiError, read_hsi, write_hsi
 from hsdenoise.network import WeightsError, build_network, desk_config, load_weights, save_weights
 from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
@@ -218,6 +219,45 @@ class TestGcsCommand:
         assert code == 2
         assert "eps must be positive" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("case", ["eps", "c3d"])
+    def test_bad_request_fails_before_forward(self, tmp_path, capsys, monkeypatch, case):
+        """A bad --eps or a layer without a recurrence exits 2 without any
+        forward pass and without artifacts."""
+        import hsdenoise.network as network
+
+        def no_forward(self, *args, **kwargs):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(network.Model, "forward", no_forward)
+        if case == "eps":
+            weights, flags, message = make_weights(tmp_path), ["--eps", "nan"], "eps must be positive"
+        else:
+            model = build_network(desk_config(width=4, kind="c3d"), seed=1)
+            weights = str(tmp_path / "c3d.q3dw")
+            save_weights(weights, model)
+            flags, message = ["--layer", 2], "layer 1 has no pooling recurrence"
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
+        out_dir = tmp_path / "out"
+        code = run_cli("gcs", src, "--weights", weights, *flags,
+                       "--out-prefix", str(out_dir / "g"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_matrices_match_full_forward(self, tmp_path):
+        """Stopping the forward at the analyzed layer writes the matrices
+        of the full pass's traces of that layer."""
+        weights = make_weights(tmp_path, n_layers=5)
+        src, cube = make_cube(tmp_path, "in.hsi", shape=(8, 8, 6), seed=10)
+        prefix = str(tmp_path / "g3")
+        assert run_cli("gcs", src, "--weights", weights, "--layer", 3,
+                       "--out-prefix", prefix) == 0
+        x = cube[np.newaxis, np.newaxis]
+        _, traces = load_weights(weights).forward(x, keep_traces=True)
+        for tr in pooling_traces(traces, 2):
+            text = open(f"{prefix}.{tr.direction}.csv").read()
+            assert text.endswith(gcs_to_csv(gcs_matrix(tr)))
 
 
 class TestTrainCommand:

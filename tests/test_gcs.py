@@ -8,6 +8,7 @@ import pytest
 
 from reference_impls import phi
 from hsdenoise.gcs import (
+    GcsMatrix,
     gcs_matrix,
     gcs_to_csv,
     overlay_values,
@@ -111,16 +112,55 @@ class TestGcsMatrix:
             for j in range(5):
                 assert m.defined()[i, j] == (i >= j)
 
-    def test_matches_direct_phi_route(self):
-        """Incremental entries agree with fresh per-cell phi products."""
-        tr = random_trace(5, FORWARD, seed=9)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_matches_direct_phi_route(self, direction, dtype):
+        """Every cell and exclusion count agrees with fresh per-cell phi
+        products, with one walk step whose h is partly below eps and one
+        where all of it is."""
+        n = 13
+        rng = np.random.default_rng(9)
+        z = np.tanh(rng.normal(size=(1, 2, 3, 3, n)))
+        f = 1.0 / (1.0 + np.exp(-rng.normal(size=z.shape)))
+        order = list(range(n)) if direction == FORWARD else list(range(n - 1, -1, -1))
+        partly, fully = order[4], order[8]
+        # A zero gate and candidate zero h there, whatever came before.
+        z[0, 0, ..., partly] = f[0, 0, ..., partly] = 0.0
+        z[..., fully] = f[..., fully] = 0.0
+        z, f = z.astype(dtype), f.astype(dtype)
+        tr = PoolingTrace(z, f, qru_pool_forward(z, f, direction), direction)
         m = gcs_matrix(tr)
-        for i in range(1, 6):
-            for j in range(i, 6):
-                include = np.abs(tr.h[..., j - 1]) >= m.eps
+        wide = PoolingTrace(*(a.astype(np.float64) for a in (tr.z, tr.f, tr.h)), direction)
+        h_numel = z[..., 0].size
+        assert m.excluded[partly] == h_numel // 2
+        assert m.excluded[fully] == h_numel
+        for j in range(1, n + 1):
+            include = np.abs(wide.h[..., j - 1]) >= m.eps
+            assert m.excluded[j - 1] == h_numel - np.count_nonzero(include)
+            for i in range(1, n + 1):
+                if order.index(i - 1) > order.index(j - 1) or not include.any():
+                    assert np.isnan(m.values[i - 1, j - 1])
+                    continue
+                ratio = phi(wide, i, j)[include] / wide.h[..., j - 1][include]
+                want = np.sqrt(np.sum(ratio * ratio))
+                assert m.values[i - 1, j - 1] == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_non_finite_element_stays_excluded(self):
+        """A NaN candidate poisons h from its band on, so eps excludes that
+        element there; it spoils no cell, as with the per-cell ratio."""
+        n = 6
+        tr = random_trace(n, FORWARD, seed=27)
+        z = tr.z.copy()
+        z[0, 1, 2, 0, 2] = np.nan
+        tr = PoolingTrace(z, tr.f, qru_pool_forward(z, tr.f, FORWARD), FORWARD)
+        m = gcs_matrix(tr)
+        assert m.excluded.tolist() == [0, 0, 1, 1, 1, 1]
+        for j in range(1, n + 1):
+            include = np.abs(tr.h[..., j - 1]) >= m.eps
+            for i in range(1, j + 1):
                 ratio = phi(tr, i, j)[include] / tr.h[..., j - 1][include]
                 want = np.sqrt(np.sum(ratio * ratio))
-                assert m.values[i - 1, j - 1] == pytest.approx(want, rel=1e-10)
+                assert m.values[i - 1, j - 1] == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_epsilon_exclusion_counted(self):
         """Near-zero hidden elements drop out of the norm and are counted."""
@@ -246,6 +286,23 @@ class TestEmitters:
         assert rows[0] == ["band", "1", "2", "3", "4"]
         assert rows[2][1] == ""
         assert float(rows[1][1]) == pytest.approx(m.values[0, 0], rel=1e-6)
+
+    def test_csv_exact_text(self):
+        """Absent, tiny, huge and ordinary cells render byte for byte."""
+        values = np.array([[0.1, 2.0 / 3.0, 1e-300],
+                           [np.nan, 123456789.0, 0.0],
+                           [np.nan, np.nan, 1e300]])
+        m = GcsMatrix(values, "forward", 18, np.array([0, 3, 18]), 1e-6)
+        assert gcs_to_csv(m) == (
+            "# direction: forward\n"
+            "# eps: 1e-06\n"
+            "# h_numel: 18\n"
+            "# excluded: 0,3,18\n"
+            "band,1,2,3\n"
+            "1,0.1,0.66666667,1e-300\n"
+            "2,,1.2345679e+08,0\n"
+            "3,,,1e+300\n"
+        )
 
     def test_pgm_layout(self):
         """PGM output is binary P5 with one byte per matrix cell."""

@@ -130,6 +130,47 @@ class TestForwardShapes:
             model.forward(np.zeros((1, 2, 8, 8, 4)))
 
 
+def _arrays(node):
+    """Every array of a unit trace, depth first."""
+    if isinstance(node, np.ndarray):
+        return [node]
+    if isinstance(node, (tuple, list)):
+        return [a for item in node for a in _arrays(item)]
+    return [node.z, node.f, node.h]
+
+
+class TestForwardThrough:
+    def test_prefix_traces_bit_identical(self):
+        """Stopping after layer L keeps the full pass's first L+1 unit
+        traces and outputs, bit for bit, and returns layer L's output."""
+        model = build_network(standard_config(width_multiplier=0.25), seed=30)
+        x = np.random.default_rng(31).standard_normal((1, 1, 8, 8, 5)).astype(np.float32)
+        _, full = model.forward(x, keep_traces=True)
+        for layer in range(len(model.units)):
+            y, part = model.forward(x, keep_traces=True, through=layer)
+            assert len(part["units"]) == len(part["outputs"]) == layer + 1
+            assert y is part["outputs"][layer]
+            for got, want in zip(part["outputs"], full["outputs"]):
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(part["units"], full["units"]):
+                got, want = _arrays(got), _arrays(want)
+                assert len(got) == len(want)
+                assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                           for a, b in zip(got, want))
+
+    def test_whole_network_checks_still_run(self):
+        """The input is checked against every layer, not just those run."""
+        model = build_network(standard_config(width_multiplier=0.25), seed=32)
+        with pytest.raises(ConfigError, match="divisible"):
+            model.forward(np.zeros((1, 1, 6, 8, 5), dtype=np.float32), through=0)
+
+    @pytest.mark.parametrize("through", [-1, 12])
+    def test_layer_out_of_range(self, through):
+        model = build_network(standard_config(width_multiplier=0.25), seed=33)
+        with pytest.raises(ConfigError, match="outside 0..11"):
+            model.forward(np.zeros((1, 1, 8, 8, 5), dtype=np.float32), through=through)
+
+
 class TestBackward:
     def test_zero_grad_output(self):
         model = build_network(desk_config(width=4), seed=7, dtype=np.float64)
