@@ -15,16 +15,21 @@ encoder's downsampling layers, and <conv(x), y> == <x, tconv(y)> holds
 bit-for-bit in exact arithmetic with zero bias.
 
 Convolution here means cross-correlation (no kernel flip), the usual
-deep-learning convention. Each core walks the kernel offsets (di, dj, dk)
-and runs one float64 GEMM per offset, with the batch folded into its long
-axis: forward acc += W[:, :, di, dj, dk] @ slab; input gradient, which is
-also the transposed map, gxp[taps] += W[:, :, di, dj, dk].T @ grad; weight
-gradient gw[:, :, di, dj, dk] = grad @ slab.T. Results are cast back to
-the working dtype once, so float32 networks still get stable sums. The
-public maps build each operand's float64 channels-first grid once and hand
-it to the cores, so a backward converts grad_out once for both of its
-cores. Besides one offset's slab and product, a call holds those grids and
-one float64 accumulator.
+deep-learning convention. Each core walks the T kernel offsets (di, dj, dk)
+in float64 GEMMs with the batch folded into their long axis. When the thin
+c2 side stacked over all offsets fits within the c1 side (T * c2 <= c1, as
+in the 1-channel first layer), all offsets run as one GEMM; otherwise each
+offset runs as its own. Forward: the group's stepped input slices stacked
+into one (n * c2, M) column, times the group's (c1, n * c2) weight columns,
+summed over groups. Input gradient, which is also the transposed map: one
+(n * c2, c1) @ grad GEMM, scatter-added back slice by slice. Weight
+gradient: grad @ column.T. Results are cast back to the working dtype once,
+so float32 networks still get stable sums. The public maps build each
+operand's float64 channels-first grid once and hand it to the cores, so a
+backward converts grad_out once for both of its cores. Besides one group's
+column and product, a call holds those grids and one float64 accumulator;
+the grouping rule keeps the column and product no larger than the c1-side
+array.
 """
 
 import numpy as np
@@ -115,13 +120,44 @@ def _out_extents(in_hwb, ksize, stride, pad):
     return tuple(out)
 
 
-def _taps(ksize, stride, out_hwb):
-    """Yield each kernel offset (di, dj, dk) with the stepped slices it reads
-    on a padded channels-first grid to produce an out_hwb output."""
-    for offset in np.ndindex(*ksize):
-        yield offset, (slice(None), slice(None)) + tuple(
-            slice(d, d + (o - 1) * s + 1, s) for d, o, s in zip(offset, out_hwb, stride)
-        )
+def _tap_groups(ksize, stride, out_hwb, c1, c2):
+    """Kernel offsets in the groups that each run as one GEMM.
+
+    All T offsets form one group when T * c2 <= c1, so the stacked c2 side
+    is no larger than the c1-side operand; otherwise each offset is its own
+    group. Each group is (cols, taps): its columns of the tap-major weight
+    (_tap_major) and, in the same order, the stepped slices each offset reads
+    on a padded channels-first grid to produce an out_hwb output.
+    """
+    taps = [
+        (slice(None), slice(None))
+        + tuple(slice(d, d + (o - 1) * s + 1, s) for d, o, s in zip(offset, out_hwb, stride))
+        for offset in np.ndindex(*ksize)
+    ]
+    n = len(taps) if len(taps) * c2 <= c1 else 1
+    return [(slice(lo * c2, (lo + n) * c2), taps[lo : lo + n]) for lo in range(0, len(taps), n)]
+
+
+def _tap_major(weight):
+    """Float64 (c1, T * c2) copy of weight, column t * c2 + c holding
+    weight[:, c] at kernel offset t (mixed-dtype matmul ran 2x slower)."""
+    return np.ascontiguousarray(np.moveaxis(weight, 1, -1), dtype=np.float64).reshape(
+        weight.shape[0], -1
+    )
+
+
+def _columns(xp, ksize, stride, out_hwb, c1):
+    """Yield (cols, column) per offset group of a c2 -> c1 kernel: the
+    group's stepped slices of xp stacked as (n * c2, N * Ho * Wo * Bo) rows
+    in one reused buffer."""
+    c2, n_n = xp.shape[:2]
+    groups = _tap_groups(ksize, stride, out_hwb, c1, c2)
+    buf = np.empty((len(groups[0][1]), c2, n_n) + tuple(out_hwb))
+    column = buf.reshape(-1, buf[0, 0].size)
+    for cols, taps in groups:
+        for t, sl in enumerate(taps):
+            buf[t] = xp[sl]
+        yield cols, column
 
 
 def _channels_first(x, pad=(0, 0, 0)):
@@ -140,28 +176,35 @@ def _batch_first(a, dtype):
 
 def _forward_core(xp, weight, stride, out_dtype):
     """Cross-correlation without bias of a padded channels-first grid: one
-    GEMM per kernel offset."""
-    c2, n_n = xp.shape[:2]
+    GEMM per offset group, the first product becoming the accumulator."""
+    n_n = xp.shape[1]
     c1 = weight.shape[0]
     out_hwb = _out_extents(xp.shape[2:], weight.shape[2:], stride, (0, 0, 0))
-    w64 = weight.astype(np.float64, copy=False)  # mixed-dtype matmul ran 2x slower
-    acc = np.zeros((c1, n_n * int(np.prod(out_hwb))))
-    for (di, dj, dk), taps in _taps(weight.shape[2:], stride, out_hwb):
-        acc += w64[:, :, di, dj, dk] @ xp[taps].reshape(c2, -1)
+    wt = _tap_major(weight)
+    acc = None
+    for cols, column in _columns(xp, weight.shape[2:], stride, out_hwb, c1):
+        if acc is None:
+            acc = wt[:, cols] @ column
+        else:
+            acc += wt[:, cols] @ column
+    del column  # freed before the cast allocates the output
     return _batch_first(acc.reshape((c1, n_n) + out_hwb), out_dtype)
 
 
 def _input_grad_core(g, weight, stride, pad, in_hwb, out_dtype):
     """Adjoint of _forward_core: scatter a channels-first grad_out back onto
-    the input grid."""
+    the input grid, one GEMM per offset group."""
     c1, n_n = g.shape[:2]
     c2 = weight.shape[1]
     (h, w, b), (ph, pw, pb) = in_hwb, pad
-    w64 = weight.astype(np.float64, copy=False)
+    wt = _tap_major(weight)
     gxp = np.zeros((c2, n_n, h + 2 * ph, w + 2 * pw, b + 2 * pb))
     flat = g.reshape(c1, -1)
-    for (di, dj, dk), taps in _taps(weight.shape[2:], stride, g.shape[2:]):
-        gxp[taps] += (w64[:, :, di, dj, dk].T @ flat).reshape((c2, n_n) + g.shape[2:])
+    for cols, taps in _tap_groups(weight.shape[2:], stride, g.shape[2:], c1, c2):
+        prod = (wt[:, cols].T @ flat).reshape((len(taps), c2, n_n) + g.shape[2:])
+        for t, sl in enumerate(taps):
+            gxp[sl] += prod[t]
+        del prod  # freed before the next group's GEMM
     return _batch_first(gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b], out_dtype)
 
 
@@ -169,11 +212,12 @@ def _weight_grad_core(xp, g, weight_shape, stride):
     """Correlate a padded channels-first conv input against a channels-first
     grad_out; returns float64 weight grad."""
     c1, c2 = weight_shape[:2]
+    ksize = weight_shape[2:]
     flat = g.reshape(c1, -1)
-    gw = np.empty(weight_shape)
-    for (di, dj, dk), taps in _taps(weight_shape[2:], stride, g.shape[2:]):
-        gw[:, :, di, dj, dk] = flat @ xp[taps].reshape(c2, -1).T
-    return gw
+    gw = np.empty((c1, int(np.prod(ksize)) * c2))
+    for cols, column in _columns(xp, ksize, stride, g.shape[2:], c1):
+        gw[:, cols] = flat @ column.T
+    return np.ascontiguousarray(np.moveaxis(gw.reshape((c1,) + tuple(ksize) + (c2,)), -1, 1))
 
 
 def conv3d_forward(x, kernel, spec):
@@ -271,13 +315,10 @@ def activate(x, kind):
     if kind == "tanh":
         return np.tanh(x)
     if kind == "sigmoid":
-        # expit without the scipy import: stable split on sign.
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        # expit without the scipy import: exp only of -|x|, so it cannot
+        # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
     if kind == "identity":
         return np.asarray(x)
     raise ConfigError(f"unknown activation kind {kind!r}")

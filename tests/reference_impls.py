@@ -75,6 +75,17 @@ def conv3d_weight_grad_im2col(x, grad_out, ksize, stride, pad):
     return np.einsum("nchwbijk,nohwb->ocijk", win, np.asarray(grad_out, dtype=np.float64))
 
 
+def sigmoid_masked(x):
+    """Logistic sigmoid split on sign through boolean masks: 1 / (1 + e^-x)
+    where x >= 0 and e^x / (1 + e^x) elsewhere, so no exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def pool_unrolled_b2(z, f):
     """Hand-unrolled two-band forward recurrence, closed form for h_2.
 

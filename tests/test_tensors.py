@@ -1,5 +1,7 @@
 """Tensor-core tests: conv/tconv against literal oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from reference_impls import (
     conv3d_weight_grad_im2col,
     fd_grad,
     max_rel_err,
+    sigmoid_masked,
 )
 from hsdenoise.tensors import (
     ConfigError,
@@ -263,6 +266,82 @@ def test_network_kernels_match_im2col_oracle(name):
     assert_rel(tgw, gw_ref)
 
 
+# Thin kernels, T * c2 <= c1 for T kernel offsets: every offset runs in one
+# stacked GEMM. (wshape, stride, batch)
+THIN_KERNELS = {
+    "c2=1-strided": ((64, 1, 3, 3, 3), (2, 2, 1), 2),
+    "qru2d-c2=1": ((32, 1, 3, 3, 1), (1, 1, 1), 2),
+    "transposed-64to2": ((64, 2, 3, 3, 3), (2, 2, 1), 2),
+    "boundary-27": ((27, 1, 3, 3, 3), (1, 1, 1), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THIN_KERNELS))
+def test_thin_kernels_match_im2col_oracle(name):
+    """Kernels whose offsets all stack into one GEMM agree with the im2col
+    oracle to 1e-10 in float64: both maps, both gradients of each, and the
+    input-side maps through <conv_ref(x), y> == <x, map(y)>."""
+    wshape, stride, n = THIN_KERNELS[name]
+    c1, c2 = wshape[:2]
+    ksize = wshape[2:]
+    pad = tuple(k // 2 for k in ksize)
+    spec = ConvSpec(stride, pad)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((n, c2, 8, 6, 5))
+    w = rng.standard_normal(wshape)
+    b = rng.standard_normal(c1)
+    y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
+    assert_rel(conv3d_forward(x, ConvKernel(w, b), spec),
+               conv3d_im2col(x, w, b, stride, pad))
+
+    y = rng.standard_normal(y_ref.shape)
+    lhs = float(np.vdot(y_ref, y))
+    gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
+    gx, gw, gb = conv3d_backward(x, ConvKernel(w, b), spec, y)
+    assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
+    assert_rel(gw, gw_ref)
+    assert_rel(gb, y.sum(axis=(0, 2, 3, 4)))
+
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), spec)
+    assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
+    # tconv's input gradient is the conv of its grad_out, here x.
+    tgx, tgw, tgb = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), spec, x)
+    assert_rel(tgx, y_ref)
+    assert_rel(tgw, gw_ref)
+    assert_rel(tgb, x.sum(axis=(0, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("c1, c2", [(64, 1), (32, 16)], ids=["thin", "wide"])
+def test_forward_allocation_bound(c1, c2):
+    """conv3d_forward allocates at most its padded input, float64 weight
+    copy and accumulator, plus the larger of its output and its GEMM working
+    set: the stacked column (thin: one GEMM over all offsets) or one product
+    and one slab (wide: one GEMM per offset), which are freed before the
+    output is cast. 10% slack; keeping a group's product alive into the next
+    GEMM, or the column into the cast, exceeds it."""
+    rng = np.random.default_rng(23)
+    hwb, ksize = (16, 16, 9), (3, 3, 3)
+    x = rng.standard_normal((1, c2) + hwb).astype(np.float32)
+    kern = ConvKernel(rng.standard_normal((c1, c2) + ksize).astype(np.float32),
+                      np.zeros(c1, np.float32))
+    spec = ConvSpec((1, 1, 1), (1, 1, 1))
+    m = int(np.prod(hwb))
+    padded = c2 * int(np.prod([e + 2 for e in hwb])) * 8
+    weight = c1 * c2 * 27 * 8
+    acc = c1 * m * 8
+    work = 27 * c2 * m * 8 if 27 * c2 <= c1 else acc + c2 * m * 8
+    bound = 1.1 * (padded + weight + acc + max(work, c1 * m * 4))
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conv3d_forward(x, kern, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
+
+
 class TestActivations:
     def test_known_values(self):
         assert activate(np.array(0.0), "tanh") == 0.0
@@ -273,6 +352,22 @@ class TestActivations:
         x = rng.standard_normal(1000) * 5
         s = activate(x, "sigmoid") + activate(-x, "sigmoid")
         np.testing.assert_allclose(s, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_masked_oracle(self, dtype):
+        """Bit-identical to the sign-split masked formula, specials included
+        (NaN stays NaN); +-88 and +-745 are where exp leaves float32 and
+        float64 range."""
+        rng = np.random.default_rng(16)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30]
+        edges = [s * (e + d) for e in (88.0, 745.0) for d in (-0.8, -0.1, 0.0, 0.4, 0.8)
+                 for s in (1, -1)]
+        x = np.concatenate([special, edges, rng.standard_normal(2000) * 30]).astype(dtype)
+        with np.errstate(under="ignore"):
+            got = activate(x, "sigmoid")
+            want = sigmoid_masked(x)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "identity"])
     def test_grad_matches_fd(self, kind):
