@@ -160,12 +160,26 @@ def cmd_add_noise(args):
     return 0
 
 
+def _require_finite(cube, path):
+    """Reject a cube holding NaN or Inf: one such sample would spread
+    through every layer to the whole output."""
+    import numpy as np
+    bad = ~np.isfinite(cube)
+    if bad.any():
+        bands = [str(j + 1) for j in np.flatnonzero(bad.any(axis=(0, 1)))]
+        more = f" and {len(bands) - 10} more" if len(bands) > 10 else ""
+        raise ValueError(
+            f"{path}: {int(bad.sum())} non-finite samples (NaN or Inf) in band(s) "
+            f"{', '.join(bands[:10])}{more}; the network needs finite input")
+
+
 def cmd_denoise(args):
     import numpy as np
     from .hsio import read_hsi, write_hsi
     from .network import load_weights
     model = load_weights(args.weights, global_residual=args.residual)
     cube = read_hsi(args.input)
+    _require_finite(cube, args.input)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
     out, _ = model.forward(x)
     restored = np.clip(out[0, 0], 0.0, 1.0).astype(np.float32)
@@ -228,6 +242,7 @@ def cmd_gcs(args):
     if not model.units[layer].gated:
         raise no_recurrence(layer)
     cube = read_hsi(args.input)
+    _require_finite(cube, args.input)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
     # A layer's traces depend only on the layers up to it.
     _, traces = model.forward(x, keep_traces=True, through=layer)

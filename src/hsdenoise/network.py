@@ -251,9 +251,10 @@ class Model:
             return y, {"input": x, "outputs": outputs, "units": unit_traces}
         return y, None
 
-    def backward(self, traces, grad_output):
+    def backward(self, traces, grad_output, input_grad=True):
         """Reverse pass through skips and residual; returns (grad_input,
-        per-parameter grads in param_arrays() order)."""
+        per-parameter grads in param_arrays() order). With input_grad
+        false, layer 1 skips its input gradient and grad_input is None."""
         if traces is None:
             raise ValueError("backward needs traces from forward(keep_traces=True)")
         n = len(self.units)
@@ -265,7 +266,7 @@ class Model:
         param_grads = [None] * n
         for j in range(n - 1, -1, -1):
             g = pending[j + 1]
-            gx, grads_j = self.units[j].backward(traces["units"][j], g)
+            gx, grads_j = self.units[j].backward(traces["units"][j], g, input_grad or j > 0)
             param_grads[j] = grads_j
             if pending[j] is None:
                 pending[j] = gx
@@ -278,7 +279,7 @@ class Model:
                 else:
                     pending[src] = pending[src] + gx
         grad_input = pending[0]
-        if self.config.global_residual:
+        if grad_input is not None and self.config.global_residual:
             grad_input = grad_input + grad_output
         flat = []
         for grads_j in param_grads:

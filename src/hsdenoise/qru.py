@@ -177,7 +177,9 @@ class QruUnit:
                 traces.append(PoolingTrace(z, f, h, d))
         return y, ((x, traces) if keep_trace else None)
 
-    def backward(self, trace, grad_y):
+    def backward(self, trace, grad_y, input_grad=True):
+        """(grad_x, per-parameter grads); grad_x is None when input_grad is
+        false."""
         x, saved = trace
         if self.gated:
             parts = []
@@ -188,7 +190,7 @@ class QruUnit:
         else:
             g_pre = activate_grad(saved, grad_y, self.activation)
         conv_bwd = tconv3d_backward if self.transposed else conv3d_backward
-        gx, gw, gb = conv_bwd(x, self._stacked(), self.spec, g_pre)
+        gx, gw, gb = conv_bwd(x, self._stacked(), self.spec, g_pre, input_grad)
         n = len(self.banks)
         grads = []
         for w, b in zip(np.split(gw, n, axis=self._out_axis()), np.split(gb, n)):

@@ -15,24 +15,27 @@ encoder's downsampling layers, and <conv(x), y> == <x, tconv(y)> holds
 bit-for-bit in exact arithmetic with zero bias.
 
 Convolution here means cross-correlation (no kernel flip), the usual
-deep-learning convention. Each core walks the T kernel offsets (di, dj, dk)
-in float64 GEMMs with the batch folded into their long axis. When the thin
-c2 side stacked over all offsets fits within the c1 side (T * c2 <= c1, as
-in the 1-channel first layer), all offsets run as one GEMM; otherwise each
-offset runs as its own. Forward: the group's stepped input slices stacked
-into one (n * c2, M) column, times the group's (c1, n * c2) weight columns,
-summed over groups. Input gradient, which is also the transposed map: one
-(n * c2, c1) @ grad GEMM, scatter-added back slice by slice. Weight
-gradient: grad @ column.T. Results are cast back to the working dtype once,
-so float32 networks still get stable sums. The public maps build each
-operand's float64 channels-first grid once and hand it to the cores, so a
-backward converts grad_out once for both of its cores. Besides one group's
-column and product, a call holds those grids and one float64 accumulator;
-the grouping rule keeps the column and product no larger than the c1-side
-array.
+deep-learning convention. The cores lower it to one float64 GEMM per block
+of output rows of one sample, over all T kernel offsets at once (im2col,
+its column bounded by the blocking, as in MEC):
+
+    forward          (c1, T * c2) weight @ column of the T input slices
+    weight gradient  grad rows @ column.T, summed over blocks
+    input gradient   (T * c2, c1) weight.T @ grad rows, added back slice
+    (= transposed)   by slice onto a padded float64 input grid
+
+Every product and sum is float64 and cast once: the forward product as it
+is written into the output, the input gradient's grid as it is cropped,
+the weight gradient at the end. A call holds a float64 weight, a float64
+padded grid (the input, or the input gradient), its output and one block
+buffer of at most _BLOCK_BYTES; block sizes follow from shapes alone.
 """
 
 import numpy as np
+
+# Bytes of one block's float64 column plus product: a few MiB, the total L2
+# of the 2-vCPU benchmark machine, where 2, 4 and 8 MiB timed the same.
+_BLOCK_BYTES = 4 << 20
 
 
 class ShapeError(ValueError):
@@ -120,104 +123,99 @@ def _out_extents(in_hwb, ksize, stride, pad):
     return tuple(out)
 
 
-def _tap_groups(ksize, stride, out_hwb, c1, c2):
-    """Kernel offsets in the groups that each run as one GEMM.
-
-    All T offsets form one group when T * c2 <= c1, so the stacked c2 side
-    is no larger than the c1-side operand; otherwise each offset is its own
-    group. Each group is (cols, taps): its columns of the tap-major weight
-    (_tap_major) and, in the same order, the stepped slices each offset reads
-    on a padded channels-first grid to produce an out_hwb output.
-    """
-    taps = [
-        (slice(None), slice(None))
-        + tuple(slice(d, d + (o - 1) * s + 1, s) for d, o, s in zip(offset, out_hwb, stride))
-        for offset in np.ndindex(*ksize)
-    ]
-    n = len(taps) if len(taps) * c2 <= c1 else 1
-    return [(slice(lo * c2, (lo + n) * c2), taps[lo : lo + n]) for lo in range(0, len(taps), n)]
-
-
 def _tap_major(weight):
     """Float64 (c1, T * c2) copy of weight, column t * c2 + c holding
     weight[:, c] at kernel offset t (mixed-dtype matmul ran 2x slower)."""
-    return np.ascontiguousarray(np.moveaxis(weight, 1, -1), dtype=np.float64).reshape(
-        weight.shape[0], -1
-    )
+    wt = np.ascontiguousarray(np.moveaxis(weight, 1, -1), dtype=np.float64)
+    return wt.reshape(weight.shape[0], -1)
 
 
-def _columns(xp, ksize, stride, out_hwb, c1):
-    """Yield (cols, column) per offset group of a c2 -> c1 kernel: the
-    group's stepped slices of xp stacked as (n * c2, N * Ho * Wo * Bo) rows
-    in one reused buffer."""
-    c2, n_n = xp.shape[:2]
-    groups = _tap_groups(ksize, stride, out_hwb, c1, c2)
-    buf = np.empty((len(groups[0][1]), c2, n_n) + tuple(out_hwb))
-    column = buf.reshape(-1, buf[0, 0].size)
-    for cols, taps in groups:
-        for t, sl in enumerate(taps):
-            buf[t] = xp[sl]
-        yield cols, column
-
-
-def _channels_first(x, pad=(0, 0, 0)):
-    """Float64 copy (C, N, H + 2ph, W + 2pw, B + 2pb) of x, zero-bordered."""
+def _padded(x, pad=(0, 0, 0)):
+    """Float64 copy (N, C, H + 2ph, W + 2pw, B + 2pb) of x, zero-bordered."""
     n_n, c, h, w, b = x.shape
     ph, pw, pb = pad
-    xp = np.zeros((c, n_n, h + 2 * ph, w + 2 * pw, b + 2 * pb))
-    xp[:, :, ph : ph + h, pw : pw + w, pb : pb + b] = x.transpose(1, 0, 2, 3, 4)
+    xp = np.zeros((n_n, c, h + 2 * ph, w + 2 * pw, b + 2 * pb))
+    xp[:, :, ph : ph + h, pw : pw + w, pb : pb + b] = x
     return xp
 
 
-def _batch_first(a, dtype):
-    """Channels-first (C, N, H, W, B) back to a contiguous (N, C, H, W, B)."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3, 4), dtype=dtype)
+def _blocks(weight_shape, stride, out_hwb, n_n):
+    """Yield (n, rs, taps, work) per block of output rows rs of sample n:
+    the slices of a padded (N, C, H, W, B) grid that each kernel offset
+    reads, and one reused float64 buffer for column (T * c2 rows) and
+    product (c1 rows), within _BLOCK_BYTES and the output's float64 c1
+    side unless one row alone is larger."""
+    c1, c2 = weight_shape[:2]
+    (ho, wo, bo), sh = out_hwb, stride[0]
+    row = (int(np.prod(weight_shape[2:])) * c2 + c1) * wo * bo
+    rows = max(1, min(_BLOCK_BYTES // 8, c1 * n_n * ho * wo * bo) // row)
+    work = np.empty(min(rows, ho) * row)
+    wb = [(offset[0],) + tuple(slice(d, d + (e - 1) * s + 1, s)
+                               for d, e, s in zip(offset[1:], out_hwb[1:], stride[1:]))
+          for offset in np.ndindex(*weight_shape[2:])]
+    for n in range(n_n):
+        for i0 in range(0, ho, rows):
+            i1 = min(i0 + rows, ho)
+            taps = [(n, slice(None), slice(di + i0 * sh, di + (i1 - 1) * sh + 1, sh), sw, sb)
+                    for di, sw, sb in wb]
+            yield n, slice(i0, i1), taps, work
+
+
+def _im2col_blocks(xp, weight_shape, stride, out_hwb):
+    """Yield (n, rs, column, spare) per block: the block's T slices of xp as
+    a (T * c2, len(rs) * Wo * Bo) column in its work buffer, and the rest."""
+    c2 = xp.shape[1]
+    for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, xp.shape[0]):
+        size = len(taps) * c2 * (rs.stop - rs.start) * out_hwb[1] * out_hwb[2]
+        column = work[:size].reshape(len(taps) * c2, -1)
+        stacked = column.reshape((len(taps), c2, -1) + out_hwb[1:])
+        for i, sl in enumerate(taps):
+            stacked[i] = xp[sl]
+        yield n, rs, column, work[size:]
+
+
+def _rows64(a, n, rs, buf):
+    """Rows rs of sample n of a, as a float64 (C, len(rs) * W * B) in buf."""
+    rows = buf[: a.shape[1] * (rs.stop - rs.start) * a.shape[3] * a.shape[4]]
+    rows.reshape((a.shape[1], -1) + a.shape[3:])[...] = a[n, :, rs]
+    return rows.reshape(a.shape[1], -1)
 
 
 def _forward_core(xp, weight, stride, out_dtype):
-    """Cross-correlation without bias of a padded channels-first grid: one
-    GEMM per offset group, the first product becoming the accumulator."""
-    n_n = xp.shape[1]
-    c1 = weight.shape[0]
+    """Cross-correlation without bias of a padded float64 grid."""
+    n_n, c1 = xp.shape[0], weight.shape[0]
     out_hwb = _out_extents(xp.shape[2:], weight.shape[2:], stride, (0, 0, 0))
     wt = _tap_major(weight)
-    acc = None
-    for cols, column in _columns(xp, weight.shape[2:], stride, out_hwb, c1):
-        if acc is None:
-            acc = wt[:, cols] @ column
-        else:
-            acc += wt[:, cols] @ column
-    del column  # freed before the cast allocates the output
-    return _batch_first(acc.reshape((c1, n_n) + out_hwb), out_dtype)
+    y = np.empty((n_n, c1) + out_hwb, out_dtype)
+    for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
+        prod = np.matmul(wt, column, out=spare[: c1 * column.shape[1]].reshape(c1, -1))
+        y[n, :, rs] = prod.reshape((c1, -1) + out_hwb[1:])
+    return y
 
 
 def _input_grad_core(g, weight, stride, pad, in_hwb, out_dtype):
-    """Adjoint of _forward_core: scatter a channels-first grad_out back onto
-    the input grid, one GEMM per offset group."""
-    c1, n_n = g.shape[:2]
-    c2 = weight.shape[1]
+    """Adjoint of _forward_core: grad_out scattered onto the input grid."""
+    (n_n, c1), c2 = g.shape[:2], weight.shape[1]
     (h, w, b), (ph, pw, pb) = in_hwb, pad
-    wt = _tap_major(weight)
-    gxp = np.zeros((c2, n_n, h + 2 * ph, w + 2 * pw, b + 2 * pb))
-    flat = g.reshape(c1, -1)
-    for cols, taps in _tap_groups(weight.shape[2:], stride, g.shape[2:], c1, c2):
-        prod = (wt[:, cols].T @ flat).reshape((len(taps), c2, n_n) + g.shape[2:])
-        for t, sl in enumerate(taps):
-            gxp[sl] += prod[t]
-        del prod  # freed before the next group's GEMM
-    return _batch_first(gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b], out_dtype)
+    wt = _tap_major(weight).T
+    gxp = np.zeros((n_n, c2, h + 2 * ph, w + 2 * pw, b + 2 * pb))
+    for n, rs, taps, work in _blocks(weight.shape, stride, g.shape[2:], n_n):
+        size = len(wt) * (rs.stop - rs.start) * g.shape[3] * g.shape[4]
+        prod = np.matmul(wt, _rows64(g, n, rs, work[size:]), out=work[:size].reshape(len(wt), -1))
+        prod = prod.reshape((len(taps), c2, -1) + g.shape[3:])
+        for i, sl in enumerate(taps):
+            gxp[sl] += prod[i]
+    return np.ascontiguousarray(gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b], dtype=out_dtype)
 
 
 def _weight_grad_core(xp, g, weight_shape, stride):
-    """Correlate a padded channels-first conv input against a channels-first
-    grad_out; returns float64 weight grad."""
-    c1, c2 = weight_shape[:2]
-    ksize = weight_shape[2:]
-    flat = g.reshape(c1, -1)
-    gw = np.empty((c1, int(np.prod(ksize)) * c2))
-    for cols, column in _columns(xp, ksize, stride, g.shape[2:], c1):
-        gw[:, cols] = flat @ column.T
-    return np.ascontiguousarray(np.moveaxis(gw.reshape((c1,) + tuple(ksize) + (c2,)), -1, 1))
+    """Float64 weight grad from a padded float64 input and grad_out."""
+    c1, c2, *ksize = weight_shape
+    gw = np.zeros((c1, int(np.prod(ksize)) * c2))
+    part = np.empty_like(gw)
+    for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]):
+        gw += np.matmul(_rows64(g, n, rs, spare), column.T, out=part)
+    return np.ascontiguousarray(np.moveaxis(gw.reshape(c1, *ksize, c2), -1, 1))
 
 
 def conv3d_forward(x, kernel, spec):
@@ -232,13 +230,14 @@ def conv3d_forward(x, kernel, spec):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(_channels_first(x, spec.pad), weight, spec.stride, out_dtype)
+    y = _forward_core(_padded(x, spec.pad), weight, spec.stride, out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
 
-def conv3d_backward(x, kernel, spec, grad_out):
-    """Gradients of conv3d_forward: (grad_input, grad_weight, grad_bias)."""
+def conv3d_backward(x, kernel, spec, grad_out, input_grad=True):
+    """(grad_input, grad_weight, grad_bias) of conv3d_forward; grad_input
+    is None when input_grad is false."""
     x = _check_input(x)
     grad_out = _check_input(grad_out, "grad_out")
     weight = kernel.weight
@@ -247,9 +246,9 @@ def conv3d_backward(x, kernel, spec, grad_out):
     )
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    g = _channels_first(grad_out)
-    gx = _input_grad_core(g, weight, spec.stride, spec.pad, x.shape[2:], x.dtype)
-    gw = _weight_grad_core(_channels_first(x, spec.pad), g, weight.shape, spec.stride)
+    gw = _weight_grad_core(_padded(x, spec.pad), grad_out, weight.shape, spec.stride)
+    gx = _input_grad_core(grad_out, weight, spec.stride, spec.pad, x.shape[2:], x.dtype) \
+        if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 
@@ -289,13 +288,14 @@ def tconv3d_forward(x, kernel, spec):
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c2}")
     out_hwb = _tconv_out_hwb(x.shape[2:], weight.shape[2:], spec.stride, spec.pad)
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _input_grad_core(_channels_first(x), weight, spec.stride, spec.pad, out_hwb, out_dtype)
+    y = _input_grad_core(x, weight, spec.stride, spec.pad, out_hwb, out_dtype)
     y += bias.reshape(1, c2, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
 
-def tconv3d_backward(x, kernel, spec, grad_out):
-    """Gradients of tconv3d_forward: (grad_input, grad_weight, grad_bias)."""
+def tconv3d_backward(x, kernel, spec, grad_out, input_grad=True):
+    """(grad_input, grad_weight, grad_bias) of tconv3d_forward; grad_input
+    is None when input_grad is false."""
     x = _check_input(x)
     grad_out = _check_input(grad_out, "grad_out")
     weight = kernel.weight
@@ -303,9 +303,9 @@ def tconv3d_backward(x, kernel, spec, grad_out):
     expect = (x.shape[0], weight.shape[1]) + out_hwb
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gp = _channels_first(grad_out, spec.pad)
-    gx = _forward_core(gp, weight, spec.stride, x.dtype)
-    gw = _weight_grad_core(gp, _channels_first(x), weight.shape, spec.stride)
+    gp = _padded(grad_out, spec.pad)
+    gw = _weight_grad_core(gp, x, weight.shape, spec.stride)
+    gx = _forward_core(gp, weight, spec.stride, x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 

@@ -317,7 +317,7 @@ def train(model, patches, options, state=None, log_fn=None):
                 for slot, i in zip(range(start, start + len(slots)), slots)])
             out, traces = model.forward(noisy, keep_traces=True)
             loss, grad = mse_loss(out, clean)
-            _, grads = model.backward(traces, grad)
+            _, grads = model.backward(traces, grad, input_grad=False)
             adam_step(state, params, grads, stage.lr)
             losses.append(loss)
             steps += 1

@@ -151,6 +151,20 @@ class TestDenoise:
         assert "66 not divisible by 4" in err
         assert "crop or pad" in err
 
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        """A NaN or Inf sample fails with its count and bands, no output."""
+        weights = make_weights(tmp_path)
+        src, cube = make_cube(tmp_path, "in.hsi", shape=(16, 16, 8), seed=5)
+        cube[3, 4, 1] = np.nan
+        cube[0, 0, 6] = np.inf
+        cube[9, 2, 6] = -np.inf
+        write_hsi(src, cube)
+        out = tmp_path / "out.hsi"
+        assert run_cli("denoise", src, str(out), "--weights", weights) == 2
+        err = capsys.readouterr().err
+        assert "3 non-finite samples" in err and "band(s) 2, 7;" in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_metrics_csv(self, tmp_path):
@@ -218,6 +232,19 @@ class TestGcsCommand:
                        "--out-prefix", str(out_dir / "g"))
         assert code == 2
         assert "eps must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        """A NaN sample fails with its count and band, no artifacts."""
+        weights = make_weights(tmp_path)
+        src, cube = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
+        cube[5, 1, 3] = np.nan
+        write_hsi(src, cube)
+        out_dir = tmp_path / "out"
+        code = run_cli("gcs", src, "--weights", weights, "--out-prefix", str(out_dir / "g"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1 non-finite samples" in err and "band(s) 4;" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("case", ["eps", "c3d"])

@@ -212,6 +212,32 @@ class TestBackward:
         for got, want in zip(grads, numeric[1:]):
             assert max_rel_err(got, want) <= 1e-3
 
+    def test_input_grad_skipped_on_request(self, monkeypatch):
+        """input_grad=False returns no input gradient, asks only layer 1's
+        convolution to skip it, and leaves every parameter gradient
+        bit-identical."""
+        import hsdenoise.qru as qru
+
+        model = build_network(desk_config(width=4), seed=14, dtype=np.float64)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((1, 1, 6, 6, 4))
+        y, traces = model.forward(x, keep_traces=True)
+        g = rng.standard_normal(y.shape)
+        _, want = model.backward(traces, g)
+        flags = []
+        conv_bwd = qru.conv3d_backward
+
+        def record(x, kernel, spec, grad_out, input_grad):
+            flags.append(input_grad)
+            return conv_bwd(x, kernel, spec, grad_out, input_grad)
+
+        monkeypatch.setattr(qru, "conv3d_backward", record)
+        gin, got = model.backward(traces, g, input_grad=False)
+        assert gin is None
+        assert flags == [True] * (len(model.units) - 1) + [False]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_backward_without_traces_rejected(self):
         model = build_network(desk_config(), seed=13)
         with pytest.raises(ValueError, match="trace"):

@@ -14,6 +14,7 @@ from reference_impls import (
     max_rel_err,
     sigmoid_masked,
 )
+from hsdenoise import tensors
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
@@ -336,6 +337,80 @@ def test_forward_allocation_bound(c1, c2):
     try:
         base = tracemalloc.get_traced_memory()[0]
         conv3d_forward(x, kern, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
+
+
+# Kernels walked in blocks of three output rows: batch 2 on 26x6x5, so
+# stride 1 gives 26 output rows per sample (blocks 3 x 8 + 2) and stride
+# (2, 2, 1) gives 13 (3 x 4 + 1). (wshape, stride)
+BLOCKED_KERNELS = {
+    "wide-stride1": ((32, 16, 3, 3, 3), (1, 1, 1)),
+    "wide-strided": ((64, 16, 3, 3, 3), (2, 2, 1)),
+    "thin-strided": ((64, 1, 3, 3, 3), (2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_KERNELS))
+def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
+    """With a block budget of three output rows, every core walks several
+    blocks per sample, the last one shorter, and still agrees with the
+    im2col oracle to 1e-10 in float64: both maps, both gradients of each,
+    and the input-side maps through <conv_ref(x), y> == <x, map(y)>."""
+    wshape, stride = BLOCKED_KERNELS[name]
+    c1, c2 = wshape[:2]
+    ksize = wshape[2:]
+    pad = tuple(k // 2 for k in ksize)
+    spec = ConvSpec(stride, pad)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((2, c2, 26, 6, 5))
+    w = rng.standard_normal(wshape)
+    b = rng.standard_normal(c1)
+    y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
+    ho, wo, bo = y_ref.shape[2:]
+    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * (27 * c2 + c1) * wo * bo * 8)
+    rows = [rs.stop - rs.start for _, rs, _, _ in
+            tensors._blocks(wshape, stride, (ho, wo, bo), 2)]
+    assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
+
+    assert_rel(conv3d_forward(x, ConvKernel(w, b), spec),
+               conv3d_im2col(x, w, b, stride, pad))
+    y = rng.standard_normal(y_ref.shape)
+    lhs = float(np.vdot(y_ref, y))
+    gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
+    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), spec, y)
+    assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
+    assert_rel(gw, gw_ref)
+
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), spec)
+    assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
+    tgx, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), spec, x)
+    assert_rel(tgx, y_ref)
+    assert_rel(tgw, gw_ref)
+
+
+def test_forward_allocation_within_block_budget():
+    """A wide layer whose column of all T offsets is far above the block
+    budget: conv3d_forward allocates at most its padded input, float64
+    weight copy and output plus _BLOCK_BYTES (10% slack), so its working
+    set does not grow with T * c2 * M. A whole-output float64 accumulator
+    and product exceed it."""
+    rng = np.random.default_rng(25)
+    c1, c2, hwb = 32, 16, (64, 32, 9)
+    m = int(np.prod(hwb))
+    assert 27 * c2 * m * 8 > 4 * tensors._BLOCK_BYTES
+    x = rng.standard_normal((1, c2) + hwb).astype(np.float32)
+    kern = ConvKernel(rng.standard_normal((c1, c2, 3, 3, 3)).astype(np.float32),
+                      np.zeros(c1, np.float32))
+    padded = c2 * int(np.prod([e + 2 for e in hwb])) * 8
+    bound = 1.1 * (padded + c1 * c2 * 27 * 8 + c1 * m * 4 + tensors._BLOCK_BYTES)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conv3d_forward(x, kern, ConvSpec((1, 1, 1), (1, 1, 1)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

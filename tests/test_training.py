@@ -222,6 +222,23 @@ class TestTrainLoop:
             assert np.array_equal(pa, pb)
         assert runs[0][1] == runs[1][1]
 
+    def test_network_input_grad_not_computed(self, monkeypatch):
+        """Training never asks for the input gradient that it discards."""
+        import hsdenoise.network as network
+
+        calls = []
+        backward = network.Model.backward
+
+        def record(self, traces, grad_output, input_grad=True):
+            calls.append(input_grad)
+            return backward(self, traces, grad_output, input_grad)
+
+        monkeypatch.setattr(network.Model, "backward", record)
+        model = build_network(desk_config(width=4, n_layers=3), seed=2)
+        train(model, smooth_patches(4, 8, 8, 4, seed=9), TrainOptions(
+            seed=3, epochs=1, policy="fixed", lr=1e-3, batch_size=2, sigma=30.0))
+        assert calls == [False, False]
+
     def test_resume_reproduces_straight_run(self):
         """Stopping after two epochs and resuming matches the 4-epoch run."""
         patches = smooth_patches(6, 8, 8, 4, seed=9)
