@@ -121,11 +121,6 @@ def _write_meta(path, command, settings):
         fh.write(_meta_lines(command, settings))
 
 
-def _augment_value(name):
-    return {"none": False, "full": True, "rotate": ("rotate",),
-            "rescale": ("rescale",)}[name]
-
-
 def cmd_gen_synthetic(args):
     from .hsio import gen_synthetic, write_hsi
     cube = gen_synthetic(args.height, args.width, args.bands, args.seed, rank=args.rank)
@@ -162,7 +157,7 @@ def cmd_add_noise(args):
 
 def _require_finite(cube, path):
     """Reject a cube holding NaN or Inf: one such sample would spread
-    through every layer to the whole output."""
+    through every layer to the whole output, or into every metric."""
     import numpy as np
     bad = ~np.isfinite(cube)
     if bad.any():
@@ -170,7 +165,7 @@ def _require_finite(cube, path):
         more = f" and {len(bands) - 10} more" if len(bands) > 10 else ""
         raise ValueError(
             f"{path}: {int(bad.sum())} non-finite samples (NaN or Inf) in band(s) "
-            f"{', '.join(bands[:10])}{more}; the network needs finite input")
+            f"{', '.join(bands[:10])}{more}; cubes must be finite")
 
 
 def cmd_denoise(args):
@@ -195,16 +190,20 @@ def cmd_eval(args):
     from .hsio import read_hsi
     from .metrics import psnr, psnr_per_band, sam, ssim
     clean = read_hsi(args.clean).astype("float64")
-    bands = clean.shape[2]
-    lines = [_meta_lines("eval", {"clean": args.clean}).rstrip("\n")]
-    header = ["file", "mpsnr", "mssim", "sam"]
-    header += [f"psnr_b{j + 1}" for j in range(bands)]
-    lines.append(",".join(header))
+    _require_finite(clean, args.clean)
+    cubes = []
     for path in args.inputs:
         cube = read_hsi(path).astype("float64")
         if cube.shape != clean.shape:
             raise ValueError(
                 f"{path} shape {cube.shape} does not match clean {clean.shape}")
+        _require_finite(cube, path)
+        cubes.append((path, cube))
+    lines = [_meta_lines("eval", {"clean": args.clean}).rstrip("\n")]
+    header = ["file", "mpsnr", "mssim", "sam"]
+    header += [f"psnr_b{j + 1}" for j in range(clean.shape[2])]
+    lines.append(",".join(header))
+    for path, cube in cubes:
         row = [path, f"{psnr(cube, clean):.6f}", f"{ssim(cube, clean):.6f}",
                f"{sam(cube, clean):.6f}"]
         row += [f"{v:.6f}" for v in psnr_per_band(cube, clean)]
@@ -360,14 +359,13 @@ def cmd_train(args):
     from .training import TrainOptions, load_optimizer_state, save_optimizer_state, train
     settings = resolve_settings(args)
     stride = settings["patch-stride"] or settings["patch-size"]
-    augment = _augment_value(settings["augment"])
-    patches = _load_patch_arrays(args.data, settings["patch-size"], stride, augment)
+    patches = _load_patch_arrays(args.data, settings["patch-size"], stride, settings["augment"])
     if not patches:
         raise ValueError("no training patches extracted from --data")
     val_patches = None
     if args.val:
         val_patches = _load_patch_arrays(args.val, settings["patch-size"],
-                                         settings["patch-size"], False)
+                                         settings["patch-size"], "none")
 
     if args.resume_weights:
         model = load_weights(args.resume_weights, global_residual=settings["residual"])

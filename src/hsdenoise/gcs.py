@@ -124,7 +124,7 @@ class RelativeBands:
         self.threshold = threshold
 
 
-def relative_bands(gcs, h_numels=None):
+def relative_bands(gcs):
     """Count, per output band j, the bands whose contribution is at least a
     10 percent perturbation: GCS_ij >= 0.1 * sqrt(numel of h_j).
 
@@ -133,13 +133,7 @@ def relative_bands(gcs, h_numels=None):
     split but does count toward `total`.
     """
     n_bands = gcs.n_bands
-    if h_numels is None:
-        numels = np.full(n_bands, gcs.h_numel, dtype=np.float64)
-    else:
-        numels = np.asarray(h_numels, dtype=np.float64)
-        if numels.shape != (n_bands,):
-            raise ConfigError(f"need one numel per band, got shape {numels.shape}")
-    threshold = 0.1 * np.sqrt(numels)
+    threshold = np.full(n_bands, 0.1 * np.sqrt(gcs.h_numel))
     with np.errstate(invalid="ignore"):
         hit = gcs.defined() & (gcs.values >= threshold[np.newaxis, :])
     total = hit.sum(axis=0).astype(np.int64)

@@ -28,7 +28,7 @@ from .tensors import ConfigError, ShapeError
 MAGIC = b"HSI1"
 VERSION = 1
 
-AUGMENT_TAGS = ("rotate", "rescale")
+AUGMENTS = ("none", "rotate", "rescale", "full")
 RESCALE_FACTORS = (1.0, 0.75, 0.5)
 
 
@@ -113,28 +113,14 @@ def read_hsi(path):
 class Patch:
     """One extracted patch plus enough provenance to re-extract it."""
 
-    __slots__ = ("data", "source_id", "scale", "row", "col", "rotation")
+    __slots__ = ("data", "scale", "row", "col", "rotation")
 
-    def __init__(self, data, source_id, scale, row, col, rotation):
+    def __init__(self, data, scale, row, col, rotation):
         self.data = data
-        self.source_id = source_id
         self.scale = scale
         self.row = row
         self.col = col
         self.rotation = rotation
-
-
-def _augment_tags(augment):
-    if augment is True:
-        return set(AUGMENT_TAGS)
-    if augment in (False, None):
-        return set()
-    tags = {augment} if isinstance(augment, str) else set(augment)
-    bad = tags - set(AUGMENT_TAGS)
-    if bad:
-        raise ConfigError(f"unknown augmentation tags {sorted(bad)}; "
-                          f"expected among {AUGMENT_TAGS}")
-    return tags
 
 
 def _rescaled(cube, scale):
@@ -145,8 +131,10 @@ def _rescaled(cube, scale):
     return ndimage.zoom(cube, (scale, scale, 1.0), order=3)
 
 
-def extract_patches(cube, spatial=64, stride=None, augment=False, source_id=0):
-    """Grid crops of (spatial, spatial, B) with optional augmentation.
+def extract_patches(cube, spatial=64, stride=None, augment="none"):
+    """Grid crops of (spatial, spatial, B) with optional augmentation:
+    "rotate" (all four right-angle turns), "rescale" (the RESCALE_FACTORS
+    pyramid), both ("full") or neither ("none").
 
     Enumeration order is deterministic: scales (1.0 first) outermost, grid
     positions row-major, rotations innermost.  Scales that shrink the cube
@@ -164,9 +152,10 @@ def extract_patches(cube, spatial=64, stride=None, augment=False, source_id=0):
         stride = spatial
     if stride < 1:
         raise ConfigError(f"stride must be positive, got {stride}")
-    tags = _augment_tags(augment)
-    scales = RESCALE_FACTORS if "rescale" in tags else (1.0,)
-    rotations = (0, 1, 2, 3) if "rotate" in tags else (0,)
+    if augment not in AUGMENTS:
+        raise ConfigError(f"unknown augmentation {augment!r}; expected one of {AUGMENTS}")
+    scales = RESCALE_FACTORS if augment in ("rescale", "full") else (1.0,)
+    rotations = (0, 1, 2, 3) if augment in ("rotate", "full") else (0,)
     patches = []
     for scale in scales:
         scaled = _rescaled(cube, scale)
@@ -177,7 +166,7 @@ def extract_patches(cube, spatial=64, stride=None, augment=False, source_id=0):
                 crop = scaled[row:row + spatial, col:col + spatial]
                 for rot in rotations:
                     data = np.ascontiguousarray(np.rot90(crop, rot))
-                    patches.append(Patch(data, source_id, scale, row, col, rot))
+                    patches.append(Patch(data, scale, row, col, rot))
     return patches
 
 

@@ -54,7 +54,11 @@ def _windowed_mean(plane, win):
     return np.tensordot(v, win, axes=([2, 3], [0, 1]))
 
 
-def ssim(x, ref, k1=0.01, k2=0.03, data_range=1.0):
+# SSIM stabilizers (K1 L)^2, (K2 L)^2: K1 = 0.01, K2 = 0.03, dynamic range L = 1.
+SSIM_C1, SSIM_C2 = 0.01 ** 2, 0.03 ** 2
+
+
+def ssim(x, ref):
     """Mean structural similarity: 11x11 Gaussian windows (sigma 1.5) over
     the valid region of each band, averaged over windows and bands."""
     x, ref = _pair(x, ref)
@@ -62,8 +66,6 @@ def ssim(x, ref, k1=0.01, k2=0.03, data_range=1.0):
     if h < 11 or w < 11:
         raise ConfigError(f"spatial extent {h}x{w} too small for an 11x11 window")
     win = _gaussian_window()
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
     vals = []
     for band in range(x.shape[2]):
         a = x[:, :, band]
@@ -74,8 +76,8 @@ def ssim(x, ref, k1=0.01, k2=0.03, data_range=1.0):
         var_a = _windowed_mean(a * a, win) - mu_a * mu_a
         var_b = _windowed_mean(b * b, win) - mu_b * mu_b
         cov = _windowed_mean(a * b, win) - mu_a * mu_b
-        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+        den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
         vals.append(np.mean(num / den))
     return float(np.mean(vals))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .hsio import BlobReader
 from .qru import BACKWARD, BIDIRECTIONAL, FORWARD, QruUnit, bank_count, make_variant
-from .tensors import ConfigError, ConvKernel, ConvSpec, ShapeError
+from .tensors import ConfigError, ConvKernel, ShapeError
 
 SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
 
@@ -152,12 +152,11 @@ def standard_config(kind="qru3d", width_multiplier=1.0, schedule="alternating",
                     global_residual=True):
     """The benchmark 12-layer configuration, optionally width-scaled (the
     final single-channel output is never scaled)."""
-    factory = make_variant(kind, width_multiplier)
     dirs = direction_schedule(len(_STANDARD_ROWS), schedule)
     layers = []
     cin = 1
     for (cout, s, transposed), d in zip(_STANDARD_ROWS, dirs):
-        cout_eff = cout if cout == 1 else factory.scaled_width(cout)
+        cout_eff = cout if cout == 1 else max(1, int(round(cout * width_multiplier)))
         layers.append(LayerSpec(cin, cout_eff, (s, s, 1), transposed, d, kind))
         cin = cout_eff
     return NetworkConfig(layers, global_residual)
@@ -251,7 +250,7 @@ class Model:
             return y, {"input": x, "outputs": outputs, "units": unit_traces}
         return y, None
 
-    def backward(self, traces, grad_output, input_grad=True):
+    def backward(self, traces, grad_y, input_grad=True):
         """Reverse pass through skips and residual; returns (grad_input,
         per-parameter grads in param_arrays() order). With input_grad
         false, layer 1 skips its input gradient and grad_input is None."""
@@ -260,27 +259,19 @@ class Model:
         n = len(self.units)
         skip_targets = set(self.config._skip_targets())
         # pending[j] accumulates the gradient w.r.t. layer j's output
-        # (1-based; index 0 is the network input).
-        pending = [None] * (n + 1)
-        pending[n] = np.array(grad_output, copy=True)
+        # (1-based; index 0 is the network input). Each sum is a new array,
+        # never an in-place add, so slots may share one gx or grad_y.
+        pending = [None] * n + [grad_y]
         param_grads = [None] * n
         for j in range(n - 1, -1, -1):
-            g = pending[j + 1]
-            gx, grads_j = self.units[j].backward(traces["units"][j], g, input_grad or j > 0)
-            param_grads[j] = grads_j
-            if pending[j] is None:
-                pending[j] = gx
-            else:
-                pending[j] = pending[j] + gx
-            if j in skip_targets:
-                src = self.config._skip_source(j) + 1
-                if pending[src] is None:
-                    pending[src] = gx.copy()
-                else:
-                    pending[src] = pending[src] + gx
+            gx, param_grads[j] = self.units[j].backward(
+                traces["units"][j], pending[j + 1], input_grad or j > 0)
+            slots = (j, self.config._skip_source(j) + 1) if j in skip_targets else (j,)
+            for s in slots:
+                pending[s] = gx if pending[s] is None else pending[s] + gx
         grad_input = pending[0]
         if grad_input is not None and self.config.global_residual:
-            grad_input = grad_input + grad_output
+            grad_input = grad_input + grad_y
         flat = []
         for grads_j in param_grads:
             flat.extend(grads_j)
@@ -333,12 +324,12 @@ def save_weights(path, model):
     buf += struct.pack("<HH", VERSION, len(model.units))
     for spec, unit in zip(model.config.layers, model.units):
         buf += struct.pack("<BB", _VARIANT_TAGS[spec.kind], _DIR_TAGS[spec.direction])
-        kh, kw, kb = unit.kernels()[0].ksize
+        kh, kw, kb = unit.banks[0].ksize
         buf += struct.pack("<5I", spec.cout, spec.cin, kh, kw, kb)
         for s in spec.stride:
             num, den = (1, s) if spec.transposed else (s, 1)
             buf += struct.pack("<II", num, den)
-        for kern in unit.kernels():
+        for kern in unit.banks:
             buf += np.ascontiguousarray(kern.weight, dtype="<f4").tobytes()
             buf += np.ascontiguousarray(kern.bias, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
@@ -361,6 +352,8 @@ def load_weights(path, global_residual=True):
         if any(d < 1 or n < 1 for n, d in zip(nums, dens)):
             raise WeightsError(f"invalid stride pair in layer {j + 1}")
         transposed = any(d > 1 for d in dens)
+        if transposed and any(n > 1 for n in nums):
+            raise WeightsError(f"layer {j + 1} mixes a stride num > 1 with a den > 1")
         stride = tuple(d if transposed else n for n, d in zip(nums, dens))
         wshape = ((cin, cout) if transposed else (cout, cin)) + (kh, kw, kb)
         banks = [
@@ -368,8 +361,7 @@ def load_weights(path, global_residual=True):
                        reader.array("<f4", (cout,), f"layer {j + 1} bias"))
             for _ in range(bank_count(kind, direction))
         ]
-        spec = ConvSpec(stride, (kh // 2, kw // 2, kb // 2))
-        units.append(QruUnit(banks, spec, direction, transposed))
+        units.append(QruUnit(banks, stride, direction, transposed))
         layer_specs.append(LayerSpec(cin, cout, stride, transposed, direction, kind))
     reader.finish()
     return Model(NetworkConfig(layer_specs, global_residual), units)

@@ -105,10 +105,6 @@ class CorruptionReport:
             lines.append(f"note {key}: {self.notes[key]}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
 
 def add_gaussian_iid(x, sigma, seed):
     """y = x + N(0, (sigma/255)^2), elementwise, no clipping."""

@@ -118,14 +118,15 @@ class QruUnit:
     channels and runs one convolution (and one convolution backward).
     Gated units split the result into (tanh z, sigmoid f) pairs, pool each
     pair along the bands and add the directions. The one-bank c3d unit only
-    applies `activation`, which accepts "identity" as a test hook so
-    gradient checkers can probe an exactly linear layer.
+    applies tanh.
 
-    `transposed` selects the upsampling (adjoint) convolution, in which
-    case the stride is read as the fractional stride 1/s.
+    Every unit pads by half its kernel extent, so `spec` is derived from
+    the stride and the banks' kernel size. `transposed` selects the
+    upsampling (adjoint) convolution, in which case the stride is read as
+    the fractional stride 1/s.
     """
 
-    def __init__(self, banks, spec, direction, transposed=False, activation="tanh"):
+    def __init__(self, banks, stride, direction, transposed=False):
         if direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {direction!r}")
         need = 4 if direction == BIDIRECTIONAL else 2
@@ -134,10 +135,9 @@ class QruUnit:
         if any(k.weight.shape != banks[0].weight.shape for k in banks):
             raise ShapeError("the kernel banks of one unit must share one shape")
         self.banks = list(banks)
-        self.spec = spec
+        self.spec = ConvSpec(stride, [k // 2 for k in banks[0].ksize])
         self.direction = direction
         self.transposed = transposed
-        self.activation = activation
 
     @property
     def gated(self):
@@ -164,7 +164,7 @@ class QruUnit:
         conv = tconv3d_forward if self.transposed else conv3d_forward
         pre = np.split(conv(x, self._stacked(), self.spec), len(self.banks), axis=1)
         if not self.gated:
-            y = activate(pre[0], self.activation)
+            y = activate(pre[0], "tanh")
             return y, ((x, y) if keep_trace else None)
         y = None
         traces = []
@@ -188,7 +188,7 @@ class QruUnit:
                 parts += [activate_grad(tr.z, gz, "tanh"), activate_grad(tr.f, gf, "sigmoid")]
             g_pre = np.concatenate(parts, axis=1)
         else:
-            g_pre = activate_grad(saved, grad_y, self.activation)
+            g_pre = activate_grad(saved, grad_y, "tanh")
         conv_bwd = tconv3d_backward if self.transposed else conv3d_backward
         gx, gw, gb = conv_bwd(x, self._stacked(), self.spec, g_pre, input_grad)
         n = len(self.banks)
@@ -196,9 +196,6 @@ class QruUnit:
         for w, b in zip(np.split(gw, n, axis=self._out_axis()), np.split(gb, n)):
             grads += [w, b]
         return gx, grads
-
-    def kernels(self):
-        return list(self.banks)
 
     def param_arrays(self):
         return [a for k in self.banks for a in (k.weight, k.bias)]
@@ -214,34 +211,24 @@ class QruUnit:
         return [f"{b}.{part}" for b in banks for part in ("weight", "bias")]
 
     def astype(self, dtype):
-        return QruUnit([k.astype(dtype) for k in self.banks], self.spec, self.direction,
-                       self.transposed, self.activation)
+        return QruUnit([k.astype(dtype) for k in self.banks], self.spec.stride,
+                       self.direction, self.transposed)
 
 
 VARIANT_KINDS = ("qru3d", "qru2d", "c3d")
 
 
 class VariantFactory:
-    """Builds units of one kind, with an optional hidden-width multiplier
-    (applied by the network to every width except the final output)."""
+    """Builds freshly initialized units of one kind."""
 
-    def __init__(self, kind, width_multiplier=1.0):
+    def __init__(self, kind):
         if kind not in VARIANT_KINDS:
             raise ConfigError(f"unknown unit kind {kind!r}; expected one of {VARIANT_KINDS}")
         self.kind = kind
-        self.width_multiplier = float(width_multiplier)
-
-    def scaled_width(self, width):
-        return max(1, int(round(width * self.width_multiplier)))
 
     @property
     def ksize(self):
         return (3, 3, 1) if self.kind == "qru2d" else (3, 3, 3)
-
-    @property
-    def pad(self):
-        kh, kw, kb = self.ksize
-        return (kh // 2, kw // 2, kb // 2)
 
     def _new_kernel(self, rng, cin, cout, transposed, dtype):
         shape = ((cin, cout) if transposed else (cout, cin)) + self.ksize
@@ -252,9 +239,9 @@ class VariantFactory:
     def build(self, rng, cin, cout, stride, direction, transposed=False, dtype=np.float32):
         banks = [self._new_kernel(rng, cin, cout, transposed, dtype)
                  for _ in range(bank_count(self.kind, direction))]
-        return QruUnit(banks, ConvSpec(stride, self.pad), direction, transposed)
+        return QruUnit(banks, stride, direction, transposed)
 
 
-def make_variant(kind, width_multiplier=1.0):
+def make_variant(kind):
     """Unit-constructor factory for the ablation table variants."""
-    return VariantFactory(kind, width_multiplier)
+    return VariantFactory(kind)

@@ -311,7 +311,7 @@ def tconv3d_backward(x, kernel, spec, grad_out, input_grad=True):
 
 
 def activate(x, kind):
-    """Elementwise nonlinearity: tanh, sigmoid, or identity (test hook)."""
+    """Elementwise nonlinearity: tanh or sigmoid."""
     if kind == "tanh":
         return np.tanh(x)
     if kind == "sigmoid":
@@ -319,9 +319,7 @@ def activate(x, kind):
         # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below.
         e = np.exp(-np.abs(x))
         return np.where(x >= 0, 1.0, e) / (1.0 + e)
-    if kind == "identity":
-        return np.asarray(x)
-    raise ConfigError(f"unknown activation kind {kind!r}")
+    raise ConfigError(f"unknown nonlinearity {kind!r}")
 
 
 def activate_grad(y, grad, kind):
@@ -330,6 +328,4 @@ def activate_grad(y, grad, kind):
         return grad * (1.0 - y * y)
     if kind == "sigmoid":
         return grad * y * (1.0 - y)
-    if kind == "identity":
-        return grad
-    raise ConfigError(f"unknown activation kind {kind!r}")
+    raise ConfigError(f"unknown nonlinearity {kind!r}")

@@ -365,7 +365,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(target, x, tolerance=1e-3, eps=1e-3, grad_output=None):
+def grad_check(target, x, tolerance=1e-3, eps=1e-3):
     """Central-difference check of every parameter gradient of a unit or model.
 
     The target is shadowed in float64 before anything is measured; the check
@@ -381,10 +381,7 @@ def grad_check(target, x, tolerance=1e-3, eps=1e-3, grad_output=None):
 
     # Positional flag: units and models agree on the argument order.
     out, traces = shadow.forward(x64, True)
-    if grad_output is None:
-        gy = np.ones_like(out) / out.size
-    else:
-        gy = np.asarray(grad_output, dtype=np.float64)
+    gy = np.ones_like(out) / out.size
 
     def loss():
         y, _ = shadow.forward(x64)

@@ -182,6 +182,20 @@ class TestEval:
         assert clean_row[1] == "inf"
         assert float(clean_row[2]) == pytest.approx(1.0)
 
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        """A NaN sample in an input or in the clean cube fails with its count
+        and band, and no metrics file, instead of scoring a perfect match."""
+        clean, cube = make_cube(tmp_path, "clean.hsi", shape=(16, 16, 4), seed=7)
+        bad = str(tmp_path / "bad.hsi")
+        cube[5, 6, 2] = np.nan
+        write_hsi(bad, cube)
+        out = tmp_path / "metrics.csv"
+        for inputs, cleaned in (([clean, bad], clean), ([clean], bad)):
+            assert run_cli("eval", *inputs, "--clean", cleaned, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}: 1 non-finite samples" in err and "band(s) 3;" in err
+            assert not out.exists()
+
     def test_shape_mismatch_fails(self, tmp_path, capsys):
         """Inputs must match the clean cube's shape."""
         clean, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=5)

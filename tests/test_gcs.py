@@ -223,12 +223,6 @@ class TestRelativeBands:
         assert np.all(rel.total <= 8)
         assert np.array_equal(rel.total, rel.forward + rel.backward + diag)
 
-    def test_numel_override_shape_checked(self):
-        """A per-band numel override must match the band count."""
-        m = gcs_matrix(random_trace(3, FORWARD, seed=13))
-        with pytest.raises(ConfigError):
-            relative_bands(m, h_numels=[1, 2])
-
 
 class TestHistogram:
     def test_single_band_point_mass(self):

@@ -125,14 +125,14 @@ class TestPatches:
     def test_full_spectrum_kept(self):
         """Every patch keeps the source band count."""
         cube = np.random.default_rng(4).random((96, 96, 7)).astype(np.float32)
-        for p in extract_patches(cube, spatial=32, stride=32, augment=True):
+        for p in extract_patches(cube, spatial=32, stride=32, augment="full"):
             assert p.data.shape[2] == 7
 
     def test_deterministic_order(self):
         """Two calls enumerate identical patches in identical order."""
         cube = np.random.default_rng(5).random((96, 96, 3)).astype(np.float32)
-        a = extract_patches(cube, spatial=32, stride=32, augment=True)
-        b = extract_patches(cube, spatial=32, stride=32, augment=True)
+        a = extract_patches(cube, spatial=32, stride=32, augment="full")
+        b = extract_patches(cube, spatial=32, stride=32, augment="full")
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             assert (pa.scale, pa.row, pa.col, pa.rotation) == \
@@ -142,7 +142,7 @@ class TestPatches:
     def test_provenance_re_extracts(self):
         """Stored provenance rebuilds every patch bit for bit."""
         cube = np.random.default_rng(6).random((96, 96, 3)).astype(np.float32)
-        for p in extract_patches(cube, spatial=32, stride=48, augment=True):
+        for p in extract_patches(cube, spatial=32, stride=48, augment="full"):
             assert np.array_equal(re_extract(cube, p), p.data)
 
     def test_small_cube_rejected(self):
@@ -151,9 +151,10 @@ class TestPatches:
             extract_patches(np.zeros((16, 16, 3)), spatial=64)
 
     def test_unknown_augment_tag_rejected(self):
-        """Typo'd augmentation tags are refused."""
-        with pytest.raises(ConfigError):
-            extract_patches(np.zeros((64, 64, 3)), spatial=32, augment="mirror")
+        """Typo'd augmentation names, and the old boolean form, are refused."""
+        for augment in ("mirror", True):
+            with pytest.raises(ConfigError):
+                extract_patches(np.zeros((64, 64, 3)), spatial=32, augment=augment)
 
 
 class TestNormalize:

@@ -1,5 +1,7 @@
 """Network tests: wiring, parameter counts, shapes, gradients, weights IO."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,52 @@ class TestBackward:
             model.backward(None, np.zeros((1, 1, 4, 4, 4)))
 
 
+# The test_parameter_counts configurations plus the desk preset.
+_PUBLISHED_CONFIGS = {
+    "standard": lambda: standard_config(),
+    "c3d": lambda: standard_config(kind="c3d"),
+    "c3d-x2": lambda: standard_config(kind="c3d", width_multiplier=2.0),
+    "qru2d": lambda: standard_config(kind="qru2d"),
+    "bidirectional": lambda: standard_config(schedule="bidirectional"),
+    "desk": lambda: desk_config(),
+}
+
+
 class TestWeightsIO:
+    @pytest.mark.parametrize("name", sorted(_PUBLISHED_CONFIGS))
+    def test_save_load_save_byte_identical(self, tmp_path, name):
+        """Every published variant survives save -> load -> save unchanged:
+        same bytes, parameter names, strides and paddings."""
+        model = build_network(_PUBLISHED_CONFIGS[name](), seed=19)
+        first, second = tmp_path / "a.q3dw", tmp_path / "b.q3dw"
+        save_weights(first, model)
+        loaded = load_weights(first)
+        save_weights(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.param_names() == model.param_names()
+        for a, b in zip(model.units, loaded.units):
+            assert (a.spec.stride, a.spec.pad) == (b.spec.stride, b.spec.pad)
+            assert a.transposed == b.transposed
+
+    def test_mixed_stride_pair_rejected(self, tmp_path):
+        """A stride pair num > 1 in an upsampling layer (den > 1) is an error
+        naming the layer, not a silently different stride."""
+        model = build_network(standard_config(), seed=20)
+        path = tmp_path / "m.q3dw"
+        save_weights(path, model)
+        offset = 8  # magic, version, layer count
+        for unit in model.units[:7]:
+            offset += 46 + 4 * sum(a.size for a in unit.param_arrays())
+        assert model.config.layers[7].transposed
+        raw = bytearray(path.read_bytes())
+        # Layer 8 header: tags (2), five extents (20), H pair (8), W num.
+        w_num = offset + 2 + 20 + 8
+        assert struct.unpack_from("<II", raw, w_num) == (1, 2)
+        struct.pack_into("<I", raw, w_num, 3)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WeightsError, match="layer 8"):
+            load_weights(path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         model = build_network(desk_config(), seed=14)
         path = tmp_path / "m.q3dw"

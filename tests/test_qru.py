@@ -9,7 +9,6 @@ from reference_impls import fd_grad, max_rel_err, pool_phi_sum, pool_unrolled_b2
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
-    ConvSpec,
     activate,
     activate_grad,
     conv3d_backward,
@@ -27,6 +26,7 @@ from hsdenoise.qru import (
     qru_pool_backward,
     qru_pool_forward,
 )
+from hsdenoise.network import standard_config
 
 
 def rand_banks(rng, cin=2, cout=3, k=(3, 3, 3), dtype=np.float64):
@@ -41,7 +41,7 @@ def rand_banks(rng, cin=2, cout=3, k=(3, 3, 3), dtype=np.float64):
 
 def gated(banks, direction=FORWARD):
     """A stride-1 gated unit over explicit banks."""
-    return QruUnit(banks, ConvSpec(), direction)
+    return QruUnit(banks, (1, 1, 1), direction)
 
 
 def gates_of(unit, x):
@@ -226,10 +226,10 @@ def per_bank_unit(unit, x, grad_y):
     Returns (y, grad_x, per-bank grads in param_arrays() order)."""
     conv = tconv3d_forward if unit.transposed else conv3d_forward
     conv_bwd = tconv3d_backward if unit.transposed else conv3d_backward
-    banks = unit.kernels()
+    banks = unit.banks
     if len(banks) == 1:
-        y = activate(conv(x, banks[0], unit.spec), unit.activation)
-        g_pre = activate_grad(y, grad_y, unit.activation)
+        y = activate(conv(x, banks[0], unit.spec), "tanh")
+        g_pre = activate_grad(y, grad_y, "tanh")
         gx, gw, gb = conv_bwd(x, banks[0], unit.spec, g_pre)
         return y, gx, [gw, gb]
     dirs = [FORWARD, BACKWARD] if unit.direction == BIDIRECTIONAL else [unit.direction]
@@ -367,7 +367,8 @@ class TestVariants:
     def test_qru2d_kernel_shape(self):
         rng = np.random.default_rng(16)
         unit = make_variant("qru2d").build(rng, 2, 4, (1, 1, 1), FORWARD)
-        assert unit.kernels()[0].weight.shape == (4, 2, 3, 3, 1)
+        assert unit.banks[0].weight.shape == (4, 2, 3, 3, 1)
+        assert unit.spec.pad == (1, 1, 0)
 
     def test_c3d_is_tanh_of_conv(self):
         rng = np.random.default_rng(17)
@@ -375,7 +376,7 @@ class TestVariants:
         x = rng.standard_normal((1, 2, 5, 5, 4))
         y, _ = unit.forward(x)
         np.testing.assert_allclose(
-            y, np.tanh(conv3d_forward(x, unit.kernels()[0], unit.spec)), atol=1e-6
+            y, np.tanh(conv3d_forward(x, unit.banks[0], unit.spec)), atol=1e-6
         )
 
     def test_c3d_has_half_the_parameters(self):
@@ -385,9 +386,9 @@ class TestVariants:
         assert 2 * c.param_count() == q.param_count()
 
     def test_width_multiplier_scales_hidden_widths(self):
-        fac = make_variant("qru2d", width_multiplier=1.75)
-        assert fac.scaled_width(16) == 28
-        assert fac.scaled_width(64) == 112
+        cfg = standard_config(kind="qru2d", width_multiplier=1.75)
+        widths = [layer.cout for layer in cfg.layers]
+        assert widths == [28, 28, 56, 56, 112, 112, 112, 56, 56, 28, 28, 1]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):

@@ -444,7 +444,7 @@ class TestActivations:
         assert got.dtype == dtype
         assert np.array_equal(got, want, equal_nan=True)
 
-    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "identity"])
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_grad_matches_fd(self, kind):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((40,))
