@@ -188,7 +188,7 @@ def cmd_denoise(args):
 
 def cmd_eval(args):
     from .hsio import read_hsi
-    from .metrics import psnr, psnr_per_band, sam, ssim
+    from .metrics import SSIM_WINDOW, psnr, psnr_per_band, sam, ssim
     clean = read_hsi(args.clean).astype("float64")
     _require_finite(clean, args.clean)
     cubes = []
@@ -199,6 +199,11 @@ def cmd_eval(args):
                 f"{path} shape {cube.shape} does not match clean {clean.shape}")
         _require_finite(cube, path)
         cubes.append((path, cube))
+    height, width = clean.shape[:2]
+    if min(height, width) < SSIM_WINDOW:
+        raise ValueError(
+            f"{args.clean}: spatial extent {height}x{width} is below the "
+            f"{SSIM_WINDOW}x{SSIM_WINDOW} minimum of the SSIM window")
     lines = [_meta_lines("eval", {"clean": args.clean}).rstrip("\n")]
     header = ["file", "mpsnr", "mssim", "sam"]
     header += [f"psnr_b{j + 1}" for j in range(clean.shape[2])]

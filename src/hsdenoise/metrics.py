@@ -41,7 +41,11 @@ def psnr(x, ref):
     return float(np.mean(psnr_per_band(x, ref)))
 
 
-def _gaussian_window(size=11, sigma=1.5):
+# Side of the SSIM window: a band must hold one whole window.
+SSIM_WINDOW = 11
+
+
+def _gaussian_window(size=SSIM_WINDOW, sigma=1.5):
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
     win = np.outer(g, g)
@@ -63,8 +67,9 @@ def ssim(x, ref):
     the valid region of each band, averaged over windows and bands."""
     x, ref = _pair(x, ref)
     h, w, _ = x.shape
-    if h < 11 or w < 11:
-        raise ConfigError(f"spatial extent {h}x{w} too small for an 11x11 window")
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ConfigError(f"spatial extent {h}x{w} too small for an "
+                          f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
     win = _gaussian_window()
     vals = []
     for band in range(x.shape[2]):

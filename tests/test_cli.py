@@ -196,6 +196,16 @@ class TestEval:
             assert f"{bad}: 1 non-finite samples" in err and "band(s) 3;" in err
             assert not out.exists()
 
+    def test_too_small_cube_rejected(self, tmp_path, capsys):
+        """SSIM needs one whole 11x11 window: a smaller cube fails naming the
+        clean file, its extent and the minimum, and writes no metrics file."""
+        clean, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=8)
+        out = tmp_path / "metrics.csv"
+        assert run_cli("eval", clean, "--clean", clean, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{clean}: spatial extent 8x8 is below the 11x11 minimum" in err
+        assert not out.exists()
+
     def test_shape_mismatch_fails(self, tmp_path, capsys):
         """Inputs must match the clean cube's shape."""
         clean, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=5)
@@ -455,6 +465,17 @@ class TestDeterminism:
         self.run_subprocess("add-noise", src, out2, "--case", 1, "--seed", 3,
                             env_extra={"HSDENOISE_THREADS": "1"})
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """HSDENOISE_THREADS reaches the math libraries only if numpy loads
+        after the CLI applies it, so importing the CLI must not load numpy."""
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env.setdefault("PYTHONPATH", os.path.join(root, "src"))
+        code = "import sys, hsdenoise.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
     def test_bad_thread_env_rejected(self, tmp_path):
         """A malformed thread count aborts with a diagnostic."""

@@ -2,11 +2,13 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reference_impls import phi
+from hsdenoise import gcs
 from hsdenoise.gcs import (
     GcsMatrix,
     gcs_matrix,
@@ -29,6 +31,25 @@ def random_trace(n_bands, direction=FORWARD, seed=0, shape=(1, 2, 3, 3)):
     f = 1.0 / (1.0 + np.exp(-rng.normal(size=shape + (n_bands,))))
     h = qru_pool_forward(z, f, direction)
     return PoolingTrace(z, f, h, direction)
+
+
+def assert_matches_phi(tr, m):
+    """Every cell and exclusion count of m against fresh per-cell phi
+    products in float64; absent cells must be NaN."""
+    wide = PoolingTrace(*(np.asarray(a, np.float64) for a in (tr.z, tr.f, tr.h)),
+                        tr.direction)
+    n, h_numel = m.n_bands, wide.h[..., 0].size
+    for j in range(1, n + 1):
+        include = np.abs(wide.h[..., j - 1]) >= m.eps
+        assert m.excluded[j - 1] == h_numel - np.count_nonzero(include)
+        for i in range(1, n + 1):
+            upstream = i <= j if tr.direction == FORWARD else i >= j
+            if not (upstream and include.any()):
+                assert np.isnan(m.values[i - 1, j - 1])
+                continue
+            ratio = phi(wide, i, j)[include] / wide.h[..., j - 1][include]
+            want = np.sqrt(np.sum(ratio * ratio))
+            assert m.values[i - 1, j - 1] == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestPhi:
@@ -161,6 +182,84 @@ class TestGcsMatrix:
                 ratio = phi(tr, i, j)[include] / tr.h[..., j - 1][include]
                 want = np.sqrt(np.sum(ratio * ratio))
                 assert m.values[i - 1, j - 1] == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("block", [1, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_blocked_walk_matches_direct_phi_route(self, monkeypatch, direction, dtype,
+                                                   block):
+        """Blocks of 1, 4 and 5 bands over 13 bands (the last block ragged)
+        agree with per-cell phi products, with a partly and a fully
+        excluded band in blocks past the first."""
+        monkeypatch.setattr(gcs, "_BLOCK_BANDS", block)
+        n = 13
+        rng = np.random.default_rng(31)
+        z = np.tanh(rng.normal(size=(1, 2, 3, 3, n)))
+        f = 1.0 / (1.0 + np.exp(-rng.normal(size=z.shape)))
+        order = list(range(n)) if direction == FORWARD else list(range(n - 1, -1, -1))
+        partly, fully = order[6], order[11]
+        z[0, 0, ..., partly] = f[0, 0, ..., partly] = 0.0
+        z[..., fully] = f[..., fully] = 0.0
+        z, f = z.astype(dtype), f.astype(dtype)
+        tr = PoolingTrace(z, f, qru_pool_forward(z, f, direction), direction)
+        m = gcs_matrix(tr)
+        assert m.excluded[partly] == m.h_numel // 2
+        assert m.excluded[fully] == m.h_numel
+        assert_matches_phi(tr, m)
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_non_finite_candidate_spoils_no_later_block(self, monkeypatch, direction):
+        """A NaN candidate in the first block of four is excluded from every
+        later cell: each defined cell stays finite and matches phi."""
+        monkeypatch.setattr(gcs, "_BLOCK_BANDS", 4)
+        n = 13
+        tr = random_trace(n, direction, seed=32)
+        band = 1 if direction == FORWARD else n - 2
+        z = tr.z.copy()
+        z[0, 1, 2, 0, band] = np.nan
+        tr = PoolingTrace(z, tr.f, qru_pool_forward(z, tr.f, direction), direction)
+        m = gcs_matrix(tr)
+        walked = [0] + [1] * (n - 1)
+        assert m.excluded.tolist() == (walked if direction == FORWARD else walked[::-1])
+        assert np.all(np.isfinite(m.values[m.defined()]))
+        assert_matches_phi(tr, m)
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_underflow_across_blocks_reads_zero(self, monkeypatch, direction):
+        """Gates near 1e-30 shrink a squared contribution by ~1e-60 per band:
+        up to five bands apart cells match phi, from six apart (across
+        blocks of four) they underflow to exactly 0.0, never to NaN."""
+        monkeypatch.setattr(gcs, "_BLOCK_BANDS", 4)
+        n = 13
+        rng = np.random.default_rng(33)
+        z = 0.5 + 0.4 * rng.random((1, 2, 3, 3, n))
+        f = 1e-30 * (0.5 + rng.random(z.shape))
+        tr = PoolingTrace(z, f, qru_pool_forward(z, f, direction), direction)
+        m = gcs_matrix(tr)
+        rows, cols = np.indices((n, n))
+        apart = cols - rows if direction == FORWARD else rows - cols
+        assert np.array_equal(m.defined(), apart >= 0)
+        assert np.all(m.values[apart >= 6] == 0.0)
+        assert np.all(m.values[(apart >= 0) & (apart <= 5)] > 0.0)
+        assert_matches_phi(tr, m)
+
+    def test_gcs_matrix_allocation_bound(self):
+        """On 220 float32 bands, the traced peak stays within its three
+        float64 (bands, numel) rows, the include mask, the output and two
+        blocks of K rows, plus 10 percent."""
+        n, shape = 220, (1, 4, 16, 16)
+        tr = random_trace(n, FORWARD, seed=34, shape=shape)
+        tr = PoolingTrace(*(a.astype(np.float32) for a in (tr.z, tr.f, tr.h)), FORWARD)
+        numel = int(np.prod(shape))
+        bound = 1.1 * (3 * 8 * n * numel + n * numel + 8 * n * n
+                       + 2 * 8 * gcs._BLOCK_BANDS * numel)
+        tracemalloc.start()
+        try:
+            gcs_matrix(tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_epsilon_exclusion_counted(self):
         """Near-zero hidden elements drop out of the norm and are counted."""
