@@ -175,14 +175,20 @@ def cmd_denoise(args):
     model = load_weights(args.weights, global_residual=args.residual)
     cube = read_hsi(args.input)
     _require_finite(cube, args.input)
+    height, width = cube.shape[:2]
+    # Reflect-pad H and W up to the encoder's divisor; crop back below.
+    req = model.config.downsample_factor()
+    pad_h, pad_w = -height % req[0], -width % req[1]
+    if pad_h or pad_w:
+        cube = np.pad(cube, ((0, pad_h), (0, pad_w), (0, 0)), mode="reflect")
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
     out, _ = model.forward(x)
-    restored = np.clip(out[0, 0], 0.0, 1.0).astype(np.float32)
+    restored = np.clip(out[0, 0, :height, :width], 0.0, 1.0).astype(np.float32)
     write_hsi(args.output, restored)
     _write_meta(args.output + ".meta", "denoise", {
         "weights": args.weights, "input": args.input, "output": args.output,
         "residual": args.residual})
-    print(f"wrote {args.output} ({cube.shape[0]}x{cube.shape[1]}x{cube.shape[2]})")
+    print(f"wrote {args.output} ({height}x{width}x{cube.shape[2]})")
     return 0
 
 
@@ -347,6 +353,7 @@ def _load_patch_arrays(paths, size, stride, augment):
     bands = None
     for path in paths:
         cube = read_hsi(path)
+        _require_finite(cube, path)
         if bands is None:
             bands = cube.shape[2]
         elif cube.shape[2] != bands:

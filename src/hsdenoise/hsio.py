@@ -170,16 +170,6 @@ def extract_patches(cube, spatial=64, stride=None, augment="none"):
     return patches
 
 
-def re_extract(cube, patch):
-    """Rebuild one patch's data from its source cube and provenance."""
-    scaled = _rescaled(np.asarray(cube), patch.scale)
-    size = patch.data.shape[0]
-    crop = scaled[patch.row:patch.row + size, patch.col:patch.col + size]
-    if crop.shape[:2] != (size, size):
-        raise ShapeError(f"provenance does not fit the cube: {crop.shape}")
-    return np.ascontiguousarray(np.rot90(crop, patch.rotation))
-
-
 class NormalizationRecord:
     """Affine rescale parameters, enough to undo a normalize()."""
 

@@ -247,7 +247,7 @@ class Model:
         if through is None and self.config.global_residual:
             y = y + x
         if keep_traces:
-            return y, {"input": x, "outputs": outputs, "units": unit_traces}
+            return y, {"outputs": outputs, "units": unit_traces}
         return y, None
 
     def backward(self, traces, grad_y, input_grad=True):
@@ -346,6 +346,10 @@ def load_weights(path, global_residual=True):
             "<BB5I6I", f"layer {j + 1} header")
         if vtag not in _VARIANT_NAMES or dtag not in _DIR_NAMES:
             raise WeightsError(f"unknown variant/direction tags in layer {j + 1}")
+        if 0 in (cout, cin) or any(k % 2 == 0 for k in (kh, kw, kb)):
+            raise WeightsError(
+                f"layer {j + 1} maps {cin} -> {cout} channels with a {kh}x{kw}x{kb} "
+                f"kernel; channels must be positive and kernel extents odd")
         kind = _VARIANT_NAMES[vtag]
         direction = _DIR_NAMES[dtag]
         nums, dens = pairs[0::2], pairs[1::2]

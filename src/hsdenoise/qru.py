@@ -22,7 +22,6 @@ import numpy as np
 from .tensors import (
     ConfigError,
     ConvKernel,
-    ConvSpec,
     ShapeError,
     activate,
     activate_grad,
@@ -120,10 +119,10 @@ class QruUnit:
     pair along the bands and add the directions. The one-bank c3d unit only
     applies tanh.
 
-    Every unit pads by half its kernel extent, so `spec` is derived from
-    the stride and the banks' kernel size. `transposed` selects the
-    upsampling (adjoint) convolution, in which case the stride is read as
-    the fractional stride 1/s.
+    The convolution pads by half the kernel extent, so the unit keeps only
+    its stride triple. `transposed` selects the upsampling (adjoint)
+    convolution, in which case the stride is read as the fractional
+    stride 1/s.
     """
 
     def __init__(self, banks, stride, direction, transposed=False):
@@ -134,8 +133,11 @@ class QruUnit:
             raise ConfigError(f"{direction} unit needs 1 or {need} kernel banks, got {len(banks)}")
         if any(k.weight.shape != banks[0].weight.shape for k in banks):
             raise ShapeError("the kernel banks of one unit must share one shape")
+        stride = tuple(int(s) for s in stride)
+        if len(stride) != 3 or any(s < 1 for s in stride):
+            raise ConfigError(f"stride must be three positive ints, got {stride}")
         self.banks = list(banks)
-        self.spec = ConvSpec(stride, [k // 2 for k in banks[0].ksize])
+        self.stride = stride
         self.direction = direction
         self.transposed = transposed
 
@@ -162,7 +164,7 @@ class QruUnit:
 
     def forward(self, x, keep_trace=False):
         conv = tconv3d_forward if self.transposed else conv3d_forward
-        pre = np.split(conv(x, self._stacked(), self.spec), len(self.banks), axis=1)
+        pre = np.split(conv(x, self._stacked(), self.stride), len(self.banks), axis=1)
         if not self.gated:
             y = activate(pre[0], "tanh")
             return y, ((x, y) if keep_trace else None)
@@ -190,7 +192,7 @@ class QruUnit:
         else:
             g_pre = activate_grad(saved, grad_y, "tanh")
         conv_bwd = tconv3d_backward if self.transposed else conv3d_backward
-        gx, gw, gb = conv_bwd(x, self._stacked(), self.spec, g_pre, input_grad)
+        gx, gw, gb = conv_bwd(x, self._stacked(), self.stride, g_pre, input_grad)
         n = len(self.banks)
         grads = []
         for w, b in zip(np.split(gw, n, axis=self._out_axis()), np.split(gb, n)):
@@ -211,7 +213,7 @@ class QruUnit:
         return [f"{b}.{part}" for b in banks for part in ("weight", "bias")]
 
     def astype(self, dtype):
-        return QruUnit([k.astype(dtype) for k in self.banks], self.spec.stride,
+        return QruUnit([k.astype(dtype) for k in self.banks], self.stride,
                        self.direction, self.transposed)
 
 

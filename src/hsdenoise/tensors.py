@@ -14,6 +14,11 @@ so the decoder's upsampling layers reuse the same weight layout as the
 encoder's downsampling layers, and <conv(x), y> == <x, tconv(y)> holds
 bit-for-bit in exact arithmetic with zero bias.
 
+Every map pads by half the kernel extent, k // 2 per axis ("same"
+padding; kernel extents are odd), and takes only a stride triple s. So a
+forward map's output extent is ceil(n / s) per axis and a transposed
+map's s * n, and the two are adjoints for every input extent.
+
 Convolution here means cross-correlation (no kernel flip), the usual
 deep-learning convention. The cores lower it to one float64 GEMM per block
 of output rows of one sample, over all T kernel offsets at once (im2col,
@@ -43,7 +48,7 @@ class ShapeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A structural parameter (stride, padding, layer wiring) is invalid."""
+    """A structural parameter (stride, kernel extent, layer wiring) is invalid."""
 
 
 class ConvKernel:
@@ -76,22 +81,6 @@ class ConvKernel:
         return ConvKernel(self.weight.astype(dtype), self.bias.astype(dtype))
 
 
-class ConvSpec:
-    """Stride and zero-padding triples, ordered (height, width, band)."""
-
-    __slots__ = ("stride", "pad")
-
-    def __init__(self, stride=(1, 1, 1), pad=(1, 1, 1)):
-        stride = tuple(int(s) for s in stride)
-        pad = tuple(int(p) for p in pad)
-        if len(stride) != 3 or any(s < 1 for s in stride):
-            raise ConfigError(f"stride must be three positive ints, got {stride}")
-        if len(pad) != 3 or any(p < 0 for p in pad):
-            raise ConfigError(f"pad must be three non-negative ints, got {pad}")
-        self.stride = stride
-        self.pad = pad
-
-
 def he_init(rng, shape, fan_in, dtype=np.float32):
     """Weight array drawn N(0, 2/fan_in). Caller supplies the fan-in
     (the layer's input channels times kernel volume) and pairs the result
@@ -109,20 +98,6 @@ def _check_input(x, name="input"):
     return x
 
 
-def _out_extents(in_hwb, ksize, stride, pad):
-    out = []
-    for axis, (xlen, k, s, p) in enumerate(zip(in_hwb, ksize, stride, pad)):
-        o = (xlen + 2 * p - k) // s + 1
-        if o < 1:
-            name = "HWB"[axis]
-            raise ConfigError(
-                f"non-positive output extent on axis {name}: "
-                f"input {xlen}, kernel {k}, stride {s}, pad {p}"
-            )
-        out.append(o)
-    return tuple(out)
-
-
 def _tap_major(weight):
     """Float64 (c1, T * c2) copy of weight, column t * c2 + c holding
     weight[:, c] at kernel offset t (mixed-dtype matmul ran 2x slower)."""
@@ -130,12 +105,18 @@ def _tap_major(weight):
     return wt.reshape(weight.shape[0], -1)
 
 
-def _padded(x, pad=(0, 0, 0)):
-    """Float64 copy (N, C, H + 2ph, W + 2pw, B + 2pb) of x, zero-bordered."""
-    n_n, c, h, w, b = x.shape
-    ph, pw, pb = pad
-    xp = np.zeros((n_n, c, h + 2 * ph, w + 2 * pw, b + 2 * pb))
-    xp[:, :, ph : ph + h, pw : pw + w, pb : pb + b] = x
+def _halo_grid(shape, ksize):
+    """Zero float64 grid of an (N, C, H, W, B) shape plus a halo of k // 2
+    on each kernel axis, and the index of its interior."""
+    hwb = shape[2:]
+    grid = np.zeros(shape[:2] + tuple(n + k - 1 for n, k in zip(hwb, ksize)))
+    return grid, (...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(hwb, ksize))
+
+
+def _padded(x, ksize):
+    """Float64 copy of x inside its zero halo."""
+    xp, interior = _halo_grid(x.shape, ksize)
+    xp[interior] = x
     return xp
 
 
@@ -181,10 +162,9 @@ def _rows64(a, n, rs, buf):
     return rows.reshape(a.shape[1], -1)
 
 
-def _forward_core(xp, weight, stride, out_dtype):
+def _forward_core(xp, weight, stride, out_hwb, out_dtype):
     """Cross-correlation without bias of a padded float64 grid."""
     n_n, c1 = xp.shape[0], weight.shape[0]
-    out_hwb = _out_extents(xp.shape[2:], weight.shape[2:], stride, (0, 0, 0))
     wt = _tap_major(weight)
     y = np.empty((n_n, c1) + out_hwb, out_dtype)
     for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
@@ -193,19 +173,19 @@ def _forward_core(xp, weight, stride, out_dtype):
     return y
 
 
-def _input_grad_core(g, weight, stride, pad, in_hwb, out_dtype):
-    """Adjoint of _forward_core: grad_out scattered onto the input grid."""
+def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
+    """Adjoint of _forward_core: grad_out scattered onto the input grid,
+    whose halo is then cropped."""
     (n_n, c1), c2 = g.shape[:2], weight.shape[1]
-    (h, w, b), (ph, pw, pb) = in_hwb, pad
     wt = _tap_major(weight).T
-    gxp = np.zeros((n_n, c2, h + 2 * ph, w + 2 * pw, b + 2 * pb))
+    gxp, interior = _halo_grid((n_n, c2) + in_hwb, weight.shape[2:])
     for n, rs, taps, work in _blocks(weight.shape, stride, g.shape[2:], n_n):
         size = len(wt) * (rs.stop - rs.start) * g.shape[3] * g.shape[4]
         prod = np.matmul(wt, _rows64(g, n, rs, work[size:]), out=work[:size].reshape(len(wt), -1))
         prod = prod.reshape((len(taps), c2, -1) + g.shape[3:])
         for i, sl in enumerate(taps):
             gxp[sl] += prod[i]
-    return np.ascontiguousarray(gxp[:, :, ph : ph + h, pw : pw + w, pb : pb + b], dtype=out_dtype)
+    return np.ascontiguousarray(gxp[interior], dtype=out_dtype)
 
 
 def _weight_grad_core(xp, g, weight_shape, stride):
@@ -218,8 +198,13 @@ def _weight_grad_core(xp, g, weight_shape, stride):
     return np.ascontiguousarray(np.moveaxis(gw.reshape(c1, *ksize, c2), -1, 1))
 
 
-def conv3d_forward(x, kernel, spec):
-    """Strided zero-padded cross-correlation mapping c2 -> c1 channels."""
+def _strided_hwb(in_hwb, stride):
+    """Output extents of the forward map: ceil(n / s) per axis."""
+    return tuple(-(-n // s) for n, s in zip(in_hwb, stride))
+
+
+def conv3d_forward(x, kernel, stride):
+    """Strided "same"-padded cross-correlation mapping c2 -> c1 channels."""
     x = _check_input(x)
     weight, bias = kernel.weight, kernel.bias
     c1, c2 = weight.shape[:2]
@@ -230,50 +215,32 @@ def conv3d_forward(x, kernel, spec):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(_padded(x, spec.pad), weight, spec.stride, out_dtype)
+    y = _forward_core(_padded(x, kernel.ksize), weight, stride,
+                      _strided_hwb(x.shape[2:], stride), out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
 
-def conv3d_backward(x, kernel, spec, grad_out, input_grad=True):
+def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     """(grad_input, grad_weight, grad_bias) of conv3d_forward; grad_input
     is None when input_grad is false."""
     x = _check_input(x)
     grad_out = _check_input(grad_out, "grad_out")
     weight = kernel.weight
-    expect = (x.shape[0], weight.shape[0]) + _out_extents(
-        x.shape[2:], weight.shape[2:], spec.stride, spec.pad
-    )
+    expect = (x.shape[0], weight.shape[0]) + _strided_hwb(x.shape[2:], stride)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gw = _weight_grad_core(_padded(x, spec.pad), grad_out, weight.shape, spec.stride)
-    gx = _input_grad_core(grad_out, weight, spec.stride, spec.pad, x.shape[2:], x.dtype) \
+    gw = _weight_grad_core(_padded(x, kernel.ksize), grad_out, weight.shape, stride)
+    gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
         if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 
 
-def _tconv_out_hwb(in_hwb, ksize, stride, pad):
-    """Output extents of the upsampling map, validated against its adjoint.
-
-    The transposed conv targets exactly stride-times the input extent per
-    axis; that is only self-consistent when the matching forward conv maps
-    the target back to the input extent, which pins pad = (k - 1) / 2.
-    """
-    out = tuple(s * xlen for xlen, s in zip(in_hwb, stride))
-    back = _out_extents(out, ksize, stride, pad)
-    if back != tuple(in_hwb):
-        raise ConfigError(
-            f"stride {stride} / pad {pad} / kernel {ksize} do not form an "
-            f"exact up-down pair: {out} maps back to {back}, not {tuple(in_hwb)}"
-        )
-    return out
-
-
-def tconv3d_forward(x, kernel, spec):
+def tconv3d_forward(x, kernel, stride):
     """Transposed conv mapping c1 -> c2 channels, upsampling by the stride.
 
-    Exactly the adjoint of conv3d_forward with the same kernel and spec
+    Exactly the adjoint of conv3d_forward with the same kernel and stride
     (plus a bias per c2 channel), so a stride of s plays the role of the
     fractional stride 1/s: output extents are s times the input's.
     """
@@ -286,26 +253,25 @@ def tconv3d_forward(x, kernel, spec):
         )
     if bias.shape[0] != c2:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c2}")
-    out_hwb = _tconv_out_hwb(x.shape[2:], weight.shape[2:], spec.stride, spec.pad)
+    out_hwb = tuple(s * n for n, s in zip(x.shape[2:], stride))
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _input_grad_core(x, weight, spec.stride, spec.pad, out_hwb, out_dtype)
+    y = _input_grad_core(x, weight, stride, out_hwb, out_dtype)
     y += bias.reshape(1, c2, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
 
-def tconv3d_backward(x, kernel, spec, grad_out, input_grad=True):
+def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     """(grad_input, grad_weight, grad_bias) of tconv3d_forward; grad_input
     is None when input_grad is false."""
     x = _check_input(x)
     grad_out = _check_input(grad_out, "grad_out")
     weight = kernel.weight
-    out_hwb = _tconv_out_hwb(x.shape[2:], weight.shape[2:], spec.stride, spec.pad)
-    expect = (x.shape[0], weight.shape[1]) + out_hwb
+    expect = (x.shape[0], weight.shape[1]) + tuple(s * n for n, s in zip(x.shape[2:], stride))
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gp = _padded(grad_out, spec.pad)
-    gw = _weight_grad_core(gp, x, weight.shape, spec.stride)
-    gx = _forward_core(gp, weight, spec.stride, x.dtype) if input_grad else None
+    gp = _padded(grad_out, kernel.ksize)
+    gw = _weight_grad_core(gp, x, weight.shape, stride)
+    gx = _forward_core(gp, weight, stride, x.shape[2:], x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 

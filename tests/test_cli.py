@@ -137,19 +137,21 @@ class TestDenoise:
             assert restored.shape == (8, 8, bands)
             assert restored.min() >= 0.0 and restored.max() <= 1.0
 
-    def test_divisibility_message(self, tmp_path, capsys):
-        """Benchmark-shaped weights reject a 66-pixel extent clearly."""
+    def test_any_spatial_extent(self, tmp_path):
+        """Benchmark-shaped weights on a 10x13 cube: the output is the
+        10x13 corner of the forward pass on the cube reflect-padded to
+        12x16."""
         import hsdenoise.network as network
         model = build_network(network.standard_config(), seed=0)
         weights = str(tmp_path / "bench.q3dw")
         save_weights(weights, model)
-        src, _ = make_cube(tmp_path, "odd.hsi", shape=(66, 64, 4), seed=3)
-        code = run_cli("denoise", src, str(tmp_path / "out.hsi"),
-                       "--weights", weights)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "66 not divisible by 4" in err
-        assert "crop or pad" in err
+        src, cube = make_cube(tmp_path, "odd.hsi", shape=(10, 13, 3), seed=3)
+        out = str(tmp_path / "out.hsi")
+        assert run_cli("denoise", src, out, "--weights", weights) == 0
+        padded = np.pad(cube, ((0, 2), (0, 3), (0, 0)), mode="reflect")
+        full, _ = model.forward(padded[np.newaxis, np.newaxis])
+        want = np.clip(full[0, 0, :10, :13], 0.0, 1.0)
+        assert np.array_equal(read_hsi(out), want)
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         """A NaN or Inf sample fails with its count and bands, no output."""
@@ -271,6 +273,20 @@ class TestGcsCommand:
         assert "1 non-finite samples" in err and "band(s) 4;" in err
         assert not out_dir.exists()
 
+    def test_divisibility_message(self, tmp_path, capsys):
+        """Benchmark-shaped weights: gcs rejects a 66-pixel extent clearly."""
+        import hsdenoise.network as network
+        model = build_network(network.standard_config(), seed=0)
+        weights = str(tmp_path / "bench.q3dw")
+        save_weights(weights, model)
+        src, _ = make_cube(tmp_path, "odd.hsi", shape=(66, 64, 4), seed=3)
+        code = run_cli("gcs", src, "--weights", weights,
+                       "--out-prefix", str(tmp_path / "g"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "66 not divisible by 4" in err
+        assert "crop or pad" in err
+
     @pytest.mark.parametrize("case", ["eps", "c3d"])
     def test_bad_request_fails_before_forward(self, tmp_path, capsys, monkeypatch, case):
         """A bad --eps or a layer without a recurrence exits 2 without any
@@ -338,6 +354,29 @@ class TestTrainCommand:
         assert code == 2
         assert "batch size must be at least 1, got -1" in capsys.readouterr().err
         assert not (out_dir / "trainlog.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--val"])
+    def test_non_finite_cube_rejected(self, tmp_path, capsys, monkeypatch, flag):
+        """A NaN sample in a --data or --val cube exits 2, naming the file,
+        count and band, before any step and without outputs."""
+        import hsdenoise.training as training
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(training, "train", no_train)
+        good, _ = make_cube(tmp_path, "good.hsi", shape=(16, 16, 4), seed=9)
+        bad, cube = make_cube(tmp_path, "bad.hsi", shape=(16, 16, 4), seed=9)
+        cube[5, 6, 2] = np.nan
+        write_hsi(bad, cube)
+        cubes = ["--data", bad] if flag == "--data" else ["--data", good, "--val", bad]
+        out_dir = tmp_path / "run"
+        code = run_cli("train", *cubes, "--out-dir", str(out_dir), "--policy", "fixed",
+                       "--epochs", 1, "--width", 2, "--batch-size", 2, "--patch-size", 8)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: 1 non-finite samples" in err and "band(s) 3;" in err
+        assert not out_dir.exists()
 
     def test_resume_matches_straight_run(self, tmp_path):
         """Two epochs plus a resumed two equal a straight four, bitwise."""

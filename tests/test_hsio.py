@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from hsdenoise.hsio import (
     HsiError,
@@ -9,7 +10,6 @@ from hsdenoise.hsio import (
     extract_patches,
     gen_synthetic,
     normalize,
-    re_extract,
     read_hsi,
     write_hsi,
 )
@@ -140,10 +140,13 @@ class TestPatches:
             assert np.array_equal(pa.data, pb.data)
 
     def test_provenance_re_extracts(self):
-        """Stored provenance rebuilds every patch bit for bit."""
+        """Stored provenance rebuilds every patch bit for bit: the cube's
+        cubic-spline zoom by the scale, cropped at (row, col), turned."""
         cube = np.random.default_rng(6).random((96, 96, 3)).astype(np.float32)
         for p in extract_patches(cube, spatial=32, stride=48, augment="full"):
-            assert np.array_equal(re_extract(cube, p), p.data)
+            scaled = cube if p.scale == 1.0 else ndimage.zoom(cube, (p.scale, p.scale, 1.0), order=3)
+            crop = scaled[p.row:p.row + 32, p.col:p.col + 32]
+            assert np.array_equal(np.rot90(crop, p.rotation), p.data)
 
     def test_small_cube_rejected(self):
         """A cube smaller than the patch is an error."""

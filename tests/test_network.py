@@ -104,10 +104,13 @@ class TestForwardShapes:
         assert got == want
         assert y.shape == x.shape
 
-    @pytest.mark.parametrize("bands", [5, 10, 31])
-    def test_band_count_agnostic(self, bands):
-        """One model runs unchanged on any spectral extent."""
-        model = build_network(standard_config(), seed=2)
+    @pytest.mark.parametrize("kind,bands", [
+        ("qru3d", 5), ("qru3d", 10), ("qru3d", 31), ("qru2d", 7), ("c3d", 7)],
+        ids=["5", "10", "31", "qru2d-7", "c3d-7"])
+    def test_band_count_agnostic(self, kind, bands):
+        """One model runs unchanged on any spectral extent, 3x3x1 kernels
+        and the transposed layers included."""
+        model = build_network(standard_config(kind=kind), seed=2)
         x = np.zeros((1, 1, 8, 8, bands), dtype=np.float32)
         y, _ = model.forward(x)
         assert y.shape == x.shape
@@ -261,7 +264,7 @@ class TestWeightsIO:
     @pytest.mark.parametrize("name", sorted(_PUBLISHED_CONFIGS))
     def test_save_load_save_byte_identical(self, tmp_path, name):
         """Every published variant survives save -> load -> save unchanged:
-        same bytes, parameter names, strides and paddings."""
+        same bytes, parameter names, strides and kernel extents."""
         model = build_network(_PUBLISHED_CONFIGS[name](), seed=19)
         first, second = tmp_path / "a.q3dw", tmp_path / "b.q3dw"
         save_weights(first, model)
@@ -270,7 +273,7 @@ class TestWeightsIO:
         assert second.read_bytes() == first.read_bytes()
         assert loaded.param_names() == model.param_names()
         for a, b in zip(model.units, loaded.units):
-            assert (a.spec.stride, a.spec.pad) == (b.spec.stride, b.spec.pad)
+            assert (a.stride, a.banks[0].ksize) == (b.stride, b.banks[0].ksize)
             assert a.transposed == b.transposed
 
     def test_mixed_stride_pair_rejected(self, tmp_path):
@@ -290,6 +293,24 @@ class TestWeightsIO:
         struct.pack_into("<I", raw, w_num, 3)
         path.write_bytes(bytes(raw))
         with pytest.raises(WeightsError, match="layer 8"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("layers,bad", [
+        ([(1, 0, (3, 3, 3)), (0, 0, (3, 3, 3)), (0, 1, (3, 3, 3))], 1),
+        ([(1, 2, (3, 3, 3)), (2, 2, (3, 2, 3)), (2, 1, (3, 3, 3))], 2),
+        ([(1, 2, (3, 3, 3)), (2, 2, (3, 3, 3)), (2, 1, (3, 3, 0))], 3),
+    ], ids=["zero-channels", "even-extent", "zero-extent"])
+    def test_degenerate_layer_rejected(self, tmp_path, layers, bad):
+        """Zero channels, or an even or zero kernel extent, is an error naming
+        the layer: with zero channels the payload is empty whatever the
+        header's extents say."""
+        raw = bytearray(b"Q3DW" + struct.pack("<HH", 1, len(layers)))
+        for cin, cout, ksize in layers:
+            raw += struct.pack("<BB5I6I", 2, 0, cout, cin, *ksize, *[1] * 6)
+            raw += bytes(4 * (cout * cin * int(np.prod(ksize)) + cout))
+        path = tmp_path / "m.q3dw"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WeightsError, match=f"layer {bad}"):
             load_weights(path)
 
     def test_round_trip_bit_exact(self, tmp_path):

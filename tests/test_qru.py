@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hsdenoise.qru as qru
-from reference_impls import fd_grad, max_rel_err, pool_phi_sum, pool_unrolled_b2
+from reference_impls import (
+    conv3d_reference,
+    fd_grad,
+    max_rel_err,
+    pool_phi_sum,
+    pool_unrolled_b2,
+)
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
@@ -228,21 +234,21 @@ def per_bank_unit(unit, x, grad_y):
     conv_bwd = tconv3d_backward if unit.transposed else conv3d_backward
     banks = unit.banks
     if len(banks) == 1:
-        y = activate(conv(x, banks[0], unit.spec), "tanh")
+        y = activate(conv(x, banks[0], unit.stride), "tanh")
         g_pre = activate_grad(y, grad_y, "tanh")
-        gx, gw, gb = conv_bwd(x, banks[0], unit.spec, g_pre)
+        gx, gw, gb = conv_bwd(x, banks[0], unit.stride, g_pre)
         return y, gx, [gw, gb]
     dirs = [FORWARD, BACKWARD] if unit.direction == BIDIRECTIONAL else [unit.direction]
     y, gx, grads = 0.0, 0.0, []
     for d, wz, wf in zip(dirs, banks[0::2], banks[1::2]):
-        z = activate(conv(x, wz, unit.spec), "tanh")
-        f = activate(conv(x, wf, unit.spec), "sigmoid")
+        z = activate(conv(x, wz, unit.stride), "tanh")
+        f = activate(conv(x, wf, unit.stride), "sigmoid")
         h = qru_pool_forward(z, f, d)
         y = y + h
         gz, gf = qru_pool_backward(PoolingTrace(z, f, h, d), grad_y)
         for kern, g_pre in ((wz, activate_grad(z, gz, "tanh")),
                             (wf, activate_grad(f, gf, "sigmoid"))):
-            gx_bank, gw, gb = conv_bwd(x, kern, unit.spec, g_pre)
+            gx_bank, gw, gb = conv_bwd(x, kern, unit.stride, g_pre)
             gx = gx + gx_bank
             grads += [gw, gb]
     return y, gx, grads
@@ -368,7 +374,18 @@ class TestVariants:
         rng = np.random.default_rng(16)
         unit = make_variant("qru2d").build(rng, 2, 4, (1, 1, 1), FORWARD)
         assert unit.banks[0].weight.shape == (4, 2, 3, 3, 1)
-        assert unit.spec.pad == (1, 1, 0)
+        # Half the kernel extent is a (1, 1, 0) halo.
+        x = rng.standard_normal((1, 2, 4, 5, 3))
+        kern = unit.banks[0]
+        np.testing.assert_allclose(
+            conv3d_forward(x, kern, unit.stride),
+            conv3d_reference(x, kern.weight, kern.bias, (1, 1, 1), (1, 1, 0)), atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [(0, 1, 1), (2, 2)])
+    def test_bad_stride_rejected(self, stride):
+        banks = rand_banks(np.random.default_rng(19))
+        with pytest.raises(ConfigError, match="stride"):
+            QruUnit(banks, stride, FORWARD)
 
     def test_c3d_is_tanh_of_conv(self):
         rng = np.random.default_rng(17)
@@ -376,7 +393,7 @@ class TestVariants:
         x = rng.standard_normal((1, 2, 5, 5, 4))
         y, _ = unit.forward(x)
         np.testing.assert_allclose(
-            y, np.tanh(conv3d_forward(x, unit.banks[0], unit.spec)), atol=1e-6
+            y, np.tanh(conv3d_forward(x, unit.banks[0], unit.stride)), atol=1e-6
         )
 
     def test_c3d_has_half_the_parameters(self):

@@ -18,7 +18,6 @@ from hsdenoise import tensors
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
-    ConvSpec,
     ShapeError,
     activate,
     activate_grad,
@@ -49,14 +48,14 @@ class TestConvForward:
         """Center-one kernel with stride 1, pad 1 reproduces the input."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 1, 5, 5, 5))
-        y = conv3d_forward(x, delta_kernel(), ConvSpec((1, 1, 1), (1, 1, 1)))
+        y = conv3d_forward(x, delta_kernel(), (1, 1, 1))
         np.testing.assert_allclose(y, x, rtol=0, atol=0)
 
     def test_ones_kernel_counts_neighbors(self):
         """All-ones input and kernel: interior value 27, corner value 8."""
         x = np.ones((1, 1, 5, 5, 5))
         k = ConvKernel(np.ones((1, 1, 3, 3, 3)), np.zeros(1))
-        y = conv3d_forward(x, k, ConvSpec((1, 1, 1), (1, 1, 1)))
+        y = conv3d_forward(x, k, (1, 1, 1))
         assert y[0, 0, 2, 2, 2] == 27.0
         assert y[0, 0, 0, 0, 0] == 8.0
         ref = conv3d_reference(x, k.weight, k.bias, (1, 1, 1), (1, 1, 1))
@@ -65,7 +64,7 @@ class TestConvForward:
     def test_strided_output_extents(self):
         """4x4x3 input at stride (2,2,1), pad 1, k=3 gives a 2x2x3 output."""
         x = np.zeros((1, 1, 4, 4, 3))
-        y = conv3d_forward(x, delta_kernel(), ConvSpec((2, 2, 1), (1, 1, 1)))
+        y = conv3d_forward(x, delta_kernel(), (2, 2, 1))
         assert y.shape == (1, 1, 2, 2, 3)
 
     @pytest.mark.parametrize(
@@ -74,14 +73,15 @@ class TestConvForward:
             ((1, 1, 1), (1, 1, 1), (5, 5, 4), (3, 3, 3)),
             ((2, 2, 1), (1, 1, 1), (6, 4, 5), (3, 3, 3)),
             ((1, 1, 1), (1, 1, 0), (5, 6, 4), (3, 3, 1)),
-            ((2, 1, 2), (0, 1, 1), (7, 5, 5), (3, 3, 3)),
+            ((2, 1, 2), (1, 1, 1), (7, 5, 5), (3, 3, 3)),
         ],
     )
     def test_matches_loop_oracle(self, stride, pad, hwb, k):
-        """Random instances agree with the six-nested-loop reference."""
+        """Random instances agree with the six-nested-loop reference padded
+        by `pad`, half the kernel extent."""
         rng = np.random.default_rng(7)
         x, kern = rand_case(rng, n=2, cin=2, cout=3, hwb=hwb, k=k)
-        y = conv3d_forward(x, kern, ConvSpec(stride, pad))
+        y = conv3d_forward(x, kern, stride)
         ref = conv3d_reference(x, kern.weight, kern.bias, stride, pad)
         np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
 
@@ -91,15 +91,15 @@ class TestConvForward:
         x, kern = rand_case(rng)
         y2 = rng.standard_normal(x.shape)
         kern = ConvKernel(kern.weight, np.zeros_like(kern.bias))
-        spec = ConvSpec()
-        lhs = conv3d_forward(0.7 * x - 1.3 * y2, kern, spec)
-        rhs = 0.7 * conv3d_forward(x, kern, spec) - 1.3 * conv3d_forward(y2, kern, spec)
+        stride = (1, 1, 1)
+        lhs = conv3d_forward(0.7 * x - 1.3 * y2, kern, stride)
+        rhs = 0.7 * conv3d_forward(x, kern, stride) - 1.3 * conv3d_forward(y2, kern, stride)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(1)
         x, kern = rand_case(rng, dtype=np.float32)
-        y = conv3d_forward(x, kern, ConvSpec())
+        y = conv3d_forward(x, kern, (1, 1, 1))
         assert y.dtype == np.float32
 
     def test_channel_mismatch_raises(self):
@@ -107,12 +107,7 @@ class TestConvForward:
         x, kern = rand_case(rng, cin=2)
         bad = np.zeros((1, 4) + x.shape[2:])
         with pytest.raises(ShapeError, match="channels"):
-            conv3d_forward(bad, kern, ConvSpec())
-
-    def test_vanishing_output_extent_raises(self):
-        x = np.zeros((1, 1, 1, 1, 1))
-        with pytest.raises(ConfigError, match="output extent"):
-            conv3d_forward(x, delta_kernel(), ConvSpec((1, 1, 1), (0, 0, 0)))
+            conv3d_forward(bad, kern, (1, 1, 1))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
@@ -123,9 +118,9 @@ class TestConvBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         rng = np.random.default_rng(4)
         x, kern = rand_case(rng)
-        spec = ConvSpec()
-        y = conv3d_forward(x, kern, spec)
-        gx, gw, gb = conv3d_backward(x, kern, spec, np.zeros_like(y))
+        stride = (1, 1, 1)
+        y = conv3d_forward(x, kern, stride)
+        gx, gw, gb = conv3d_backward(x, kern, stride, np.zeros_like(y))
         assert not gx.any() and not gw.any() and not gb.any()
 
     @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 1)])
@@ -133,14 +128,13 @@ class TestConvBackward:
         """Every input/weight/bias grad entry agrees with central FD at 1e-3."""
         rng = np.random.default_rng(5)
         x, kern = rand_case(rng, n=1, cin=2, cout=3, hwb=(5, 5, 4))
-        spec = ConvSpec(stride, (1, 1, 1))
-        r = rng.standard_normal(conv3d_forward(x, kern, spec).shape)
+        r = rng.standard_normal(conv3d_forward(x, kern, stride).shape)
 
         def loss():
-            return float(np.sum(conv3d_forward(x, kern, spec) * r))
+            return float(np.sum(conv3d_forward(x, kern, stride) * r))
 
         fx, fw, fb = fd_grad(loss, [x, kern.weight, kern.bias])
-        gx, gw, gb = conv3d_backward(x, kern, spec, r)
+        gx, gw, gb = conv3d_backward(x, kern, stride, r)
         assert max_rel_err(gx, fx) <= 1e-3
         assert max_rel_err(gw, fw) <= 1e-3
         assert max_rel_err(gb, fb) <= 1e-3
@@ -150,10 +144,10 @@ class TestConvBackward:
         rng = np.random.default_rng(6)
         x, kern = rand_case(rng, hwb=(6, 5, 4))
         kern = ConvKernel(kern.weight, np.zeros_like(kern.bias))
-        spec = ConvSpec((2, 1, 1), (1, 1, 1))
-        y = conv3d_forward(x, kern, spec)
+        stride = (2, 1, 1)
+        y = conv3d_forward(x, kern, stride)
         yr = rng.standard_normal(y.shape)
-        gx, _, _ = conv3d_backward(x, kern, spec, yr)
+        gx, _, _ = conv3d_backward(x, kern, stride, yr)
         lhs = float(np.sum(y * yr))
         rhs = float(np.sum(x * gx))
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
@@ -162,7 +156,7 @@ class TestConvBackward:
         rng = np.random.default_rng(8)
         x, kern = rand_case(rng)
         with pytest.raises(ShapeError, match="grad_out"):
-            conv3d_backward(x, kern, ConvSpec(), np.zeros((1, 3, 2, 2, 2)))
+            conv3d_backward(x, kern, (1, 1, 1), np.zeros((1, 3, 2, 2, 2)))
 
 
 class TestTconv:
@@ -172,7 +166,7 @@ class TestTconv:
         x = rng.standard_normal((1, 4, 2, 2, 3))
         w = rng.standard_normal((4, 2, 3, 3, 3))
         kern = ConvKernel(w, np.zeros(2))
-        y = tconv3d_forward(x, kern, ConvSpec((2, 2, 1), (1, 1, 1)))
+        y = tconv3d_forward(x, kern, (2, 2, 1))
         assert y.shape == (1, 2, 4, 4, 3)
 
     def test_adjoint_of_strided_conv(self):
@@ -181,17 +175,17 @@ class TestTconv:
         w = rng.standard_normal((3, 2, 3, 3, 3))
         kern = ConvKernel(w, np.zeros(2))
         kern_c = ConvKernel(w, np.zeros(3))
-        spec = ConvSpec((2, 2, 1), (1, 1, 1))
+        stride = (2, 2, 1)
         x = rng.standard_normal((1, 2, 6, 4, 5))
         u = rng.standard_normal((1, 3, 3, 2, 5))
-        lhs = float(np.sum(conv3d_forward(x, kern_c, spec) * u))
-        rhs = float(np.sum(x * tconv3d_forward(u, kern, spec)))
+        lhs = float(np.sum(conv3d_forward(x, kern_c, stride) * u))
+        rhs = float(np.sum(x * tconv3d_forward(u, kern, stride)))
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
     def test_delta_kernel_stride1_is_identity(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 1, 5, 4, 3))
-        y = tconv3d_forward(x, delta_kernel(), ConvSpec((1, 1, 1), (1, 1, 1)))
+        y = tconv3d_forward(x, delta_kernel(), (1, 1, 1))
         np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -200,22 +194,17 @@ class TestTconv:
         w = rng.standard_normal((3, 2, 3, 3, 3))
         b = rng.standard_normal(2)
         kern = ConvKernel(w, b)
-        spec = ConvSpec((2, 2, 1), (1, 1, 1))
-        r = rng.standard_normal(tconv3d_forward(x, kern, spec).shape)
+        stride = (2, 2, 1)
+        r = rng.standard_normal(tconv3d_forward(x, kern, stride).shape)
 
         def loss():
-            return float(np.sum(tconv3d_forward(x, kern, spec) * r))
+            return float(np.sum(tconv3d_forward(x, kern, stride) * r))
 
         fx, fw, fb = fd_grad(loss, [x, w, b])
-        gx, gw, gb = tconv3d_backward(x, kern, spec, r)
+        gx, gw, gb = tconv3d_backward(x, kern, stride, r)
         assert max_rel_err(gx, fx) <= 1e-3
         assert max_rel_err(gw, fw) <= 1e-3
         assert max_rel_err(gb, fb) <= 1e-3
-
-    def test_inconsistent_updown_pair_rejected(self):
-        x = np.zeros((1, 1, 2, 2, 2))
-        with pytest.raises(ConfigError, match="up-down"):
-            tconv3d_forward(x, delta_kernel(), ConvSpec((2, 2, 2), (0, 0, 0)))
 
 
 # Stacked kernels (c1, c2, kh, kw, kb) and strides of the standard network,
@@ -244,26 +233,25 @@ def test_network_kernels_match_im2col_oracle(name):
     c1, c2 = wshape[:2]
     ksize = wshape[2:]
     pad = tuple(k // 2 for k in ksize)
-    spec = ConvSpec(stride, pad)
     rng = np.random.default_rng(21)
     x = rng.standard_normal((2, c2, 8, 6, 5))
     w = rng.standard_normal(wshape)
     b = rng.standard_normal(c1)
-    assert_rel(conv3d_forward(x, ConvKernel(w, b), spec),
+    assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
                conv3d_im2col(x, w, b, stride, pad))
 
     y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
     y = rng.standard_normal(y_ref.shape)
     lhs = float(np.vdot(y_ref, y))
-    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), spec, y)
-    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), spec)
+    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), stride, y)
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), stride)
     assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
     assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
 
     gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
     assert_rel(gw, gw_ref)
     # <tconv(y), x> is <conv(x), y>, so both weight gradients are gw_ref.
-    _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), spec, x)
+    _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), stride, x)
     assert_rel(tgw, gw_ref)
 
 
@@ -286,27 +274,26 @@ def test_thin_kernels_match_im2col_oracle(name):
     c1, c2 = wshape[:2]
     ksize = wshape[2:]
     pad = tuple(k // 2 for k in ksize)
-    spec = ConvSpec(stride, pad)
     rng = np.random.default_rng(22)
     x = rng.standard_normal((n, c2, 8, 6, 5))
     w = rng.standard_normal(wshape)
     b = rng.standard_normal(c1)
     y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
-    assert_rel(conv3d_forward(x, ConvKernel(w, b), spec),
+    assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
                conv3d_im2col(x, w, b, stride, pad))
 
     y = rng.standard_normal(y_ref.shape)
     lhs = float(np.vdot(y_ref, y))
     gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
-    gx, gw, gb = conv3d_backward(x, ConvKernel(w, b), spec, y)
+    gx, gw, gb = conv3d_backward(x, ConvKernel(w, b), stride, y)
     assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
     assert_rel(gw, gw_ref)
     assert_rel(gb, y.sum(axis=(0, 2, 3, 4)))
 
-    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), spec)
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), stride)
     assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
     # tconv's input gradient is the conv of its grad_out, here x.
-    tgx, tgw, tgb = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), spec, x)
+    tgx, tgw, tgb = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), stride, x)
     assert_rel(tgx, y_ref)
     assert_rel(tgw, gw_ref)
     assert_rel(tgb, x.sum(axis=(0, 2, 3, 4)))
@@ -325,7 +312,7 @@ def test_forward_allocation_bound(c1, c2):
     x = rng.standard_normal((1, c2) + hwb).astype(np.float32)
     kern = ConvKernel(rng.standard_normal((c1, c2) + ksize).astype(np.float32),
                       np.zeros(c1, np.float32))
-    spec = ConvSpec((1, 1, 1), (1, 1, 1))
+    stride = (1, 1, 1)
     m = int(np.prod(hwb))
     padded = c2 * int(np.prod([e + 2 for e in hwb])) * 8
     weight = c1 * c2 * 27 * 8
@@ -336,7 +323,7 @@ def test_forward_allocation_bound(c1, c2):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        conv3d_forward(x, kern, spec)
+        conv3d_forward(x, kern, stride)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -363,7 +350,6 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
     c1, c2 = wshape[:2]
     ksize = wshape[2:]
     pad = tuple(k // 2 for k in ksize)
-    spec = ConvSpec(stride, pad)
     rng = np.random.default_rng(24)
     x = rng.standard_normal((2, c2, 26, 6, 5))
     w = rng.standard_normal(wshape)
@@ -375,18 +361,18 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
             tensors._blocks(wshape, stride, (ho, wo, bo), 2)]
     assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
 
-    assert_rel(conv3d_forward(x, ConvKernel(w, b), spec),
+    assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
                conv3d_im2col(x, w, b, stride, pad))
     y = rng.standard_normal(y_ref.shape)
     lhs = float(np.vdot(y_ref, y))
     gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
-    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), spec, y)
+    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), stride, y)
     assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
     assert_rel(gw, gw_ref)
 
-    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), spec)
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), stride)
     assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
-    tgx, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), spec, x)
+    tgx, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), stride, x)
     assert_rel(tgx, y_ref)
     assert_rel(tgw, gw_ref)
 
@@ -410,7 +396,7 @@ def test_forward_allocation_within_block_budget():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        conv3d_forward(x, kern, ConvSpec((1, 1, 1), (1, 1, 1)))
+        conv3d_forward(x, kern, (1, 1, 1))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -498,7 +484,6 @@ def test_conv_oracle_property(h, w, b, cin, cout, sh, sw):
     wt = rng.standard_normal((cout, cin, 3, 3, 3))
     bias = rng.standard_normal(cout)
     kern = ConvKernel(wt, bias)
-    spec = ConvSpec((sh, sw, 1), (1, 1, 1))
-    y = conv3d_forward(x, kern, spec)
-    ref = conv3d_reference(x, wt, bias, spec.stride, spec.pad)
+    y = conv3d_forward(x, kern, (sh, sw, 1))
+    ref = conv3d_reference(x, wt, bias, (sh, sw, 1), (1, 1, 1))
     np.testing.assert_allclose(y, ref, rtol=1e-11, atol=1e-11)

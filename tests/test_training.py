@@ -13,7 +13,7 @@ from hsdenoise.network import (
 )
 from hsdenoise.noise import add_gaussian_iid, synthesize_case
 from hsdenoise.qru import ConfigError, make_variant
-from hsdenoise.tensors import ConvSpec, ShapeError, conv3d_backward, conv3d_forward
+from hsdenoise.tensors import ShapeError, conv3d_backward, conv3d_forward
 from hsdenoise.training import (
     AdamState,
     TrainOptions,
@@ -405,7 +405,7 @@ class _LinearConv:
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self.spec = ConvSpec()
+        self.stride = (1, 1, 1)
 
     def astype(self, dtype):
         return _LinearConv(self.kernel.astype(dtype))
@@ -417,10 +417,10 @@ class _LinearConv:
         return ["w.weight", "w.bias"]
 
     def forward(self, x, keep_trace=False):
-        return conv3d_forward(x, self.kernel, self.spec), (x if keep_trace else None)
+        return conv3d_forward(x, self.kernel, self.stride), (x if keep_trace else None)
 
     def backward(self, x, grad_y):
-        gx, gw, gb = conv3d_backward(x, self.kernel, self.spec, grad_y)
+        gx, gw, gb = conv3d_backward(x, self.kernel, self.stride, grad_y)
         return gx, [gw, gb]
 
 
