@@ -73,9 +73,11 @@ def no_recurrence(layer):
 
 def _walk_rows(a, step):
     """Float64 (bands, numel) copy of a trace array, one row per band in
-    walk order (step 1 forward, -1 backward), cast in its one copy."""
-    a = np.asarray(a)
-    return np.array(a.reshape(-1, a.shape[-1]).T[::step], dtype=np.float64, order="C")
+    walk order (step 1 forward, -1 backward), cast in its one copy. A row
+    holds its band's elements in (N, C, H, W) order; on a bands-first trace
+    each row is a copy of whole H x W planes."""
+    rows = np.array(np.moveaxis(np.asarray(a), -1, 0)[::step], dtype=np.float64, order="C")
+    return rows.reshape(rows.shape[0], -1)
 
 
 def _sums(rows, cols, include):

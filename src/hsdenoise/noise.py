@@ -109,8 +109,8 @@ class CorruptionReport:
 def add_gaussian_iid(x, sigma, seed):
     """y = x + N(0, (sigma/255)^2), elementwise, no clipping."""
     x = _check_cube(x)
-    if sigma < 0:
-        raise NoiseError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise NoiseError(f"sigma must be finite and non-negative, got {sigma}")
     y = x.copy()
     if sigma == 0:
         return y

@@ -15,6 +15,8 @@ output channels and runs one convolution forward and one convolution
 backward per call; c3d is the one-bank case without the recurrence. The
 recurrence is sequential in the band index but elementwise over
 (batch, channel, height, width), so each step is one vectorized blend.
+The convolution returns z and f bands-first in memory (see tensors), so
+each step reads and writes whole H x W planes.
 """
 
 import numpy as np

@@ -5,6 +5,19 @@ Axis convention, used across the whole package:
     feature tensor: (batch N, channel C, height H, width W, band B)
     kernel weight:  (c1, c2, kh, kw, kb)
 
+That is the shape. In memory, every array a convolution map returns runs
+(N, C, B, H, W): it is an np.moveaxis view of a bands-first block. The
+band recurrence (qru) and the gcs walk step one band at a time, and a
+band slice a[..., b] is then N * C whole H x W planes, not one element in
+every B. Elementwise numpy keeps its input's layout, so activations,
+pooling traces and their gradients stay bands-first as well. The padded
+float64 grids and im2col columns stay band-last, so every kernel tap
+copies contiguous runs of B: with bands-first grids the 4x4 and 8x8
+planes of the deep layers made those runs short. The transpose happens
+once per map, in the cast that writes the output or crops the input
+gradient. Bands outermost, (B, N, C, H, W), would scatter that write
+across every band.
+
 A kernel is shared between two maps that are exact adjoints of each other:
 
     conv3d_forward   consumes c2 channels and produces c1
@@ -155,6 +168,12 @@ def _im2col_blocks(xp, weight_shape, stride, out_hwb):
         yield n, rs, column, work[size:]
 
 
+def _bands_first(shape, dtype):
+    """Empty array of an (N, C, H, W, B) shape over (N, C, B, H, W) memory."""
+    n_n, c, h, w, b = shape
+    return np.moveaxis(np.empty((n_n, c, b, h, w), dtype), 2, -1)
+
+
 def _rows64(a, n, rs, buf):
     """Rows rs of sample n of a, as a float64 (C, len(rs) * W * B) in buf."""
     rows = buf[: a.shape[1] * (rs.stop - rs.start) * a.shape[3] * a.shape[4]]
@@ -166,7 +185,7 @@ def _forward_core(xp, weight, stride, out_hwb, out_dtype):
     """Cross-correlation without bias of a padded float64 grid."""
     n_n, c1 = xp.shape[0], weight.shape[0]
     wt = _tap_major(weight)
-    y = np.empty((n_n, c1) + out_hwb, out_dtype)
+    y = _bands_first((n_n, c1) + out_hwb, out_dtype)
     for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
         prod = np.matmul(wt, column, out=spare[: c1 * column.shape[1]].reshape(c1, -1))
         y[n, :, rs] = prod.reshape((c1, -1) + out_hwb[1:])
@@ -185,7 +204,9 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
         prod = prod.reshape((len(taps), c2, -1) + g.shape[3:])
         for i, sl in enumerate(taps):
             gxp[sl] += prod[i]
-    return np.ascontiguousarray(gxp[interior], dtype=out_dtype)
+    gx = _bands_first(gxp.shape[:2] + in_hwb, out_dtype)
+    gx[...] = gxp[interior]
+    return gx
 
 
 def _weight_grad_core(xp, g, weight_shape, stride):
@@ -282,9 +303,11 @@ def activate(x, kind):
         return np.tanh(x)
     if kind == "sigmoid":
         # expit without the scipy import: exp only of -|x|, so it cannot
-        # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+        # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below. The
+        # numerator is max(e, x >= 0), as e <= 1: np.where's select, on
+        # gates of mixed sign, took three times the rest of the sigmoid.
         e = np.exp(-np.abs(x))
-        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+        return np.maximum(e, x >= 0) / (1.0 + e)
     raise ConfigError(f"unknown nonlinearity {kind!r}")
 
 

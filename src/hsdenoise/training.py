@@ -191,6 +191,8 @@ class TrainOptions:
             raise ConfigError(f"start epoch {start_epoch} outside [0, {epochs})")
         if batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {batch_size}")
+        if not 0 <= sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and non-negative, got {sigma}")
         if max_steps_per_epoch is not None and max_steps_per_epoch < 1:
             raise ConfigError(
                 f"max steps per epoch must be at least 1, got {max_steps_per_epoch}")
@@ -348,7 +350,8 @@ class GradCheckReport:
 
     @property
     def max_rel_err(self):
-        return max(r[1] for r in self.rows) if self.rows else 0.0
+        """Largest relative error over the groups; NaN if any group's is."""
+        return float(np.max([r[1] for r in self.rows])) if self.rows else 0.0
 
     @property
     def passed(self):
@@ -373,7 +376,11 @@ def grad_check(target, x, tolerance=1e-3, eps=1e-3):
     slope against the analytic backward pass, reporting the max relative
     error per parameter group (relative to max(|analytic|, |numeric|, 1e-6)).
     `target` is a Model or any unit exposing forward/backward/param_arrays.
+    A NaN error (a non-finite gradient or loss) is that group's worst and
+    fails it.
     """
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps!r}")
     shadow = target.astype(np.float64)
     x64 = np.asarray(x, dtype=np.float64)
     params = shadow.param_arrays()
@@ -390,9 +397,9 @@ def grad_check(target, x, tolerance=1e-3, eps=1e-3):
     _, analytic = shadow.backward(traces, gy)
     rows = []
     for name, p, g in zip(names, params, analytic):
-        worst = 0.0
         flat_p = p.reshape(-1)
         flat_g = np.asarray(g, dtype=np.float64).reshape(-1)
+        errs = np.zeros(flat_p.size)
         for i in range(flat_p.size):
             keep = flat_p[i]
             flat_p[i] = keep + eps
@@ -402,6 +409,6 @@ def grad_check(target, x, tolerance=1e-3, eps=1e-3):
             flat_p[i] = keep
             numeric = (hi - lo) / (2.0 * eps)
             denom = max(abs(flat_g[i]), abs(numeric), 1e-6)
-            worst = max(worst, abs(flat_g[i] - numeric) / denom)
-        rows.append((name, worst))
+            errs[i] = abs(flat_g[i] - numeric) / denom
+        rows.append((name, float(errs.max(initial=0.0))))
     return GradCheckReport(rows, tolerance)

@@ -215,3 +215,13 @@ def ssim_direct(x, ref, k1=0.01, k2=0.03, data_range=1.0):
             den = (mx * mx + mr * mr + c1) * (vx + vr + c2)
             vals.append(num / den)
     return float(np.mean(vals))
+
+
+def bands_first(a):
+    """True when an (N, C, H, W, B) array has (N, C, B, H, W) memory."""
+    return np.moveaxis(a, -1, 2).flags.c_contiguous
+
+
+def bands_first_copy(a):
+    """Copy of an (N, C, H, W, B) array with (N, C, B, H, W) memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 2)), 2, -1)

@@ -116,6 +116,15 @@ class TestAddNoise:
         report = open(out + ".report.txt").read()
         assert "iid-gaussian" in report
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_rejected(self, tmp_path, capsys, sigma):
+        """A NaN or infinite sigma exits 2 and writes no cube."""
+        src, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=2)
+        out = tmp_path / "noisy.hsi"
+        assert run_cli("add-noise", src, str(out), "--iid-sigma", sigma, "--seed", 1) == 2
+        assert "sigma must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_fails(self, tmp_path, capsys):
         """A missing input exits nonzero with a diagnostic."""
         code = run_cli("add-noise", str(tmp_path / "nope.hsi"),
@@ -327,6 +336,17 @@ class TestGcsCommand:
             assert text.endswith(gcs_to_csv(gcs_matrix(tr)))
 
 
+class TestGradcheckCommand:
+    @pytest.mark.parametrize("eps", ["nan", "0", "inf"])
+    def test_bad_eps_rejected(self, capsys, eps):
+        """An eps that is not positive and finite exits 2 before any check:
+        NaN slopes would otherwise pass every group, and 0 divides by zero."""
+        assert run_cli("gradcheck", "--eps", eps) == 2
+        out = capsys.readouterr()
+        assert f"eps must be positive and finite, got {float(eps)!r}" in out.err
+        assert "passed" not in out.out
+
+
 class TestTrainCommand:
     def test_small_fixed_run(self, tmp_path):
         """A tiny fixed-policy run writes weights, state, and the log."""
@@ -354,6 +374,19 @@ class TestTrainCommand:
         assert code == 2
         assert "batch size must be at least 1, got -1" in capsys.readouterr().err
         assert not (out_dir / "trainlog.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_rejected(self, tmp_path, capsys, sigma):
+        """A NaN or infinite --sigma exits 2 before --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir),
+                       "--policy", "fixed", "--epochs", 1, "--width", 2,
+                       "--batch-size", 2, "--sigma", sigma, "--patch-size", 8)
+        assert code == 2
+        assert f"sigma must be finite and non-negative, got {float(sigma)}" in \
+            capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--data", "--val"])
     def test_non_finite_cube_rejected(self, tmp_path, capsys, monkeypatch, flag):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import phi
+from reference_impls import bands_first_copy, phi
 from hsdenoise import gcs
 from hsdenoise.gcs import (
     GcsMatrix,
@@ -116,6 +116,18 @@ class TestGcsMatrix:
         m = gcs_matrix(tr)
         assert m.values[0, 0] == pytest.approx(np.sqrt(m.h_numel), rel=1e-12)
         assert m.excluded[0] == 0
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_same_bytes_either_layout(self, direction):
+        """A band-last and a bands-first copy of one trace (30 bands: one
+        full block and a partial one) give the same cells."""
+        tr = random_trace(30, direction, seed=9, shape=(2, 3, 4, 5))
+        tr.h[0, 1, 2, 3, 4] = 0.0
+        other = PoolingTrace(*(bands_first_copy(a) for a in (tr.z, tr.f, tr.h)), direction)
+        a, b = gcs_matrix(tr), gcs_matrix(other)
+        assert a.values.tobytes() == b.values.tobytes()
+        np.testing.assert_array_equal(a.excluded, b.excluded)
+        assert a.excluded.sum() == 1
 
     def test_forward_triangle_defined(self):
         """Forward traces define i <= j and leave the rest absent."""

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from reference_impls import fd_grad, max_rel_err
+from reference_impls import bands_first_copy, fd_grad, max_rel_err
 from hsdenoise.qru import BACKWARD, BIDIRECTIONAL, FORWARD
 from hsdenoise.tensors import ConfigError, ShapeError
 from hsdenoise.network import (
@@ -183,6 +183,21 @@ class TestBackward:
         y, traces = model.forward(x, keep_traces=True)
         _, grads = model.backward(traces, np.zeros_like(y))
         assert all(not g.any() for g in grads)
+
+    def test_same_bytes_either_input_layout(self):
+        """The standard net's output, input gradient and every parameter
+        gradient are byte-equal for a contiguous and a bands-first input."""
+        model = build_network(standard_config(), seed=11)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 1, 16, 16, 9)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        runs = []
+        for conv in (np.ascontiguousarray, bands_first_copy):
+            y, traces = model.forward(conv(x), keep_traces=True)
+            gx, grads = model.backward(traces, conv(g))
+            runs.append([y, gx] + grads)
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
 
     def test_residual_adds_grad_output_to_input_grad(self):
         cfg_on = desk_config(width=4, global_residual=True)

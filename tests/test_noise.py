@@ -41,6 +41,12 @@ class TestGaussianIid:
         with pytest.raises(NoiseError):
             add_gaussian_iid(flat_cube(), -1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        """A NaN or infinite sigma would turn every sample NaN or Inf."""
+        with pytest.raises(NoiseError, match="finite and non-negative"):
+            add_gaussian_iid(flat_cube(), sigma, seed=0)
+
 
 class TestNonIidGaussian:
     def test_sigma_draws_in_range(self):

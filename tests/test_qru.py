@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import hsdenoise.qru as qru
 from reference_impls import (
+    bands_first,
+    bands_first_copy,
     conv3d_reference,
     fd_grad,
     max_rel_err,
@@ -307,6 +309,38 @@ class TestStackedUnit:
             p.reshape(-1)[0] += 0.5
             after, _ = unit.forward(x)
             assert np.abs(after - before).max() > 1e-6
+
+
+class TestBandsFirstLayout:
+    """Unit outputs, traces and pooling gradients keep the convolution's
+    bands-first memory; pooling reads either layout to the same bytes."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD, BIDIRECTIONAL])
+    def test_outputs_and_traces_are_bands_first(self, direction, transposed):
+        rng = np.random.default_rng(40)
+        stride = (2, 2, 1) if transposed else (1, 1, 1)
+        unit = make_variant("qru3d").build(rng, 2, 3, stride, direction, transposed,
+                                           dtype=np.float32)
+        x = rng.standard_normal((2, 2, 4, 4, 5)).astype(np.float32)
+        y, trace = unit.forward(x, keep_trace=True)
+        arrays = [y] + [a for tr in trace[1] for a in (tr.z, tr.f, tr.h)]
+        arrays += [g for tr in trace[1] for g in qru_pool_backward(tr, y)]
+        assert [bands_first(a) for a in arrays] == [True] * len(arrays)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_pooling_same_bytes_either_layout(self, direction, dtype):
+        rng = np.random.default_rng(41)
+        z, f = (a.astype(dtype) for a in rand_zf(rng, (2, 3, 4, 5, 6)))
+        g = rng.standard_normal(z.shape).astype(dtype)
+        runs = []
+        for conv in (np.ascontiguousarray, bands_first_copy):
+            h = qru_pool_forward(conv(z), conv(f), direction)
+            trace = PoolingTrace(conv(z), conv(f), conv(h), direction)
+            runs.append((h,) + qru_pool_backward(trace, conv(g)))
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestUnitForward:

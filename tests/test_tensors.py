@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_impls import (
+    bands_first,
+    bands_first_copy,
     conv3d_im2col,
     conv3d_reference,
     conv3d_weight_grad_im2col,
@@ -216,6 +218,33 @@ NET_KERNELS = {
     "L12": ((4, 16, 3, 3, 3), (1, 1, 1)),
     "qru2d": ((32, 16, 3, 3, 1), (1, 1, 1)),
 }
+
+
+class TestMemoryLayout:
+    """Every array a convolution core returns keeps the public (N, C, H, W, B)
+    shape over (N, C, B, H, W) memory, so a band slice is whole H x W planes."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 1)])
+    def test_outputs_are_bands_first(self, n, stride):
+        rng = np.random.default_rng(60)
+        x, kern = rand_case(rng, n=n, hwb=(6, 4, 5), dtype=np.float32)
+        y = conv3d_forward(x, kern, stride)
+        t = tconv3d_forward(y, ConvKernel(kern.weight, np.zeros(2, np.float32)), stride)
+        gx, _, _ = conv3d_backward(x, kern, stride, y)
+        tgx, _, _ = tconv3d_backward(y, kern, stride, t)
+        assert [bands_first(a) for a in (y, t, gx, tgx)] == [True] * 4
+
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 1)])
+    def test_same_bytes_from_either_input_layout(self, stride):
+        rng = np.random.default_rng(61)
+        x, kern = rand_case(rng, n=2, hwb=(6, 4, 5), dtype=np.float32)
+        g = conv3d_forward(x, kern, stride)
+        runs = [(conv3d_forward(a, kern, stride),) + conv3d_backward(a, kern, stride, ga)
+                + tconv3d_backward(ga, kern, stride, a)
+                for a, ga in ((x, np.ascontiguousarray(g)), (bands_first_copy(x), g))]
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()
 
 
 def assert_rel(actual, expected, tol=1e-10):

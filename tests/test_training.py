@@ -399,6 +399,19 @@ class _ScaledGrads:
         return gx, [1.1 * g for g in grads]
 
 
+class _NanBiasGrad(_ScaledGrads):
+    """Wrapper whose bias gradient reads NaN in its first element."""
+
+    def astype(self, dtype):
+        return _NanBiasGrad(self.unit.astype(dtype))
+
+    def backward(self, trace, grad_y):
+        gx, (gw, gb) = self.unit.backward(trace, grad_y)
+        gb = gb.copy()
+        gb[0] = np.nan
+        return gx, [gw, gb]
+
+
 class _LinearConv:
     """A bare convolution, exactly linear in its parameters, with the
     unit interface grad_check needs."""
@@ -450,6 +463,25 @@ class TestGradCheck:
         report = grad_check(unit, x.astype(np.float32))
         assert not report.passed
         assert "FAIL" in report.format()
+
+    def test_nan_error_fails_its_group(self):
+        """A NaN relative error fails its group and the report; it does not
+        vanish inside a running max."""
+        unit = _NanBiasGrad(_LinearConv(make_variant("c3d").build(
+            np.random.default_rng(23), 2, 3, (1, 1, 1), "forward").banks[0]))
+        x = np.random.default_rng(24).standard_normal((1, 2, 4, 4, 3)).astype(np.float32)
+        report = grad_check(unit, x)
+        errs = dict(report.rows)
+        assert errs["w.weight"] < 1e-6 and np.isnan(errs["w.bias"])
+        assert np.isnan(report.max_rel_err) and not report.passed
+        assert "w.bias" in [line.split()[0] for line in report.format().splitlines()
+                            if line.endswith("FAIL")]
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        unit = make_variant("c3d").build(np.random.default_rng(23), 1, 1, (1, 1, 1), "forward")
+        with pytest.raises(ConfigError, match="eps must be positive and finite"):
+            grad_check(unit, np.zeros((1, 1, 4, 4, 3), np.float32), eps=eps)
 
     def test_report_names_groups(self):
         """The report lists one row per named parameter group."""
