@@ -61,9 +61,10 @@ class GcsMatrix:
 
 
 def check_eps(eps):
-    """The epsilon guard must be a positive number; NaN is not."""
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps!r}")
+    """The epsilon guard must be a positive finite number: NaN is not, and
+    under an infinite guard every element would be excluded."""
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps!r}")
 
 
 def no_recurrence(layer):

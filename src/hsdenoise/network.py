@@ -365,6 +365,12 @@ def load_weights(path, global_residual=True):
                        reader.array("<f4", (cout,), f"layer {j + 1} bias"))
             for _ in range(bank_count(kind, direction))
         ]
+        for bank in banks:
+            for part, a in (("weights", bank.weight), ("bias", bank.bias)):
+                bad = int(np.count_nonzero(~np.isfinite(a)))
+                if bad:
+                    raise WeightsError(f"layer {j + 1} {part}: {bad} non-finite values "
+                                       f"(NaN or Inf); weights must be finite")
         units.append(QruUnit(banks, stride, direction, transposed))
         layer_specs.append(LayerSpec(cin, cout, stride, transposed, direction, kind))
     reader.finish()

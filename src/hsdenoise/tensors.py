@@ -11,7 +11,7 @@ band recurrence (qru) and the gcs walk step one band at a time, and a
 band slice a[..., b] is then N * C whole H x W planes, not one element in
 every B. Elementwise numpy keeps its input's layout, so activations,
 pooling traces and their gradients stay bands-first as well. The padded
-float64 grids and im2col columns stay band-last, so every kernel tap
+grids and im2col columns stay band-last, so every kernel tap
 copies contiguous runs of B: with bands-first grids the 4x4 and 8x8
 planes of the deep layers made those runs short. The transpose happens
 once per map, in the cast that writes the output or crops the input
@@ -33,26 +33,45 @@ forward map's output extent is ceil(n / s) per axis and a transposed
 map's s * n, and the two are adjoints for every input extent.
 
 Convolution here means cross-correlation (no kernel flip), the usual
-deep-learning convention. The cores lower it to one float64 GEMM per block
-of output rows of one sample, over all T kernel offsets at once (im2col,
-its column bounded by the blocking, as in MEC):
+deep-learning convention. The cores lower it to one GEMM per block of
+output rows of one sample, over all T kernel offsets at once (im2col, its
+column bounded by the blocking, as in MEC):
 
     forward          (c1, T * c2) weight @ column of the T input slices
     weight gradient  grad rows @ column.T, summed over blocks
     input gradient   (T * c2, c1) weight.T @ grad rows, added back slice
-    (= transposed)   by slice onto a padded float64 input grid
+    (= transposed)   by slice onto a padded input grid
 
-Every product and sum is float64 and cast once: the forward product as it
-is written into the output, the input gradient's grid as it is cropped,
-the weight gradient at the end. A call holds a float64 weight, a float64
-padded grid (the input, or the input gradient), its output and one block
-buffer of at most _BLOCK_BYTES; block sizes follow from shapes alone.
+Precision contract. A map computes in the result dtype of its array
+operands, np.result_type(x, weight), with grad_out too in the backward
+maps; there is no option and no second path. The tap-major weight copy,
+the padded grid, the block buffer and every GEMM product take that
+dtype, and the input gradient's grid sums its slices in it. The weight
+gradient takes each block's product in it too but sums the blocks in
+float64, so its float32 rounding spans one block, not the whole batch;
+the bias gradient sums grad_out in float64. Results are cast once to the
+output dtype: the forward product as it is written into the output, the
+input gradient's grid as it is cropped, the weight gradient at the end.
+
+    float32 operands (every shipped model): each map and each gradient
+    stays within 32 float32 epsilons (3.8e-6) of the largest magnitude of the
+    float64 oracle on the same values, over the network's kernels on small
+    cubes; the standard network's output on a case-5 cube stays within
+    1e-5 absolute of its float64 shadow.
+    float64 operands (Model.astype(np.float64), grad_check's shadow): every
+    product and sum is float64, end to end.
+
+Both bounds are pinned in tests/test_tensors.py. A call holds its weight
+copy, its padded grid (the input, or the input gradient), its output and
+one block buffer of at most _BLOCK_BYTES; block sizes follow from shapes
+and the compute dtype alone.
 """
 
 import numpy as np
 
-# Bytes of one block's float64 column plus product: a few MiB, the total L2
-# of the 2-vCPU benchmark machine, where 2, 4 and 8 MiB timed the same.
+# Bytes of one block's column plus product in the compute dtype: a few MiB,
+# the total L2 of the 2-vCPU benchmark machine, where 2, 4 and 8 MiB timed
+# the same.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -111,39 +130,40 @@ def _check_input(x, name="input"):
     return x
 
 
-def _tap_major(weight):
-    """Float64 (c1, T * c2) copy of weight, column t * c2 + c holding
+def _tap_major(weight, dtype):
+    """(c1, T * c2) copy of weight in dtype, column t * c2 + c holding
     weight[:, c] at kernel offset t (mixed-dtype matmul ran 2x slower)."""
-    wt = np.ascontiguousarray(np.moveaxis(weight, 1, -1), dtype=np.float64)
+    wt = np.ascontiguousarray(np.moveaxis(weight, 1, -1), dtype=dtype)
     return wt.reshape(weight.shape[0], -1)
 
 
-def _halo_grid(shape, ksize):
-    """Zero float64 grid of an (N, C, H, W, B) shape plus a halo of k // 2
+def _halo_grid(shape, ksize, dtype):
+    """Zero grid in dtype of an (N, C, H, W, B) shape plus a halo of k // 2
     on each kernel axis, and the index of its interior."""
     hwb = shape[2:]
-    grid = np.zeros(shape[:2] + tuple(n + k - 1 for n, k in zip(hwb, ksize)))
+    grid = np.zeros(shape[:2] + tuple(n + k - 1 for n, k in zip(hwb, ksize)), dtype)
     return grid, (...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(hwb, ksize))
 
 
-def _padded(x, ksize):
-    """Float64 copy of x inside its zero halo."""
-    xp, interior = _halo_grid(x.shape, ksize)
+def _padded(x, ksize, dtype):
+    """Copy of x in dtype inside its zero halo."""
+    xp, interior = _halo_grid(x.shape, ksize, dtype)
     xp[interior] = x
     return xp
 
 
-def _blocks(weight_shape, stride, out_hwb, n_n):
+def _blocks(weight_shape, stride, out_hwb, n_n, dtype):
     """Yield (n, rs, taps, work) per block of output rows rs of sample n:
     the slices of a padded (N, C, H, W, B) grid that each kernel offset
-    reads, and one reused float64 buffer for column (T * c2 rows) and
-    product (c1 rows), within _BLOCK_BYTES and the output's float64 c1
-    side unless one row alone is larger."""
+    reads, and one reused buffer in dtype for column (T * c2 rows) and
+    product (c1 rows), within _BLOCK_BYTES and the output's c1 side
+    unless one row alone is larger."""
     c1, c2 = weight_shape[:2]
     (ho, wo, bo), sh = out_hwb, stride[0]
     row = (int(np.prod(weight_shape[2:])) * c2 + c1) * wo * bo
-    rows = max(1, min(_BLOCK_BYTES // 8, c1 * n_n * ho * wo * bo) // row)
-    work = np.empty(min(rows, ho) * row)
+    items = _BLOCK_BYTES // np.dtype(dtype).itemsize
+    rows = max(1, min(items, c1 * n_n * ho * wo * bo) // row)
+    work = np.empty(min(rows, ho) * row, dtype)
     wb = [(offset[0],) + tuple(slice(d, d + (e - 1) * s + 1, s)
                                for d, e, s in zip(offset[1:], out_hwb[1:], stride[1:]))
           for offset in np.ndindex(*weight_shape[2:])]
@@ -159,7 +179,7 @@ def _im2col_blocks(xp, weight_shape, stride, out_hwb):
     """Yield (n, rs, column, spare) per block: the block's T slices of xp as
     a (T * c2, len(rs) * Wo * Bo) column in its work buffer, and the rest."""
     c2 = xp.shape[1]
-    for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, xp.shape[0]):
+    for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, xp.shape[0], xp.dtype):
         size = len(taps) * c2 * (rs.stop - rs.start) * out_hwb[1] * out_hwb[2]
         column = work[:size].reshape(len(taps) * c2, -1)
         stacked = column.reshape((len(taps), c2, -1) + out_hwb[1:])
@@ -174,17 +194,17 @@ def _bands_first(shape, dtype):
     return np.moveaxis(np.empty((n_n, c, b, h, w), dtype), 2, -1)
 
 
-def _rows64(a, n, rs, buf):
-    """Rows rs of sample n of a, as a float64 (C, len(rs) * W * B) in buf."""
+def _rows(a, n, rs, buf):
+    """Rows rs of sample n of a, as a (C, len(rs) * W * B) in buf's dtype."""
     rows = buf[: a.shape[1] * (rs.stop - rs.start) * a.shape[3] * a.shape[4]]
     rows.reshape((a.shape[1], -1) + a.shape[3:])[...] = a[n, :, rs]
     return rows.reshape(a.shape[1], -1)
 
 
 def _forward_core(xp, weight, stride, out_hwb, out_dtype):
-    """Cross-correlation without bias of a padded float64 grid."""
+    """Cross-correlation without bias of a padded grid, in its dtype."""
     n_n, c1 = xp.shape[0], weight.shape[0]
-    wt = _tap_major(weight)
+    wt = _tap_major(weight, xp.dtype)
     y = _bands_first((n_n, c1) + out_hwb, out_dtype)
     for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
         prod = np.matmul(wt, column, out=spare[: c1 * column.shape[1]].reshape(c1, -1))
@@ -194,13 +214,15 @@ def _forward_core(xp, weight, stride, out_hwb, out_dtype):
 
 def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
     """Adjoint of _forward_core: grad_out scattered onto the input grid,
-    whose halo is then cropped."""
+    whose halo is then cropped. Computes in the result dtype of g, weight
+    and the output."""
     (n_n, c1), c2 = g.shape[:2], weight.shape[1]
-    wt = _tap_major(weight).T
-    gxp, interior = _halo_grid((n_n, c2) + in_hwb, weight.shape[2:])
-    for n, rs, taps, work in _blocks(weight.shape, stride, g.shape[2:], n_n):
+    dtype = np.result_type(g, weight, out_dtype)
+    wt = _tap_major(weight, dtype).T
+    gxp, interior = _halo_grid((n_n, c2) + in_hwb, weight.shape[2:], dtype)
+    for n, rs, taps, work in _blocks(weight.shape, stride, g.shape[2:], n_n, dtype):
         size = len(wt) * (rs.stop - rs.start) * g.shape[3] * g.shape[4]
-        prod = np.matmul(wt, _rows64(g, n, rs, work[size:]), out=work[:size].reshape(len(wt), -1))
+        prod = np.matmul(wt, _rows(g, n, rs, work[size:]), out=work[:size].reshape(len(wt), -1))
         prod = prod.reshape((len(taps), c2, -1) + g.shape[3:])
         for i, sl in enumerate(taps):
             gxp[sl] += prod[i]
@@ -210,12 +232,13 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
 
 
 def _weight_grad_core(xp, g, weight_shape, stride):
-    """Float64 weight grad from a padded float64 input and grad_out."""
+    """Float64 weight grad from a padded input and grad_out: each block's
+    product in xp's dtype, their sum in float64."""
     c1, c2, *ksize = weight_shape
     gw = np.zeros((c1, int(np.prod(ksize)) * c2))
-    part = np.empty_like(gw)
+    part = np.empty(gw.shape, xp.dtype)
     for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]):
-        gw += np.matmul(_rows64(g, n, rs, spare), column.T, out=part)
+        gw += np.matmul(_rows(g, n, rs, spare), column.T, out=part)
     return np.ascontiguousarray(np.moveaxis(gw.reshape(c1, *ksize, c2), -1, 1))
 
 
@@ -236,7 +259,7 @@ def conv3d_forward(x, kernel, stride):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(_padded(x, kernel.ksize), weight, stride,
+    y = _forward_core(_padded(x, kernel.ksize, out_dtype), weight, stride,
                       _strided_hwb(x.shape[2:], stride), out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
@@ -251,7 +274,8 @@ def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     expect = (x.shape[0], weight.shape[0]) + _strided_hwb(x.shape[2:], stride)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gw = _weight_grad_core(_padded(x, kernel.ksize), grad_out, weight.shape, stride)
+    dtype = np.result_type(x, weight, grad_out)
+    gw = _weight_grad_core(_padded(x, kernel.ksize, dtype), grad_out, weight.shape, stride)
     gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
         if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
@@ -290,7 +314,7 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     expect = (x.shape[0], weight.shape[1]) + tuple(s * n for n, s in zip(x.shape[2:], stride))
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gp = _padded(grad_out, kernel.ksize)
+    gp = _padded(grad_out, kernel.ksize, np.result_type(x, weight, grad_out))
     gw = _weight_grad_core(gp, x, weight.shape, stride)
     gx = _forward_core(gp, weight, stride, x.shape[2:], x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)

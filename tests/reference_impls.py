@@ -75,6 +75,20 @@ def conv3d_weight_grad_im2col(x, grad_out, ksize, stride, pad):
     return np.einsum("nchwbijk,nohwb->ocijk", win, np.asarray(grad_out, dtype=np.float64))
 
 
+def conv3d_input_grad_im2col(grad_out, weight, stride, in_hwb):
+    """Gradient of sum(conv3d_im2col(x, w, 0, ...) * grad_out) w.r.t. an x
+    of extents in_hwb, "same" padding: grad_out spread onto a grid stride
+    times finer, correlated with the kernel flipped and its channel axes
+    swapped, and cropped to in_hwb."""
+    g = np.asarray(grad_out, dtype=np.float64)
+    up = np.zeros(g.shape[:2] + tuple(s * e for s, e in zip(stride, g.shape[2:])))
+    up[:, :, ::stride[0], ::stride[1], ::stride[2]] = g
+    w = np.flip(np.asarray(weight, dtype=np.float64), axis=(2, 3, 4)).swapaxes(0, 1)
+    out = conv3d_im2col(up, w, np.zeros(w.shape[0]), (1, 1, 1),
+                        tuple(k // 2 for k in w.shape[2:]))
+    return out[:, :, :in_hwb[0], :in_hwb[1], :in_hwb[2]]
+
+
 def sigmoid_masked(x):
     """Logistic sigmoid split on sign through boolean masks: 1 / (1 + e^-x)
     where x >= 0 and e^x / (1 + e^x) elsewhere, so no exp overflows."""

@@ -176,6 +176,22 @@ class TestDenoise:
         assert "3 non-finite samples" in err and "band(s) 2, 7;" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_finite_weights_rejected(self, tmp_path, capsys, part):
+        """One NaN weight or bias in layer 6 would turn the whole output
+        NaN: load_weights refuses the file, naming the layer and the part,
+        and denoise exits 2 without output."""
+        model = build_network(desk_config(width=4, n_layers=8), seed=1)
+        bank = model.units[5].banks[1]
+        (bank.weight if part == "weights" else bank.bias).flat[2] = np.nan
+        weights = str(tmp_path / "nan.q3dw")
+        save_weights(weights, model)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(16, 16, 8), seed=5)
+        out = tmp_path / "out.hsi"
+        assert run_cli("denoise", src, str(out), "--weights", weights) == 2
+        assert f"layer 6 {part}: 1 non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_metrics_csv(self, tmp_path):
@@ -267,6 +283,18 @@ class TestGcsCommand:
                        "--out-prefix", str(out_dir / "g"))
         assert code == 2
         assert "eps must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_infinite_epsilon_fails_without_output(self, tmp_path, capsys):
+        """--eps inf would exclude every element and write every cell empty:
+        it exits 2, names the value and leaves no artifact behind."""
+        weights = make_weights(tmp_path)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
+        out_dir = tmp_path / "out"
+        code = run_cli("gcs", src, "--weights", weights, "--eps", "inf",
+                       "--out-prefix", str(out_dir / "g"))
+        assert code == 2
+        assert "eps must be positive and finite, got inf" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):

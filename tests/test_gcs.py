@@ -283,7 +283,7 @@ class TestGcsMatrix:
         assert m.excluded[0] == 1
         assert m.values[0, 0] == pytest.approx(np.sqrt(3), rel=1e-12)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan"), float("inf")])
     def test_nonpositive_epsilon_rejected(self, eps):
         """Without a positive threshold, |h| == 0 would enter the ratio."""
         z = np.zeros((1, 1, 2, 2, 1))

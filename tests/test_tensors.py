@@ -10,6 +10,7 @@ from reference_impls import (
     bands_first,
     bands_first_copy,
     conv3d_im2col,
+    conv3d_input_grad_im2col,
     conv3d_reference,
     conv3d_weight_grad_im2col,
     fd_grad,
@@ -17,6 +18,9 @@ from reference_impls import (
     sigmoid_masked,
 )
 from hsdenoise import tensors
+from hsdenoise.hsio import gen_synthetic
+from hsdenoise.network import build_network, standard_config
+from hsdenoise.noise import synthesize_case
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
@@ -387,7 +391,7 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
     ho, wo, bo = y_ref.shape[2:]
     monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * (27 * c2 + c1) * wo * bo * 8)
     rows = [rs.stop - rs.start for _, rs, _, _ in
-            tensors._blocks(wshape, stride, (ho, wo, bo), 2)]
+            tensors._blocks(wshape, stride, (ho, wo, bo), 2, np.float64)]
     assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
 
     assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
@@ -408,19 +412,21 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
 
 def test_forward_allocation_within_block_budget():
     """A wide layer whose column of all T offsets is far above the block
-    budget: conv3d_forward allocates at most its padded input, float64
-    weight copy and output plus _BLOCK_BYTES (10% slack), so its working
-    set does not grow with T * c2 * M. A whole-output float64 accumulator
-    and product exceed it."""
+    budget: on float32 operands conv3d_forward allocates at most its
+    float32 padded input, weight copy and output plus one block buffer of
+    at most _BLOCK_BYTES and the output's size (10% slack), so its working
+    set does not grow with T * c2 * M. A whole-output accumulator and
+    product, or a float64 padded input or block buffer, exceed it."""
     rng = np.random.default_rng(25)
     c1, c2, hwb = 32, 16, (64, 32, 9)
     m = int(np.prod(hwb))
-    assert 27 * c2 * m * 8 > 4 * tensors._BLOCK_BYTES
+    assert 27 * c2 * m * 4 > 4 * tensors._BLOCK_BYTES
     x = rng.standard_normal((1, c2) + hwb).astype(np.float32)
     kern = ConvKernel(rng.standard_normal((c1, c2, 3, 3, 3)).astype(np.float32),
                       np.zeros(c1, np.float32))
-    padded = c2 * int(np.prod([e + 2 for e in hwb])) * 8
-    bound = 1.1 * (padded + c1 * c2 * 27 * 8 + c1 * m * 4 + tensors._BLOCK_BYTES)
+    padded = c2 * int(np.prod([e + 2 for e in hwb])) * 4
+    block = min(tensors._BLOCK_BYTES, c1 * m * 4)
+    bound = 1.1 * (padded + c1 * c2 * 27 * 4 + c1 * m * 4 + block)
     assert not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -430,6 +436,68 @@ def test_forward_allocation_within_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
+
+
+# The precision contract on float32 operands: each result within 32
+# float32 epsilons of the largest magnitude of its float64 oracle.
+# NET_KERNELS read up to 6.8e-7.
+RTOL_FLOAT32 = 32 * float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("name", sorted(NET_KERNELS))
+def test_float32_cores_within_contract_of_im2col_oracle(name):
+    """On float32 operands both maps and both gradients of each come out
+    float32 and within RTOL_FLOAT32 of the float64 im2col oracles evaluated
+    on the same float32 values."""
+    wshape, stride = NET_KERNELS[name]
+    c1, c2 = wshape[:2]
+    ksize = wshape[2:]
+    pad = tuple(k // 2 for k in ksize)
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((2, c2, 8, 6, 5)).astype(np.float32)
+    w = rng.standard_normal(wshape).astype(np.float32)
+    b = rng.standard_normal(c1).astype(np.float32)
+    y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
+    y = rng.standard_normal(y_ref.shape).astype(np.float32)
+    gx_ref = conv3d_input_grad_im2col(y, w, stride, x.shape[2:])
+    gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
+    kern, tkern = ConvKernel(w, b), ConvKernel(w, np.zeros(c2, np.float32))
+    gx, gw, _ = conv3d_backward(x, kern, stride, y)
+    tgx, tgw, _ = tconv3d_backward(y, tkern, stride, x)
+    pairs = [(conv3d_forward(x, kern, stride), conv3d_im2col(x, w, b, stride, pad)),
+             (gx, gx_ref), (gw, gw_ref),
+             (tconv3d_forward(y, tkern, stride), gx_ref), (tgx, y_ref), (tgw, gw_ref)]
+    for actual, expected in pairs:
+        assert actual.dtype == np.float32
+        assert_rel(actual, expected, RTOL_FLOAT32)
+
+
+def test_standard_net_float32_within_contract_of_float64_shadow():
+    """The float32 standard network's output on a fixed case-5 cube stays
+    within 1e-5 absolute of its float64 shadow's (output peak about 2.2)."""
+    noisy, _ = synthesize_case(gen_synthetic(32, 32, 16, seed=45), 5, 46)
+    x = noisy[np.newaxis, np.newaxis]
+    model = build_network(standard_config(), seed=47)
+    y32, _ = model.forward(x)
+    y64, _ = model.astype(np.float64).forward(x.astype(np.float64))
+    assert x.dtype == y32.dtype == np.float32
+    assert float(np.max(np.abs(y32 - y64))) <= 1e-5
+
+
+def test_float64_model_stays_float64():
+    """A float64 model computes in float64 end to end: its output, input
+    gradient and all 56 parameter gradients come out float64, and their
+    norms match values pinned from the float64 cores to 1e-12."""
+    model = build_network(standard_config(width_multiplier=0.25), seed=43, dtype=np.float64)
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((2, 1, 8, 8, 6))
+    y, traces = model.forward(x, keep_traces=True)
+    gx, grads = model.backward(traces, rng.standard_normal(y.shape))
+    assert len(grads) == 56
+    assert {a.dtype for a in [y, gx] + grads} == {np.dtype(np.float64)}
+    norms = [np.linalg.norm(y), np.linalg.norm(gx), np.sqrt(sum(np.vdot(g, g) for g in grads))]
+    assert norms == pytest.approx(
+        [29.97562182405061, 33.372515258698265, 209.98073833138682], rel=1e-12)
 
 
 class TestActivations:
