@@ -7,7 +7,6 @@ internal arithmetic is float64 regardless of input dtype.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensors import ConfigError, ShapeError
 
@@ -45,17 +44,21 @@ def psnr(x, ref):
 SSIM_WINDOW = 11
 
 
-def _gaussian_window(size=SSIM_WINDOW, sigma=1.5):
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    win = np.outer(g, g)
-    return win / win.sum()
+# 1-D Gaussian taps g of the SSIM window outer(g, g): sigma 1.5, sum 1.
+_TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2) / (2.0 * 1.5 ** 2))
+_TAPS /= _TAPS.sum()
 
 
-def _windowed_mean(plane, win):
-    """Weighted mean over every valid (fully inside) window position."""
-    v = sliding_window_view(plane, win.shape)
-    return np.tensordot(v, win, axes=([2, 3], [0, 1]))
+def _windowed_mean(plane):
+    """Weighted mean over every valid (fully inside) window position: the
+    window is outer(g, g), so shifted multiply-adds down H, then, on the
+    transposed result, down W."""
+    for _ in range(2):
+        acc = _TAPS[0] * plane[:len(plane) - SSIM_WINDOW + 1]
+        for i in range(1, SSIM_WINDOW):
+            acc += _TAPS[i] * plane[i:i + len(acc)]
+        plane = acc.T
+    return plane
 
 
 # SSIM stabilizers (K1 L)^2, (K2 L)^2: K1 = 0.01, K2 = 0.03, dynamic range L = 1.
@@ -70,17 +73,14 @@ def ssim(x, ref):
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ConfigError(f"spatial extent {h}x{w} too small for an "
                           f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    win = _gaussian_window()
     vals = []
     for band in range(x.shape[2]):
-        a = x[:, :, band]
-        b = ref[:, :, band]
-        mu_a = _windowed_mean(a, win)
-        mu_b = _windowed_mean(b, win)
+        a, b = x[:, :, band], ref[:, :, band]
+        mu_a, mu_b = _windowed_mean(a), _windowed_mean(b)
         # Moment form: var = E[x^2] - mu^2, cov = E[xy] - mu_a mu_b.
-        var_a = _windowed_mean(a * a, win) - mu_a * mu_a
-        var_b = _windowed_mean(b * b, win) - mu_b * mu_b
-        cov = _windowed_mean(a * b, win) - mu_a * mu_b
+        var_a = _windowed_mean(a * a) - mu_a * mu_a
+        var_b = _windowed_mean(b * b) - mu_b * mu_b
+        cov = _windowed_mean(a * b) - mu_a * mu_b
         num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
         den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
         vals.append(np.mean(num / den))

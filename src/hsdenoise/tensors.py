@@ -34,22 +34,37 @@ map's s * n, and the two are adjoints for every input extent.
 
 Convolution here means cross-correlation (no kernel flip), the usual
 deep-learning convention. The cores lower it to one GEMM per block of
-output rows of one sample, over all T kernel offsets at once (im2col, its
-column bounded by the blocking, as in MEC):
+output rows of one sample (the column bounded by the blocking, as in MEC).
+The band axis is contiguous in the padded grid and never strided in the
+network, so a band tap is a shift by one element along every band run.
+The column therefore holds only the T = kh * kw spatial taps, each copied
+over the whole padded run of Bo + kb - 1 bands, and the kb band taps move
+to the c1 side of each product, the output or grad_out side (in the
+forward, kn2row; Anderson et al. 2017):
 
-    forward          (c1, T * c2) weight @ column of the T input slices
-    weight gradient  grad rows @ column.T, summed over blocks
-    input gradient   (T * c2, c1) weight.T @ grad rows, added back slice
-    (= transposed)   by slice onto a padded input grid
+    forward          (kb * c1, T * c2) band-stacked weight @ column; block
+                     e of the product added onto block 0 shifted by e
+                     columns; each run's last kb - 1 columns dropped
+    weight gradient  band-stacked grad rows @ column.T, summed over
+                     blocks; block e of the grad rows holds each run
+                     after e zeros, so it meets the column e bands on
+    input gradient   (T * c2, kb * c1) weight.T @ band-stacked grad rows,
+    (= transposed)   added back slice by slice (T slices of whole runs)
+                     onto a padded input grid
+
+Band taps stay in the column (T = kh * kw * kb, and kb = 1 on the c1
+side) where the band axis is strided, or where c1 > kh * kw * c2, as in
+the first layer (1 -> 64): there kb blocks of c1 rows cost more than the
+column rows they save.
 
 Precision contract. A map computes in the result dtype of its array
 operands, np.result_type(x, weight), with grad_out too in the backward
 maps; there is no option and no second path. The tap-major weight copy,
 the padded grid, the block buffer and every GEMM product take that
-dtype, and the input gradient's grid sums its slices in it. The weight
-gradient takes each block's product in it too but sums the blocks in
-float64, so its float32 rounding spans one block, not the whole batch;
-the bias gradient sums grad_out in float64. Results are cast once to the
+dtype, and the forward's band-tap sums and the input gradient's grid
+sum in it. The weight gradient takes each block's product in it too but sums
+the blocks in float64, so its float32 rounding spans one block, not the
+whole batch; the bias gradient sums grad_out in float64. Results are cast once to the
 output dtype: the forward product as it is written into the output, the
 input gradient's grid as it is cropped, the weight gradient at the end.
 
@@ -130,11 +145,23 @@ def _check_input(x, name="input"):
     return x
 
 
-def _tap_major(weight, dtype):
-    """(c1, T * c2) copy of weight in dtype, column t * c2 + c holding
-    weight[:, c] at kernel offset t (mixed-dtype matmul ran 2x slower)."""
-    wt = np.ascontiguousarray(np.moveaxis(weight, 1, -1), dtype=dtype)
-    return wt.reshape(weight.shape[0], -1)
+def _band_taps(weight_shape, stride):
+    """How many band taps leave the column for the c1 side: all kb,
+    unless the band axis is strided (a tap is then no shift of one run) or
+    c1 > kh * kw * c2, where kb blocks of c1 rows (product or grad rows)
+    cost more than the column rows they save (the first layer, 1 -> 64)."""
+    c1, c2, kh, kw, kb = weight_shape
+    return kb if stride[2] == 1 and c1 <= kh * kw * c2 else 1
+
+
+def _tap_major(weight, stride, dtype):
+    """(bands, c1, T * c2) copy of weight in dtype, one matrix per band tap
+    e, column t * c2 + c holding weight[:, c] at column tap t; the T column
+    taps are the kh x kw x (kb / bands) offsets (mixed-dtype matmul ran 2x
+    slower)."""
+    bands = _band_taps(weight.shape, stride)
+    wt = weight.reshape(weight.shape[:4] + (bands, -1)).transpose(4, 0, 2, 3, 5, 1)
+    return np.ascontiguousarray(wt, dtype=dtype).reshape(bands, weight.shape[0], -1)
 
 
 def _halo_grid(shape, ksize, dtype):
@@ -154,38 +181,38 @@ def _padded(x, ksize, dtype):
 
 def _blocks(weight_shape, stride, out_hwb, n_n, dtype):
     """Yield (n, rs, taps, work) per block of output rows rs of sample n:
-    the slices of a padded (N, C, H, W, B) grid that each kernel offset
-    reads, and one reused buffer in dtype for column (T * c2 rows) and
-    product (c1 rows), within _BLOCK_BYTES and the output's c1 side
-    unless one row alone is larger."""
-    c1, c2 = weight_shape[:2]
-    (ho, wo, bo), sh = out_hwb, stride[0]
-    row = (int(np.prod(weight_shape[2:])) * c2 + c1) * wo * bo
+    the slices of a padded (N, C, H, W, B) grid that each column tap reads,
+    over runs of Bo + bands - 1 bands, and one reused buffer in dtype for
+    the column or product on the c2 side (T * c2 rows) and the band-stacked
+    product or grad rows on the c1 side (bands * c1 rows), within
+    _BLOCK_BYTES and the output's c1 side unless one row alone is larger."""
+    c1, c2, kh, kw, kb = weight_shape
+    bands = _band_taps(weight_shape, stride)
+    (ho, wo, bo), (sh, sw, sb) = out_hwb, stride
+    run = bo + bands - 1
+    row = (kh * kw * (kb // bands) * c2 + bands * c1) * wo * run
     items = _BLOCK_BYTES // np.dtype(dtype).itemsize
     rows = max(1, min(items, c1 * n_n * ho * wo * bo) // row)
     work = np.empty(min(rows, ho) * row, dtype)
-    wb = [(offset[0],) + tuple(slice(d, d + (e - 1) * s + 1, s)
-                               for d, e, s in zip(offset[1:], out_hwb[1:], stride[1:]))
-          for offset in np.ndindex(*weight_shape[2:])]
+    wb = [(dh, slice(dw, dw + (wo - 1) * sw + 1, sw), slice(db, db + (run - 1) * sb + 1, sb))
+          for dh, dw, db in np.ndindex(kh, kw, kb // bands)]
     for n in range(n_n):
         for i0 in range(0, ho, rows):
             i1 = min(i0 + rows, ho)
-            taps = [(n, slice(None), slice(di + i0 * sh, di + (i1 - 1) * sh + 1, sh), sw, sb)
-                    for di, sw, sb in wb]
+            taps = [(n, slice(None), slice(dh + i0 * sh, dh + (i1 - 1) * sh + 1, sh), w, b)
+                    for dh, w, b in wb]
             yield n, slice(i0, i1), taps, work
 
 
 def _im2col_blocks(xp, weight_shape, stride, out_hwb):
     """Yield (n, rs, column, spare) per block: the block's T slices of xp as
-    a (T * c2, len(rs) * Wo * Bo) column in its work buffer, and the rest."""
-    c2 = xp.shape[1]
+    a (T * c2, len(rs) * Wo * run) column in its work buffer, and the rest."""
     for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, xp.shape[0], xp.dtype):
-        size = len(taps) * c2 * (rs.stop - rs.start) * out_hwb[1] * out_hwb[2]
-        column = work[:size].reshape(len(taps) * c2, -1)
-        stacked = column.reshape((len(taps), c2, -1) + out_hwb[1:])
+        shape = (len(taps),) + xp[taps[0]].shape
+        stacked = work[:int(np.prod(shape))].reshape(shape)
         for i, sl in enumerate(taps):
             stacked[i] = xp[sl]
-        yield n, rs, column, work[size:]
+        yield n, rs, stacked.reshape(shape[0] * shape[1], -1), work[stacked.size:]
 
 
 def _bands_first(shape, dtype):
@@ -194,36 +221,56 @@ def _bands_first(shape, dtype):
     return np.moveaxis(np.empty((n_n, c, b, h, w), dtype), 2, -1)
 
 
-def _rows(a, n, rs, buf):
-    """Rows rs of sample n of a, as a (C, len(rs) * W * B) in buf's dtype."""
-    rows = buf[: a.shape[1] * (rs.stop - rs.start) * a.shape[3] * a.shape[4]]
-    rows.reshape((a.shape[1], -1) + a.shape[3:])[...] = a[n, :, rs]
-    return rows.reshape(a.shape[1], -1)
+def _band_rows(a, n, rs, buf, bands):
+    """Rows rs of sample n of a in buf's dtype, once per band tap e, as a
+    (bands * C, len(rs) * W * (B + bands - 1)) matrix: block e holds every
+    band run after e zeros, so it meets the column shifted by e bands."""
+    c, w, b = a.shape[1], a.shape[3], a.shape[4]
+    rows = buf[: bands * c * (rs.stop - rs.start) * w * (b + bands - 1)].reshape(bands, c, -1)
+    runs = rows[0].reshape(c, -1, w, b + bands - 1)
+    runs[..., :b] = a[n, :, rs]
+    runs[..., b:] = 0
+    for e in range(1, bands):
+        rows[e, :, :e] = 0
+        rows[e, :, e:] = rows[0, :, :-e]
+    return rows.reshape(bands * c, -1)
 
 
 def _forward_core(xp, weight, stride, out_hwb, out_dtype):
-    """Cross-correlation without bias of a padded grid, in its dtype."""
+    """Cross-correlation without bias of a padded grid, in its dtype: one
+    GEMM of the band-stacked weight, then block e of the product added onto
+    block 0 from e columns on, as band tap e reads every band run e
+    elements further (kn2row). The last bands - 1 columns of each run read
+    past it: dropped."""
     n_n, c1 = xp.shape[0], weight.shape[0]
-    wt = _tap_major(weight, xp.dtype)
+    wt = _tap_major(weight, stride, xp.dtype)
+    bands, (wo, bo) = len(wt), out_hwb[1:]
     y = _bands_first((n_n, c1) + out_hwb, out_dtype)
     for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
-        prod = np.matmul(wt, column, out=spare[: c1 * column.shape[1]].reshape(c1, -1))
-        y[n, :, rs] = prod.reshape((c1, -1) + out_hwb[1:])
+        m = column.shape[1]
+        prod = np.matmul(wt.reshape(-1, len(column)), column,
+                         out=spare[:bands * c1 * m].reshape(-1, m)).reshape(bands, c1, m)
+        for e in range(1, bands):
+            prod[0, :, :m - e] += prod[e, :, e:]
+        y[n, :, rs] = prod[0].reshape(c1, -1, wo, bo + bands - 1)[..., :bo]
     return y
 
 
 def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
     """Adjoint of _forward_core: grad_out scattered onto the input grid,
     whose halo is then cropped. Computes in the result dtype of g, weight
-    and the output."""
+    and the output: one GEMM of the transposed band-stacked weight with the
+    band-stacked grad rows."""
     (n_n, c1), c2 = g.shape[:2], weight.shape[1]
     dtype = np.result_type(g, weight, out_dtype)
-    wt = _tap_major(weight, dtype).T
+    bands = _band_taps(weight.shape, stride)
+    wt = _tap_major(weight, stride, dtype).transpose(2, 0, 1).reshape(-1, bands * c1)
     gxp, interior = _halo_grid((n_n, c2) + in_hwb, weight.shape[2:], dtype)
     for n, rs, taps, work in _blocks(weight.shape, stride, g.shape[2:], n_n, dtype):
-        size = len(wt) * (rs.stop - rs.start) * g.shape[3] * g.shape[4]
-        prod = np.matmul(wt, _rows(g, n, rs, work[size:]), out=work[:size].reshape(len(wt), -1))
-        prod = prod.reshape((len(taps), c2, -1) + g.shape[3:])
+        rows = _band_rows(g, n, rs, work, bands)
+        size = len(wt) * rows.shape[1]
+        prod = np.matmul(wt, rows, out=work[rows.size:rows.size + size].reshape(len(wt), -1))
+        prod = prod.reshape(len(taps), c2, -1, g.shape[3], g.shape[4] + bands - 1)
         for i, sl in enumerate(taps):
             gxp[sl] += prod[i]
     gx = _bands_first(gxp.shape[:2] + in_hwb, out_dtype)
@@ -233,13 +280,16 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
 
 def _weight_grad_core(xp, g, weight_shape, stride):
     """Float64 weight grad from a padded input and grad_out: each block's
-    product in xp's dtype, their sum in float64."""
-    c1, c2, *ksize = weight_shape
-    gw = np.zeros((c1, int(np.prod(ksize)) * c2))
+    product, band-stacked grad rows @ column.T, in xp's dtype, their sum in
+    float64."""
+    c1, c2, kh, kw, kb = weight_shape
+    bands = _band_taps(weight_shape, stride)
+    gw = np.zeros((bands * c1, kh * kw * (kb // bands) * c2))
     part = np.empty(gw.shape, xp.dtype)
     for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]):
-        gw += np.matmul(_rows(g, n, rs, spare), column.T, out=part)
-    return np.ascontiguousarray(np.moveaxis(gw.reshape(c1, *ksize, c2), -1, 1))
+        gw += np.matmul(_band_rows(g, n, rs, spare, bands), column.T, out=part)
+    gw = gw.reshape(bands, c1, kh, kw, kb // bands, c2).transpose(1, 5, 2, 3, 0, 4)
+    return np.ascontiguousarray(gw).reshape(weight_shape)
 
 
 def _strided_hwb(in_hwb, stride):
@@ -330,8 +380,11 @@ def activate(x, kind):
         # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below. The
         # numerator is max(e, x >= 0), as e <= 1: np.where's select, on
         # gates of mixed sign, took three times the rest of the sigmoid.
-        e = np.exp(-np.abs(x))
-        return np.maximum(e, x >= 0) / (1.0 + e)
+        # Two buffers, e and the output (out= keeps a 0-d x an array).
+        e = np.abs(x, out=np.empty_like(x))
+        np.exp(np.negative(e, out=e), out=e)
+        out = np.add(e, 1.0, out=np.empty_like(x))
+        return np.divide(np.maximum(e, x >= 0, out=e), out, out=out)
     raise ConfigError(f"unknown nonlinearity {kind!r}")
 
 

@@ -1,5 +1,7 @@
 """Metric tests: closed-form PSNR values, SSIM oracle, SAM geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,20 @@ class TestSsim:
     def test_small_spatial_extent_rejected(self):
         with pytest.raises(ConfigError):
             ssim(np.zeros((8, 8, 1)), np.zeros((8, 8, 1)))
+
+    def test_memory_stays_per_plane(self):
+        """On a 256x256x2 float64 pair, SSIM allocates a few planes per band
+        (5.2 MiB measured), not a copy of every 11x11 window (60 MiB)."""
+        a, b = rand_cube((256, 256, 2), seed=12), rand_cube((256, 256, 2), seed=13)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestSam:

@@ -363,13 +363,19 @@ def test_forward_allocation_bound(c1, c2):
     assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
 
 
-# Kernels walked in blocks of three output rows: batch 2 on 26x6x5, so
+# Kernels walked in blocks of three output rows: batch 2 on 26x6xB, so
 # stride 1 gives 26 output rows per sample (blocks 3 x 8 + 2) and stride
-# (2, 2, 1) gives 13 (3 x 4 + 1). (wshape, stride)
+# (2, 2, 1) gives 13 (3 x 4 + 1). The band taps leave the column for the
+# c1 side except for the 3x3x1 kernel (one band tap), a strided band axis
+# and c1 > kh * kw * c2 (the first layer's side). (wshape, stride, B)
 BLOCKED_KERNELS = {
-    "wide-stride1": ((32, 16, 3, 3, 3), (1, 1, 1)),
-    "wide-strided": ((64, 16, 3, 3, 3), (2, 2, 1)),
-    "thin-strided": ((64, 1, 3, 3, 3), (2, 2, 1)),
+    "wide-stride1": ((32, 16, 3, 3, 3), (1, 1, 1), 5),
+    "wide-strided": ((64, 16, 3, 3, 3), (2, 2, 1), 5),
+    "thin-strided": ((64, 1, 3, 3, 3), (2, 2, 1), 5),
+    "qru2d-3x3x1": ((32, 16, 3, 3, 1), (1, 1, 1), 5),
+    "band-strided": ((64, 16, 3, 3, 3), (2, 2, 2), 6),
+    "thin-stride1": ((64, 1, 3, 3, 3), (1, 1, 1), 5),
+    "single-band": ((64, 16, 3, 3, 3), (1, 1, 1), 1),
 }
 
 
@@ -379,17 +385,19 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
     blocks per sample, the last one shorter, and still agrees with the
     im2col oracle to 1e-10 in float64: both maps, both gradients of each,
     and the input-side maps through <conv_ref(x), y> == <x, map(y)>."""
-    wshape, stride = BLOCKED_KERNELS[name]
+    wshape, stride, n_bands = BLOCKED_KERNELS[name]
     c1, c2 = wshape[:2]
     ksize = wshape[2:]
     pad = tuple(k // 2 for k in ksize)
     rng = np.random.default_rng(24)
-    x = rng.standard_normal((2, c2, 26, 6, 5))
+    x = rng.standard_normal((2, c2, 26, 6, n_bands))
     w = rng.standard_normal(wshape)
     b = rng.standard_normal(c1)
     y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
     ho, wo, bo = y_ref.shape[2:]
-    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * (27 * c2 + c1) * wo * bo * 8)
+    bands = tensors._band_taps(wshape, stride)
+    row = (int(np.prod(ksize)) // bands * c2 + bands * c1) * wo * (bo + bands - 1)
+    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * row * 8)
     rows = [rs.stop - rs.start for _, rs, _, _ in
             tensors._blocks(wshape, stride, (ho, wo, bo), 2, np.float64)]
     assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
@@ -470,6 +478,27 @@ def test_float32_cores_within_contract_of_im2col_oracle(name):
     for actual, expected in pairs:
         assert actual.dtype == np.float32
         assert_rel(actual, expected, RTOL_FLOAT32)
+
+
+def test_weight_grad_sums_blocks_in_float64(monkeypatch):
+    """Float32 operands walked in 1,024 one-row blocks: each block's
+    product is float32, but the blocks sum in float64, so both weight
+    gradients stay within 2 float32 epsilons of the float64 oracle
+    (0.5 measured). Positive operands keep the sum from cancelling:
+    summed in float32, the blocks read 10.8 epsilons off."""
+    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 4096)
+    rng = np.random.default_rng(27)
+    wshape, stride, hwb = (8, 4, 3, 3, 3), (1, 1, 1), (128, 4, 8)
+    x = rng.uniform(0.5, 1.5, (8, 4) + hwb).astype(np.float32)
+    y = rng.uniform(0.5, 1.5, (8, 8) + hwb).astype(np.float32)
+    w = rng.standard_normal(wshape).astype(np.float32)
+    assert len(list(tensors._blocks(wshape, stride, hwb, 8, np.float32))) == 1024
+    gw_ref = conv3d_weight_grad_im2col(x, y, wshape[2:], stride, (1, 1, 1))
+    _, gw, _ = conv3d_backward(x, ConvKernel(w, np.zeros(8, np.float32)), stride, y, False)
+    _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(4, np.float32)), stride, x, False)
+    for actual in (gw, tgw):
+        assert actual.dtype == np.float32
+        assert_rel(actual, gw_ref, 2 * float(np.finfo(np.float32).eps))
 
 
 def test_standard_net_float32_within_contract_of_float64_shadow():
