@@ -16,7 +16,9 @@ Weights serialize to the "Q3DW" container, little-endian and bit-exact;
 see save_weights for the byte layout.
 """
 
+import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,11 +48,13 @@ class LayerSpec:
 
 
 class NetworkConfig:
-    """Ordered layer list plus the global-residual flag.
+    """Ordered layer list, its skip wiring and the global-residual flag.
 
-    Skip merging is always elementwise addition; the config validates that
-    mirrored layers produce compatible channel counts and spatial scales
-    so those additions are well defined.
+    `skips` maps each decoder-side layer j (zero-based) to the mirrored
+    encoder-side layer n - 1 - j whose output is added to j's input. One
+    walk over the layers checks that channels and strides are positive,
+    that channels chain, and that every skip addition and the network
+    output meet matching channel counts and spatial scales.
     """
 
     def __init__(self, layers, global_residual=True):
@@ -58,57 +62,37 @@ class NetworkConfig:
             raise ConfigError("network needs at least 3 layers")
         self.layers = list(layers)
         self.global_residual = bool(global_residual)
-        self._validate()
-
-    def _validate(self):
         n = len(self.layers)
-        for j in range(1, n):
-            if self.layers[j].cin != self.layers[j - 1].cout:
-                raise ConfigError(
-                    f"layer {j + 1} consumes {self.layers[j].cin} channels but "
-                    f"layer {j} produces {self.layers[j - 1].cout}"
-                )
-        # Spatial scale after each layer, as a (num, den) rational per axis.
+        self.skips = {j: n - 1 - j for j in range(n) if 2 * j >= n}
+        # Spatial scale (output / input extent) after each layer, per axis.
         scales = []
-        num, den = [1, 1, 1], [1, 1, 1]
-        for spec in self.layers:
-            for ax in range(3):
-                if spec.transposed:
-                    den[ax] *= spec.stride[ax]
-                else:
-                    num[ax] *= spec.stride[ax]
-            scales.append((tuple(num), tuple(den)))
-        for j in self._skip_targets():
-            src = self._skip_source(j)
-            if self.layers[j].cin != self.layers[src].cout:
+        scale = (Fraction(1),) * 3
+        for j, spec in enumerate(self.layers):
+            if min(spec.cin, spec.cout, *spec.stride) < 1:
                 raise ConfigError(
-                    f"skip into layer {j + 1} mixes {self.layers[j].cin} and "
-                    f"{self.layers[src].cout} channels"
-                )
-            a, b = scales[j - 1], scales[src]
-            if any(a[0][ax] * b[1][ax] != b[0][ax] * a[1][ax] for ax in range(3)):
+                    f"layer {j + 1} maps {spec.cin} -> {spec.cout} channels at stride "
+                    f"{spec.stride}; channels and strides must be positive")
+            if j and spec.cin != self.layers[j - 1].cout:
+                raise ConfigError(
+                    f"layer {j + 1} consumes {spec.cin} channels but "
+                    f"layer {j} produces {self.layers[j - 1].cout}")
+            src = self.skips.get(j)
+            if src is not None and spec.cin != self.layers[src].cout:
+                raise ConfigError(
+                    f"skip into layer {j + 1} mixes {spec.cin} and "
+                    f"{self.layers[src].cout} channels")
+            if src is not None and scale != scales[src]:
                 raise ConfigError(f"skip into layer {j + 1} mixes different spatial scales")
-        final = scales[-1]
-        if final[0] != final[1]:
+            scale = tuple(f * s if spec.transposed else f / s
+                          for f, s in zip(scale, spec.stride))
+            scales.append(scale)
+        if scale != (1, 1, 1):
             raise ConfigError("network output extents do not match the input extents")
-
-    def _skip_targets(self):
-        """Zero-based indices of decoder-side layers that receive a skip."""
-        n = len(self.layers)
-        return [j for j in range(n) if 2 * (j + 1) > n + 1]
-
-    def _skip_source(self, j):
-        """Zero-based index of the encoder-side layer feeding a skip into j."""
-        return len(self.layers) - j - 1
 
     def downsample_factor(self):
         """Required divisibility of (H, W, B) at the network input."""
-        req = [1, 1, 1]
-        for spec in self.layers:
-            if not spec.transposed:
-                for ax in range(3):
-                    req[ax] *= spec.stride[ax]
-        return tuple(req)
+        return tuple(math.prod(spec.stride[ax] for spec in self.layers if not spec.transposed)
+                     for ax in range(3))
 
 
 def direction_schedule(n_layers, mode="alternating"):
@@ -123,11 +107,8 @@ def direction_schedule(n_layers, mode="alternating"):
         return [FORWARD] * n_layers
     if mode == "bidirectional":
         return [BIDIRECTIONAL] * n_layers
-    dirs = [BIDIRECTIONAL]
-    for i in range(1, n_layers - 1):
-        dirs.append(FORWARD if (i % 2) == 1 else BACKWARD)
-    dirs.append(BIDIRECTIONAL)
-    return dirs
+    middle = [FORWARD if i % 2 else BACKWARD for i in range(1, n_layers - 1)]
+    return [BIDIRECTIONAL] + middle + [BIDIRECTIONAL]
 
 
 # (cout, spatial stride, transposed) rows of the standard 12-layer network,
@@ -148,31 +129,33 @@ _STANDARD_ROWS = [
 ]
 
 
+def _chained(rows, dirs, kind):
+    """LayerSpecs from (cout, stride, transposed) rows, each layer consuming
+    the channels of the one before it and the first a single channel."""
+    cins = [1] + [cout for cout, _, _ in rows[:-1]]
+    return [LayerSpec(cin, cout, stride, transposed, d, kind)
+            for cin, (cout, stride, transposed), d in zip(cins, rows, dirs)]
+
+
 def standard_config(kind="qru3d", width_multiplier=1.0, schedule="alternating",
                     global_residual=True):
     """The benchmark 12-layer configuration, optionally width-scaled (the
     final single-channel output is never scaled)."""
+    if not 0 < width_multiplier < math.inf:
+        raise ConfigError(
+            f"width multiplier must be positive and finite, got {width_multiplier}")
     dirs = direction_schedule(len(_STANDARD_ROWS), schedule)
-    layers = []
-    cin = 1
-    for (cout, s, transposed), d in zip(_STANDARD_ROWS, dirs):
-        cout_eff = cout if cout == 1 else max(1, int(round(cout * width_multiplier)))
-        layers.append(LayerSpec(cin, cout_eff, (s, s, 1), transposed, d, kind))
-        cin = cout_eff
-    return NetworkConfig(layers, global_residual)
+    rows = [(cout if cout == 1 else max(1, int(round(cout * width_multiplier))),
+             (s, s, 1), transposed) for cout, s, transposed in _STANDARD_ROWS]
+    return NetworkConfig(_chained(rows, dirs, kind), global_residual)
 
 
 def desk_config(width=8, n_layers=3, kind="qru3d", schedule="alternating",
                 global_residual=True):
     """Tiny stride-free preset for gradient checks and toy training."""
     dirs = direction_schedule(n_layers, schedule)
-    layers = []
-    cin = 1
-    for i, d in enumerate(dirs):
-        cout = 1 if i == n_layers - 1 else width
-        layers.append(LayerSpec(cin, cout, (1, 1, 1), False, d, kind))
-        cin = cout
-    return NetworkConfig(layers, global_residual)
+    rows = [(width, (1, 1, 1), False)] * (n_layers - 1) + [(1, (1, 1, 1), False)]
+    return NetworkConfig(_chained(rows, dirs, kind), global_residual)
 
 
 class Model:
@@ -183,19 +166,14 @@ class Model:
         self.units = units
 
     def param_arrays(self):
-        out = []
-        for u in self.units:
-            out.extend(u.param_arrays())
-        return out
+        return [a for u in self.units for a in u.param_arrays()]
 
     def param_count(self):
         return sum(u.param_count() for u in self.units)
 
     def param_names(self):
-        out = []
-        for j, u in enumerate(self.units):
-            out.extend(f"layer{j + 1:02d}.{name}" for name in u.param_names())
-        return out
+        return [f"layer{j + 1:02d}.{name}"
+                for j, u in enumerate(self.units) for name in u.param_names()]
 
     def astype(self, dtype):
         """Copy of the model with all parameters cast (float64 shadow for
@@ -232,13 +210,13 @@ class Model:
         if through is not None and not 0 <= through < n:
             raise ConfigError(f"layer {through} outside 0..{n - 1}")
         stop = n if through is None else through + 1
-        skip_targets = set(self.config._skip_targets())
+        skips = self.config.skips
         outputs = []
         unit_traces = [] if keep_traces else None
         cur = x
         for j, unit in enumerate(self.units[:stop]):
-            if j in skip_targets:
-                cur = cur + outputs[self.config._skip_source(j)]
+            if j in skips:
+                cur = cur + outputs[skips[j]]
             cur, tr = unit.forward(cur, keep_trace=keep_traces)
             outputs.append(cur)
             if keep_traces:
@@ -257,7 +235,7 @@ class Model:
         if traces is None:
             raise ValueError("backward needs traces from forward(keep_traces=True)")
         n = len(self.units)
-        skip_targets = set(self.config._skip_targets())
+        skips = self.config.skips
         # pending[j] accumulates the gradient w.r.t. layer j's output
         # (1-based; index 0 is the network input). Each sum is a new array,
         # never an in-place add, so slots may share one gx or grad_y.
@@ -266,16 +244,13 @@ class Model:
         for j in range(n - 1, -1, -1):
             gx, param_grads[j] = self.units[j].backward(
                 traces["units"][j], pending[j + 1], input_grad or j > 0)
-            slots = (j, self.config._skip_source(j) + 1) if j in skip_targets else (j,)
+            slots = (j, skips[j] + 1) if j in skips else (j,)
             for s in slots:
                 pending[s] = gx if pending[s] is None else pending[s] + gx
         grad_input = pending[0]
         if grad_input is not None and self.config.global_residual:
             grad_input = grad_input + grad_y
-        flat = []
-        for grads_j in param_grads:
-            flat.extend(grads_j)
-        return grad_input, flat
+        return grad_input, [g for grads_j in param_grads for g in grads_j]
 
 
 def build_network(config, seed, dtype=np.float32):

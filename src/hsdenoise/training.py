@@ -193,6 +193,8 @@ class TrainOptions:
             raise ConfigError(f"batch size must be at least 1, got {batch_size}")
         if not 0 <= sigma < np.inf:
             raise ConfigError(f"sigma must be finite and non-negative, got {sigma}")
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         if max_steps_per_epoch is not None and max_steps_per_epoch < 1:
             raise ConfigError(
                 f"max steps per epoch must be at least 1, got {max_steps_per_epoch}")

@@ -416,6 +416,39 @@ class TestTrainCommand:
             capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_bad_learning_rate_rejected(self, tmp_path, capsys, lr):
+        """A NaN, infinite or zero --lr exits 2 before --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir),
+                       "--policy", "fixed", "--epochs", 1, "--width", 2,
+                       "--batch-size", 2, "--lr", lr, "--patch-size", 8)
+        assert code == 2
+        assert f"learning rate must be positive and finite, got {float(lr)}" in \
+            capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--preset", "benchmark", "--width-multiplier", "inf"],
+         "width multiplier must be positive and finite, got inf"),
+        (["--preset", "benchmark", "--width-multiplier", "nan"],
+         "width multiplier must be positive and finite, got nan"),
+        (["--width", "0"], "layer 1 maps 1 -> 0 channels"),
+        (["--width", "-3"], "layer 1 maps 1 -> -3 channels"),
+    ], ids=["multiplier-inf", "multiplier-nan", "width-0", "width-minus-3"])
+    def test_bad_width_rejected(self, tmp_path, capsys, flags, message):
+        """A width or width multiplier that builds no network exits 2 with a
+        message naming the value, before --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir), *flags,
+                       "--policy", "fixed", "--epochs", 1, "--batch-size", 2,
+                       "--patch-size", 8)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag", ["--data", "--val"])
     def test_non_finite_cube_rejected(self, tmp_path, capsys, monkeypatch, flag):
         """A NaN sample in a --data or --val cube exits 2, naming the file,

@@ -393,3 +393,37 @@ class TestConfigValidation:
         ]
         with pytest.raises(ConfigError):
             NetworkConfig(layers)
+
+    @pytest.mark.parametrize("j, cout", [(2, 0), (1, -2)])
+    def test_non_positive_channels_named(self, j, cout):
+        """A layer with no output channels is refused, naming the layer."""
+        couts = [8, 8, 1]
+        couts[j] = cout
+        cins = [1] + couts[:-1]
+        dirs = direction_schedule(3)
+        layers = [LayerSpec(cin, co, (1, 1, 1), False, d, "qru3d")
+                  for cin, co, d in zip(cins, couts, dirs)]
+        with pytest.raises(ConfigError, match=f"layer {j + 1} maps {cins[j]} -> {cout} channels"):
+            NetworkConfig(layers)
+
+    def test_zero_stride_named(self):
+        """A zero stride is refused, naming the layer and its stride."""
+        layers = [
+            LayerSpec(1, 8, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+            LayerSpec(8, 8, (1, 0, 1), False, FORWARD, "qru3d"),
+            LayerSpec(8, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+        ]
+        with pytest.raises(ConfigError, match=r"layer 2 .* stride \(1, 0, 1\)"):
+            NetworkConfig(layers)
+
+    def test_skip_map(self):
+        """Each decoder-side layer reads its mirrored encoder-side layer; an
+        odd network's middle layer reads none."""
+        assert standard_config().skips == {6: 5, 7: 4, 8: 3, 9: 2, 10: 1, 11: 0}
+        assert desk_config().skips == {2: 0}
+        assert desk_config(n_layers=5).skips == {3: 1, 4: 0}
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_width_multiplier_named(self, multiplier):
+        with pytest.raises(ConfigError, match=f"width multiplier .* got {multiplier}"):
+            standard_config(width_multiplier=multiplier)

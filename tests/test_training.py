@@ -319,6 +319,13 @@ class TestTrainLoop:
             with pytest.raises(ConfigError, match=f"max steps .* got {steps}"):
                 TrainOptions(max_steps_per_epoch=steps)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_learning_rate_rejected(self, lr):
+        """A learning rate outside (0, inf) is refused up front: NaN or Inf
+        would write non-finite weights, zero or negative ones no descent."""
+        with pytest.raises(ConfigError, match=f"learning rate .* got {lr}"):
+            TrainOptions(policy="fixed", lr=lr)
+
     def test_foreign_state_rejected(self):
         """An optimizer state sized for another model is refused."""
         patches = smooth_patches(2, 8, 8, 4, seed=15)
