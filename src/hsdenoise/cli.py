@@ -394,6 +394,10 @@ def cmd_train(args):
                                  schedule=settings["schedule"],
                                  global_residual=settings["residual"])
         model = build_network(config, settings["seed"])
+    req = model.config.downsample_factor()
+    if settings["patch-size"] % req[0] or settings["patch-size"] % req[1]:
+        raise ValueError(f"--patch-size {settings['patch-size']} is not a multiple of "
+                         f"{req[0]}x{req[1]}, the network's H x W downsampling factor")
 
     state = None
     start_epoch = 0

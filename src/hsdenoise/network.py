@@ -184,7 +184,10 @@ class Model:
         """Run the network; returns (output, traces or None).
 
         Traces hold each unit's own trace plus every layer output, enough
-        for backward() and for the spectral-dependency diagnostics.
+        for backward() and for the spectral-dependency diagnostics. Without
+        traces a pass holds only what a later step reads: the current
+        activation, and a layer output read by a skip until that skip adds
+        it; units then run their gates and recurrence in place.
 
         `through` (zero-based layer index) stops right after that unit and
         returns its output, without the global residual, and the traces of
@@ -211,22 +214,20 @@ class Model:
             raise ConfigError(f"layer {through} outside 0..{n - 1}")
         stop = n if through is None else through + 1
         skips = self.config.skips
-        outputs = []
-        unit_traces = [] if keep_traces else None
+        outputs = {}
+        unit_traces = []
         cur = x
         for j, unit in enumerate(self.units[:stop]):
             if j in skips:
-                cur = cur + outputs[skips[j]]
+                cur = cur + (outputs[skips[j]] if keep_traces else outputs.pop(skips[j]))
             cur, tr = unit.forward(cur, keep_trace=keep_traces)
-            outputs.append(cur)
-            if keep_traces:
-                unit_traces.append(tr)
-        y = outputs[-1]
+            unit_traces.append(tr)
+            if keep_traces or j in skips.values():
+                outputs[j] = cur
         if through is None and self.config.global_residual:
-            y = y + x
-        if keep_traces:
-            return y, {"outputs": outputs, "units": unit_traces}
-        return y, None
+            cur = cur + x
+        traces = {"outputs": list(outputs.values()), "units": unit_traces}
+        return cur, (traces if keep_traces else None)
 
     def backward(self, traces, grad_y, input_grad=True):
         """Reverse pass through skips and residual; returns (grad_input,

@@ -60,11 +60,11 @@ def _band_order(n_bands, direction):
     raise ConfigError(f"pooling direction must be forward or backward, got {direction!r}")
 
 
-def qru_pool_forward(z, f, direction):
-    """Run the gated recurrence along the band axis; h starts at zero."""
+def qru_pool_forward(z, f, direction, out=None):
+    """Run the gated recurrence along the bands from h = 0 into out (z, say)."""
     if z.shape != f.shape:
         raise ShapeError(f"z shape {z.shape} != f shape {f.shape}")
-    h = np.empty_like(z)
+    h = np.empty_like(z) if out is None else out
     prev = np.zeros(z.shape[:-1], dtype=z.dtype)
     for b in _band_order(z.shape[-1], direction):
         prev = f[..., b] * prev + (1.0 - f[..., b]) * z[..., b]
@@ -165,18 +165,23 @@ class QruUnit:
         )
 
     def forward(self, x, keep_trace=False):
+        """(y, trace or None). Untraced, gates and a second direction's h run
+        in place on the conv output; y, the first h, is the one new array."""
         conv = tconv3d_forward if self.transposed else conv3d_forward
         pre = np.split(conv(x, self._stacked(), self.stride), len(self.banks), axis=1)
         if not self.gated:
-            y = activate(pre[0], "tanh")
+            y = activate(pre[0], "tanh", out=None if keep_trace else pre[0])
             return y, ((x, y) if keep_trace else None)
         y = None
         traces = []
         for d, z_pre, f_pre in zip(self._directions(), pre[0::2], pre[1::2]):
-            z = activate(z_pre, "tanh")
-            f = activate(f_pre, "sigmoid")
-            h = qru_pool_forward(z, f, d)
-            y = h if y is None else y + h
+            z = activate(z_pre, "tanh", out=None if keep_trace else z_pre)
+            f = activate(f_pre, "sigmoid", out=None if keep_trace else f_pre)
+            if keep_trace or y is None:
+                h = qru_pool_forward(z, f, d)
+                y = h if y is None else y + h
+            else:
+                y += qru_pool_forward(z, f, d, out=z)
             if keep_trace:
                 traces.append(PoolingTrace(z, f, h, d))
         return y, ((x, traces) if keep_trace else None)

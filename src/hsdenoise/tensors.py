@@ -88,6 +88,7 @@ import numpy as np
 # the total L2 of the 2-vCPU benchmark machine, where 2, 4 and 8 MiB timed
 # the same.
 _BLOCK_BYTES = 4 << 20
+_SCRATCH_BYTES = 256 << 10  # the sigmoid's: exp term and denominator of one chunk
 
 
 class ShapeError(ValueError):
@@ -273,6 +274,7 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
         prod = prod.reshape(len(taps), c2, -1, g.shape[3], g.shape[4] + bands - 1)
         for i, sl in enumerate(taps):
             gxp[sl] += prod[i]
+    work = rows = prod = None  # free the block buffer before the cropped copy
     gx = _bands_first(gxp.shape[:2] + in_hwb, out_dtype)
     gx[...] = gxp[interior]
     return gx
@@ -371,21 +373,39 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 
 
-def activate(x, kind):
-    """Elementwise nonlinearity: tanh or sigmoid."""
+def _chunks(x, out, items):
+    """(x, out) slice pairs of at most `items` elements over whole trailing axes."""
+    if out.size <= items:
+        yield x, out
+    elif out[0].size <= items:
+        step = items // out[0].size
+        for i in range(0, len(out), step):
+            yield x[i:i + step], out[i:i + step]
+    else:
+        for xi, oi in zip(x, out):
+            yield from _chunks(xi, oi, items)
+
+
+def activate(x, kind, out=None):
+    """Elementwise tanh or sigmoid into out (x itself, say) or a new array."""
+    if kind not in ("tanh", "sigmoid"):
+        raise ConfigError(f"unknown nonlinearity {kind!r}")
+    out = np.empty_like(x) if out is None else out
     if kind == "tanh":
-        return np.tanh(x)
-    if kind == "sigmoid":
-        # expit without the scipy import: exp only of -|x|, so it cannot
-        # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below. The
-        # numerator is max(e, x >= 0), as e <= 1: np.where's select, on
-        # gates of mixed sign, took three times the rest of the sigmoid.
-        # Two buffers, e and the output (out= keeps a 0-d x an array).
-        e = np.abs(x, out=np.empty_like(x))
-        np.exp(np.negative(e, out=e), out=e)
-        out = np.add(e, 1.0, out=np.empty_like(x))
-        return np.divide(np.maximum(e, x >= 0, out=e), out, out=out)
-    raise ConfigError(f"unknown nonlinearity {kind!r}")
+        return np.tanh(x, out=out)
+    # expit without the scipy import: exp only of -|x|, so it cannot
+    # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below, the numerator
+    # max(e, x >= 0) as e <= 1 (np.where's select took 3x the rest). e and
+    # the denominator share one scratch, chunk by chunk in memory order.
+    items = min(x.size, _SCRATCH_BYTES // (2 * x.dtype.itemsize))
+    scratch = np.empty((2, items), x.dtype)
+    order = np.argsort([-abs(s) for s in out.strides], kind="stable")
+    for xc, oc in _chunks(x.transpose(order), out.transpose(order), items):
+        e, den = (s[:xc.size].reshape(xc.shape) for s in scratch)
+        np.exp(np.negative(np.abs(xc, out=e), out=e), out=e)
+        np.add(e, 1.0, out=den)
+        np.divide(np.maximum(e, xc >= 0, out=e), den, out=oc)
+    return out
 
 
 def activate_grad(y, grad, kind):

@@ -429,6 +429,18 @@ class TestTrainCommand:
             capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_indivisible_patch_size_rejected(self, tmp_path, capsys):
+        """A --patch-size the encoder cannot halve twice exits 2 naming the
+        option, before --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir),
+                       "--preset", "benchmark", "--epochs", 1, "--batch-size", 2,
+                       "--patch-size", 6)
+        assert code == 2
+        assert "--patch-size 6 is not a multiple of 4x4" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--preset", "benchmark", "--width-multiplier", "inf"],
          "width multiplier must be positive and finite, got inf"),

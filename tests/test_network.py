@@ -1,6 +1,7 @@
 """Network tests: wiring, parameter counts, shapes, gradients, weights IO."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,50 @@ class TestForwardThrough:
         model = build_network(standard_config(width_multiplier=0.25), seed=33)
         with pytest.raises(ConfigError, match="outside 0..11"):
             model.forward(np.zeros((1, 1, 8, 8, 5), dtype=np.float32), through=through)
+
+
+class TestForwardWithoutTraces:
+    """A pass without traces keeps only live data (skip sources until their
+    skip, gates and recurrence in place) and returns the traced bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["qru3d", "qru2d", "c3d"])
+    def test_same_bytes_as_traced(self, kind, dtype):
+        """All three directions, strided and transposed layers, N = 2; the
+        caller's input is left as it was."""
+        model = build_network(standard_config(kind=kind, width_multiplier=0.5), seed=34,
+                              dtype=dtype)
+        x = np.random.default_rng(35).standard_normal((2, 1, 8, 8, 5)).astype(dtype)
+        x_bytes = x.tobytes()
+        y, traces = model.forward(x)
+        want, _ = model.forward(x, keep_traces=True)
+        assert traces is None
+        assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
+        assert x.tobytes() == x_bytes
+
+    def test_through_same_bytes_as_traced(self):
+        model = build_network(standard_config(width_multiplier=0.25), seed=36)
+        x = np.random.default_rng(37).standard_normal((1, 1, 8, 8, 5)).astype(np.float32)
+        _, full = model.forward(x, keep_traces=True)
+        for layer in range(len(model.units)):
+            y, _ = model.forward(x, through=layer)
+            assert y.tobytes() == full["outputs"][layer].tobytes()
+
+    def test_peak_memory_bounded(self):
+        """The standard net on 1x1x64x64x31 peaks at 52.6 MiB under
+        tracemalloc; keeping every layer output and full-size gate
+        temporaries read 93.0 MiB."""
+        model = build_network(standard_config(), seed=38)
+        x = np.random.default_rng(39).random((1, 1, 64, 64, 31)).astype(np.float32)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20, f"peak {peak / 2**20:.1f} MiB > 64 MiB"
 
 
 class TestBackward:

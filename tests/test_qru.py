@@ -128,6 +128,22 @@ class TestPoolForward:
         with pytest.raises(Exception, match="shape"):
             qru_pool_forward(np.zeros((1, 1, 2, 2, 3)), np.zeros((1, 1, 2, 2, 4)), FORWARD)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_in_place_matches_fresh(self, direction, dtype):
+        """h written over z (out=z) has the bytes of a fresh h, on the
+        channel-split bands-first views a unit pools, N = 2; f is untouched."""
+        rng = np.random.default_rng(43)
+        block = bands_first_copy(np.concatenate(rand_zf(rng, (2, 3, 4, 5, 6)), axis=1)
+                                 .astype(dtype))
+        z, f = block[:, :3], block[:, 3:]
+        fresh = qru_pool_forward(z, f, direction)
+        f_bytes = f.tobytes()
+        h = qru_pool_forward(z, f, direction, out=z)
+        assert h is z
+        assert h.tobytes() == fresh.tobytes()
+        assert f.tobytes() == f_bytes
+
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n_bands=st.integers(1, 12))
@@ -341,6 +357,30 @@ class TestBandsFirstLayout:
             runs.append((h,) + qru_pool_backward(trace, conv(g)))
         for a, b in zip(*runs):
             assert a.tobytes() == b.tobytes()
+
+
+class TestUntracedForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,direction,transposed", UNIT_CASES)
+    def test_same_bytes_as_traced(self, kind, direction, transposed, dtype):
+        """Without a trace (gates and recurrence in place) a unit returns
+        the traced forward's bytes, bands-first in a buffer of its own size,
+        and leaves its input alone; N = 2."""
+        rng = np.random.default_rng(44)
+        stride = (2, 2, 1) if transposed else (1, 1, 1)
+        unit = make_variant(kind).build(rng, 2, 3, stride, direction, transposed, dtype=dtype)
+        x = rng.standard_normal((2, 2, 4, 4, 5)).astype(dtype)
+        x_bytes = x.tobytes()
+        y, trace = unit.forward(x)
+        want, _ = unit.forward(x, keep_trace=True)
+        assert trace is None
+        assert y.tobytes() == want.tobytes()
+        assert x.tobytes() == x_bytes
+        assert bands_first(y)
+        owner = y
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == y.nbytes
 
 
 class TestUnitForward:

@@ -556,6 +556,35 @@ class TestActivations:
         assert got.dtype == dtype
         assert np.array_equal(got, want, equal_nan=True)
 
+    @pytest.mark.parametrize("items", [7, 40, 100, None])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_in_place_matches_fresh(self, kind, dtype, items, monkeypatch):
+        """activate(x, kind, out=x) on a channel slice of a bands-first
+        block with N = 2 writes the bytes of activate(x, kind), specials and
+        exp edges included, and leaves the other channels alone. `items`
+        shrinks the sigmoid's scratch so that chunks are part of a W row (7),
+        a few band planes (40) or one channel (100); None keeps the module's."""
+        if items is not None:
+            monkeypatch.setattr(tensors, "_SCRATCH_BYTES", 2 * items * np.dtype(dtype).itemsize)
+        rng = np.random.default_rng(17)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30]
+        edges = [s * (e + d) for e in (88.0, 745.0) for d in (-0.8, -0.1, 0.0, 0.4, 0.8)
+                 for s in (1, -1)]
+        block = bands_first_copy((rng.standard_normal((2, 4, 3, 5, 6)) * 30).astype(dtype))
+        view = block[:, 2:]
+        spots = rng.choice(view.size, len(special) + len(edges), replace=False)
+        view[np.unravel_index(spots, view.shape)] = special + edges
+        x, others = view.copy(), block[:, :2].tobytes()
+        with np.errstate(under="ignore"):
+            fresh = activate(view, kind)
+            got = activate(view, kind, out=view)
+            want = sigmoid_masked(x) if kind == "sigmoid" else np.tanh(x)
+        assert got is view
+        assert got.tobytes() == fresh.tobytes()
+        assert np.array_equal(got, want, equal_nan=True)
+        assert block[:, :2].tobytes() == others
+
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_grad_matches_fd(self, kind):
         rng = np.random.default_rng(14)
