@@ -246,6 +246,8 @@ def cmd_gcs(args):
                       overlay_values, pooling_traces, relative_bands, values_to_pgm)
     from .hsio import read_hsi
     from .network import load_weights
+    if os.path.basename(args.out_prefix) in ("", os.curdir, os.pardir):
+        raise ValueError(f"--out-prefix {args.out_prefix!r} names a directory, not a file prefix")
     model = load_weights(args.weights, global_residual=args.residual)
     layer = _layer_index(args.layer, len(model.units))
     check_eps(args.eps)

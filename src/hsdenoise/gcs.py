@@ -16,12 +16,12 @@ count of exclusions is kept as metadata); a hidden state that is zero
 everywhere yields an absent entry.  Absent entries, including the empty
 triangle of a one-directional trace, are stored as NaN, never as 0.
 
-The squared matrix is the mask of a 1-semiseparable matrix: cell (i, j)
-is band i's candidate times the product of the gates between i and j.
-`gcs_matrix` computes it block by block, as chunked state-space and
-gated linear-attention layers do: a band-by-band walk inside each block
-of bands, and one GEMM between each block and all earlier ones, with the
-gate products carried forward by multiplication alone.
+The squared matrix is the mask of a 1-semiseparable matrix: cell (i, j) is band
+i's candidate times the product of the gates between i and j. `gcs_matrix`
+computes it block by block, as chunked state-space and gated linear-attention
+layers do: a band-by-band walk inside each block of bands, one GEMM between
+each block and all earlier ones, and gate products carried by multiplication
+alone, on one float64 copy of the trace (the candidate rows) plus one block.
 """
 
 import numpy as np
@@ -72,13 +72,10 @@ def no_recurrence(layer):
     return ConfigError(f"layer {layer} has no pooling recurrence to analyze")
 
 
-def _walk_rows(a, step):
-    """Float64 (bands, numel) copy of a trace array, one row per band in
-    walk order (step 1 forward, -1 backward), cast in its one copy. A row
-    holds its band's elements in (N, C, H, W) order; on a bands-first trace
-    each row is a copy of whole H x W planes."""
-    rows = np.array(np.moveaxis(np.asarray(a), -1, 0)[::step], dtype=np.float64, order="C")
-    return rows.reshape(rows.shape[0], -1)
+def _block_rows(a, step, start, stop):
+    """Float64 C-ordered (stop - start, numel) copy of walk-order bands start..stop-1."""
+    rows = np.moveaxis(np.asarray(a), -1, 0)[::step][start:stop]
+    return np.array(rows, dtype=np.float64, order="C").reshape(stop - start, -1)
 
 
 def _sums(rows, cols, include):
@@ -111,44 +108,45 @@ def gcs_matrix(trace, eps=1e-6):
       between A and C: after each block, every earlier row is scaled in
       place by that block's total gate product.
 
-    No gate product is ever divided out, so underflow goes to zero from
-    one side only, as in a band-by-band walk. The sums run in another
-    order than that walk's, which moves cells by about 1e-15 relative.
-    That is O(bands^2 * numel) arithmetic in GEMMs, plus
-    O(bands * numel * (K + bands / K)) in-place row scaling.
+    No gate product is ever divided out, so underflow goes to zero from one
+    side only, as in a band-by-band walk. The sums run in another order than
+    that walk's, which moves cells by about 1e-15 relative. That is
+    O(bands^2 * numel) arithmetic in GEMMs, plus
+    O(bands * numel * (K + bands / K)) in-place row scaling, on one float64
+    (bands, numel) array, the c rows; g, w and the mask exist per block.
     """
     if not isinstance(trace, PoolingTrace):
         raise ConfigError("gcs_matrix needs a single-direction pooling trace")
     check_eps(eps)
-    n_bands = np.shape(trace.z)[-1]
+    shape = np.shape(trace.z)
+    n_bands, h_numel = shape[-1], int(np.prod(shape[:-1]))
     step = _band_order(n_bands, trace.direction).step
-    sq = _walk_rows(trace.z, step)
-    f2 = _walk_rows(trace.f, step)
-    w2 = _walk_rows(trace.h, step)
-    include = np.empty(w2.shape, dtype=bool)
+    sq = np.empty((n_bands, h_numel))
+    kept = np.empty(n_bands, dtype=np.int64)
     walk = np.full((n_bands, n_bands), np.nan)
     with np.errstate(divide="ignore"):
         for start in range(0, n_bands, _BLOCK_BANDS):
             stop = min(start + _BLOCK_BANDS, n_bands)
-            for p in range(start, stop):
-                # The rows of band p: c_p, g_p and w_p, in place.
-                sq[p] *= 1.0 - f2[p]
-                np.square(sq[p], out=sq[p])
-                np.square(f2[p], out=f2[p])
-                np.greater_equal(np.abs(w2[p]), eps, out=include[p])
-                np.square(w2[p], out=w2[p])
-                np.divide(1.0, w2[p], out=w2[p])
-                w2[p][~include[p]] = 0.0
-                sq[start:p] *= f2[p]
-                walk[start:p + 1, p] = _sums(sq[start:p + 1], w2[p:p + 1], include[p:p + 1])[:, 0]
+            # Block C's rows: c goes into sq; g, w and the mask exist for C only.
+            g = _block_rows(trace.f, step, start, stop)
+            c = sq[start:stop]
+            c[...] = _block_rows(trace.z, step, start, stop)
+            np.square(np.multiply(c, 1.0 - g, out=c), out=c)
+            np.square(g, out=g)
+            w = _block_rows(trace.h, step, start, stop)
+            include = np.abs(w) >= eps
+            np.divide(1.0, np.square(w, out=w), out=w)
+            w[~include] = 0.0
+            kept[start:stop] = np.count_nonzero(include, axis=1)
+            for q, p in enumerate(range(start, stop)):
+                sq[start:p] *= g[q]
+                walk[start:p + 1, p] = _sums(sq[start:p + 1], w[q:q + 1], include[q:q + 1])[:, 0]
                 # g_p becomes the prefix product of C up to p, w_p becomes b_p.
-                if p > start:
-                    f2[p] *= f2[p - 1]
-                w2[p] *= f2[p]
-            walk[:start, start:stop] = _sums(sq[:start], w2[start:stop], include[start:stop])
-            sq[:start] *= f2[stop - 1]
-    h_numel = sq.shape[1]
-    kept = np.count_nonzero(include, axis=1)
+                if q:
+                    g[q] *= g[q - 1]
+                w[q] *= g[q]
+            walk[:start, start:stop] = _sums(sq[:start], w, include)
+            sq[:start] *= g[-1]
     walk[:, kept == 0] = np.nan
     values = np.sqrt(walk[::step, ::step])
     excluded = (h_numel - kept)[::step]

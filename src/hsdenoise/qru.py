@@ -165,18 +165,18 @@ class QruUnit:
         )
 
     def forward(self, x, keep_trace=False):
-        """(y, trace or None). Untraced, gates and a second direction's h run
-        in place on the conv output; y, the first h, is the one new array."""
+        """(y, trace or None). Untraced, gates and a second direction's h
+        run in place on the conv output; y, the first h, is the one new
+        array. Traced, new gates replace the conv output before any h."""
         conv = tconv3d_forward if self.transposed else conv3d_forward
         pre = np.split(conv(x, self._stacked(), self.stride), len(self.banks), axis=1)
+        pre = [activate(p, kind, out=None if keep_trace else p)
+               for p, kind in zip(pre, ("tanh", "sigmoid") * 2)]
         if not self.gated:
-            y = activate(pre[0], "tanh", out=None if keep_trace else pre[0])
-            return y, ((x, y) if keep_trace else None)
+            return pre[0], ((x, pre[0]) if keep_trace else None)
         y = None
         traces = []
-        for d, z_pre, f_pre in zip(self._directions(), pre[0::2], pre[1::2]):
-            z = activate(z_pre, "tanh", out=None if keep_trace else z_pre)
-            f = activate(f_pre, "sigmoid", out=None if keep_trace else f_pre)
+        for d, z, f in zip(self._directions(), pre[0::2], pre[1::2]):
             if keep_trace or y is None:
                 h = qru_pool_forward(z, f, d)
                 y = h if y is None else y + h

@@ -349,6 +349,26 @@ class TestGcsCommand:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("tail", [os.sep, os.sep + os.curdir])
+    def test_directory_prefix_rejected(self, tmp_path, capsys, monkeypatch, tail):
+        """A prefix naming a directory ('out/' or 'out/.') would write hidden
+        files into it: it exits 2 with one error line naming --out-prefix,
+        before the weights are read, and writes nothing."""
+        import hsdenoise.network as network
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("weights read")
+
+        monkeypatch.setattr(network, "load_weights", no_load)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
+        out_dir = tmp_path / "out"
+        code = run_cli("gcs", src, "--weights", str(tmp_path / "w.q3dw"),
+                       "--out-prefix", str(out_dir) + tail)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out-prefix")
+        assert not out_dir.exists()
+
     def test_matrices_match_full_forward(self, tmp_path):
         """Stopping the forward at the analyzed layer writes the matrices
         of the full pass's traces of that layer."""

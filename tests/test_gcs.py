@@ -273,6 +273,24 @@ class TestGcsMatrix:
             tracemalloc.stop()
         assert peak <= bound
 
+    def test_gcs_matrix_holds_one_float64_copy(self):
+        """On 220 float32 bands the walk holds one float64 (bands, numel)
+        array, the c rows; the gates and hidden states are cast one block
+        at a time. Its traced peak stays within two such arrays."""
+        n, shape = 220, (1, 4, 16, 16)
+        tr = random_trace(n, FORWARD, seed=34, shape=shape)
+        tr = PoolingTrace(*(a.astype(np.float32) for a in (tr.z, tr.f, tr.h)), FORWARD)
+        rows_bytes = 8 * n * int(np.prod(shape))
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gcs_matrix(tr)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rows_bytes, f"peak {peak / rows_bytes:.2f} float64 copies"
+
     def test_epsilon_exclusion_counted(self):
         """Near-zero hidden elements drop out of the norm and are counted."""
         z = np.full((1, 1, 2, 2, 1), 0.5)

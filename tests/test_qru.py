@@ -1,5 +1,7 @@
 """QRU tests: gate algebra, pooling recurrence oracles, gradients, causality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,6 +383,38 @@ class TestUntracedForward:
         while owner.base is not None:
             owner = owner.base
         assert owner.nbytes == y.nbytes
+
+
+class TestTracedForward:
+    def test_conv_output_freed_before_pooling(self):
+        """A traced bidirectional unit (1 -> 16 per bank, float32
+        1x1x16x16x64) peaks within its stacked conv output plus the z and f
+        copies, plus 10 percent: h and y come after the conv output is
+        dropped. Its output and trace hold the untraced bytes and those of
+        fresh gates and a fresh recurrence."""
+        rng = np.random.default_rng(45)
+        unit = make_variant("qru3d").build(rng, 1, 16, (1, 1, 1), BIDIRECTIONAL,
+                                           dtype=np.float32)
+        x = rng.standard_normal((1, 1, 16, 16, 64)).astype(np.float32)
+        stacked_bytes = 4 * 16 * x.nbytes
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y, (_, traces) = unit.forward(x, keep_trace=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 * stacked_bytes, f"peak {peak / x.nbytes:.0f} cubes"
+        untraced, _ = unit.forward(x)
+        assert y.tobytes() == untraced.tobytes()
+        kernel = ConvKernel(np.concatenate([k.weight for k in unit.banks]),
+                            np.concatenate([k.bias for k in unit.banks]))
+        pre = np.split(conv3d_forward(x, kernel, unit.stride), 4, axis=1)
+        for tr, z_pre, f_pre in zip(traces, pre[0::2], pre[1::2]):
+            assert tr.z.tobytes() == activate(z_pre, "tanh").tobytes()
+            assert tr.f.tobytes() == activate(f_pre, "sigmoid").tobytes()
+            assert tr.h.tobytes() == qru_pool_forward(tr.z, tr.f, tr.direction).tobytes()
 
 
 class TestUnitForward:
