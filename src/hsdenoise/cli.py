@@ -243,7 +243,7 @@ def _layer_index(text, n_layers):
 def cmd_gcs(args):
     import numpy as np
     from .gcs import (GcsMatrix, check_eps, gcs_matrix, gcs_to_csv, no_recurrence,
-                      overlay_values, pooling_traces, relative_bands, values_to_pgm)
+                      overlay_values, relative_bands, values_to_pgm)
     from .hsio import read_hsi
     from .network import load_weights
     if os.path.basename(args.out_prefix) in ("", os.curdir, os.pardir):
@@ -256,9 +256,9 @@ def cmd_gcs(args):
     cube = read_hsi(args.input)
     _require_finite(cube, args.input)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
-    # A layer's traces depend only on the layers up to it.
-    _, traces = model.forward(x, keep_traces=True, through=layer)
-    matrices = [gcs_matrix(t, eps=args.eps) for t in pooling_traces(traces, layer)]
+    # gcs reads only this layer's traces: the layers before it run untraced.
+    _, trace = model.units[layer].forward(model.unit_input(x, layer), keep_trace=True)
+    matrices = [gcs_matrix(t, eps=args.eps) for t in trace[1]]
     parent = os.path.dirname(args.out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)

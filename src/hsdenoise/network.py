@@ -195,6 +195,28 @@ class Model:
         traces equal the first through+1 of a full pass. The input is
         checked against the whole network either way.
         """
+        stop = len(self.units) if through is None else self._layer(through) + 1
+        cur, outputs, unit_traces = self._walk(x, stop, keep_traces)
+        if through is None and self.config.global_residual:
+            cur = cur + x
+        traces = {"outputs": list(outputs.values()), "units": unit_traces}
+        return cur, (traces if keep_traces else None)
+
+    def unit_input(self, x, layer):
+        """The input forward() feeds unit `layer` (zero-based), its skip
+        added, from a pass without traces over the layers before it; so a
+        traced unit.forward on it gives forward's trace of that layer."""
+        cur, outputs, _ = self._walk(x, self._layer(layer), False)
+        src = self.config.skips.get(layer)
+        return cur if src is None else cur + outputs[src]
+
+    def _layer(self, index):
+        if not 0 <= index < len(self.units):
+            raise ConfigError(f"layer {index} outside 0..{len(self.units) - 1}")
+        return index
+
+    def _walk(self, x, stop, keep_traces):
+        """Check x, run units 0..stop-1: (last output, kept outputs, traces)."""
         x = np.asarray(x)
         if x.ndim != 5:
             raise ShapeError("input must have axes (batch, channel, height, width, band)")
@@ -209,14 +231,8 @@ class Model:
                     f"{name} extent {x.shape[2 + ax]} not divisible by {req[ax]}; "
                     f"crop or pad the cube so the encoder can downsample"
                 )
-        n = len(self.units)
-        if through is not None and not 0 <= through < n:
-            raise ConfigError(f"layer {through} outside 0..{n - 1}")
-        stop = n if through is None else through + 1
         skips = self.config.skips
-        outputs = {}
-        unit_traces = []
-        cur = x
+        outputs, unit_traces, cur = {}, [], x
         for j, unit in enumerate(self.units[:stop]):
             if j in skips:
                 cur = cur + (outputs[skips[j]] if keep_traces else outputs.pop(skips[j]))
@@ -224,10 +240,7 @@ class Model:
             unit_traces.append(tr)
             if keep_traces or j in skips.values():
                 outputs[j] = cur
-        if through is None and self.config.global_residual:
-            cur = cur + x
-        traces = {"outputs": list(outputs.values()), "units": unit_traces}
-        return cur, (traces if keep_traces else None)
+        return cur, outputs, unit_traces
 
     def backward(self, traces, grad_y, input_grad=True):
         """Reverse pass through skips and residual; returns (grad_input,
@@ -239,12 +252,14 @@ class Model:
         skips = self.config.skips
         # pending[j] accumulates the gradient w.r.t. layer j's output
         # (1-based; index 0 is the network input). Each sum is a new array,
-        # never an in-place add, so slots may share one gx or grad_y.
+        # never an in-place add, so slots may share one gx or grad_y. A slot
+        # is dropped once its layer has read it.
         pending = [None] * n + [grad_y]
         param_grads = [None] * n
         for j in range(n - 1, -1, -1):
             gx, param_grads[j] = self.units[j].backward(
                 traces["units"][j], pending[j + 1], input_grad or j > 0)
+            pending[j + 1] = None
             slots = (j, skips[j] + 1) if j in skips else (j,)
             for s in slots:
                 pending[s] = gx if pending[s] is None else pending[s] + gx

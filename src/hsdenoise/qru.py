@@ -72,30 +72,32 @@ def qru_pool_forward(z, f, direction, out=None):
     return h
 
 
-def qru_pool_backward(trace, grad_h):
+def qru_pool_backward(trace, grad_h, out=None):
     """Exact reverse of the recurrence: gradients w.r.t. z and f.
 
     Walking the band order backwards, the accumulated hidden gradient
     g_b = grad_h_b + f_{b+1} * g_{b+1} feeds
         grad_z_b = (1 - f_b) * g_b
         grad_f_b = (h_{b-1} - z_b) * g_b
-    with indices read in the trace's own direction.
+    with indices read in the trace's own direction, plane by plane into
+    out, a (grad_z, grad_f) pair such as two bank views of a stacked
+    buffer, or new arrays laid out like z. g and the carry take the result
+    dtype of grad_h and the trace, the one scratch plane the trace's.
     """
     z, f, h = trace.z, trace.f, trace.h
     if grad_h.shape != z.shape:
         raise ShapeError(f"grad_h shape {grad_h.shape} != trace shape {z.shape}")
-    gz = np.empty_like(z)
-    gf = np.empty_like(f)
+    gz, gf = (np.empty_like(z), np.empty_like(f)) if out is None else out
     order = list(_band_order(z.shape[-1], trace.direction))
-    carry = np.zeros(z.shape[:-1], dtype=z.dtype)
-    zero_prev = np.zeros(z.shape[:-1], dtype=z.dtype)
+    g, carry = np.zeros((2,) + z.shape[:-1], np.result_type(grad_h, z))
+    scratch, zero_prev = np.zeros((2,) + z.shape[:-1], z.dtype)
     for pos in range(len(order) - 1, -1, -1):
         b = order[pos]
-        g = grad_h[..., b] + carry
+        np.add(grad_h[..., b], carry, out=g)
         h_prev = h[..., order[pos - 1]] if pos > 0 else zero_prev
-        gz[..., b] = (1.0 - f[..., b]) * g
-        gf[..., b] = (h_prev - z[..., b]) * g
-        carry = f[..., b] * g
+        np.multiply(np.subtract(1.0, f[..., b], out=scratch), g, out=gz[..., b])
+        np.multiply(np.subtract(h_prev, z[..., b], out=scratch), g, out=gf[..., b])
+        np.multiply(f[..., b], g, out=carry)
     return gz, gf
 
 
@@ -188,14 +190,22 @@ class QruUnit:
 
     def backward(self, trace, grad_y, input_grad=True):
         """(grad_x, per-parameter grads); grad_x is None when input_grad is
-        false."""
+        false; grad_y must have the unit's output shape. A gated unit writes
+        each bank's pooling, then activation, gradient in place into one
+        stacked buffer laid out like z (bands-first), which sets the order
+        of the bias gradient's sum."""
         x, saved = trace
+        y_shape = (saved[0].z if self.gated else saved).shape
+        if grad_y.shape != y_shape:
+            raise ShapeError(f"grad_y shape {grad_y.shape} != unit output shape {y_shape}")
         if self.gated:
-            parts = []
-            for tr in saved:
-                gz, gf = qru_pool_backward(tr, grad_y)
-                parts += [activate_grad(tr.z, gz, "tanh"), activate_grad(tr.f, gf, "sigmoid")]
-            g_pre = np.concatenate(parts, axis=1)
+            g_pre = np.empty_like(saved[0].z, shape=(y_shape[0], len(self.banks) * y_shape[1])
+                                  + y_shape[2:])
+            views = np.split(g_pre, len(self.banks), axis=1)
+            for tr, gz, gf in zip(saved, views[0::2], views[1::2]):
+                qru_pool_backward(tr, grad_y, out=(gz, gf))
+                activate_grad(tr.z, gz, "tanh", out=gz)
+                activate_grad(tr.f, gf, "sigmoid", out=gf)
         else:
             g_pre = activate_grad(saved, grad_y, "tanh")
         conv_bwd = tconv3d_backward if self.transposed else conv3d_backward

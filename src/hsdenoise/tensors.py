@@ -408,10 +408,12 @@ def activate(x, kind, out=None):
     return out
 
 
-def activate_grad(y, grad, kind):
-    """Chain grad through the nonlinearity, given its *output* y."""
+def activate_grad(y, grad, kind, out=None):
+    """Chain grad through the nonlinearity, given its *output* y, into out
+    (grad itself, say) or a new array: grad * (1 - y*y) for tanh and
+    (grad * y) * (1 - y) for the sigmoid, each product in that order."""
     if kind == "tanh":
-        return grad * (1.0 - y * y)
+        return np.multiply(grad, 1.0 - y * y, out=out)
     if kind == "sigmoid":
-        return grad * y * (1.0 - y)
+        return np.multiply(grad * y, 1.0 - y, out=out)
     raise ConfigError(f"unknown nonlinearity {kind!r}")

@@ -131,6 +131,38 @@ def pool_phi_sum(z, f, j):
     return total
 
 
+def stacked_gate_grads(traces, grad_h):
+    """The gate gradient a gated unit hands its convolution backward, by
+    the unfused route: per trace a fresh pooling backward (each band's
+    grad_z and grad_f assigned into arrays laid out like z), fresh tanh and
+    sigmoid derivatives, then one concatenate of all banks along channels.
+
+    `traces` hold z, f, h (band axis last) and a direction. Memory order
+    and dtype follow numpy's rules for these expressions, so the result is
+    what a unit must reproduce byte for byte.
+    """
+    parts = []
+    for tr in traces:
+        z, f, h = tr.z, tr.f, tr.h
+        n_bands = z.shape[-1]
+        order = list(range(n_bands))
+        if tr.direction == "backward":
+            order.reverse()
+        gz = np.empty_like(z)
+        gf = np.empty_like(f)
+        carry = np.zeros(z.shape[:-1], dtype=z.dtype)
+        for pos in range(n_bands - 1, -1, -1):
+            b = order[pos]
+            g = grad_h[..., b] + carry
+            h_prev = h[..., order[pos - 1]] if pos > 0 else np.zeros_like(carry)
+            gz[..., b] = (1.0 - f[..., b]) * g
+            gf[..., b] = (h_prev - z[..., b]) * g
+            carry = f[..., b] * g
+        parts.append(gz * (1.0 - z * z))
+        parts.append(gf * f * (1.0 - f))
+    return np.concatenate(parts, axis=1)
+
+
 def _check_band_index(name, value, n_bands):
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer band index, got {value!r}")

@@ -8,14 +8,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hsdenoise.cli import main, parse_config_file, resolve_settings
 from hsdenoise.gcs import gcs_matrix, gcs_to_csv, pooling_traces
-from hsdenoise.hsio import HsiError, read_hsi, write_hsi
-from hsdenoise.network import WeightsError, build_network, desk_config, load_weights, save_weights
+from hsdenoise.hsio import HsiError, gen_synthetic, read_hsi, write_hsi
+from hsdenoise.network import (WeightsError, build_network, desk_config, load_weights,
+                               save_weights, standard_config)
+from hsdenoise.noise import synthesize_case
 from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
 
 
@@ -327,13 +330,15 @@ class TestGcsCommand:
     @pytest.mark.parametrize("case", ["eps", "c3d"])
     def test_bad_request_fails_before_forward(self, tmp_path, capsys, monkeypatch, case):
         """A bad --eps or a layer without a recurrence exits 2 without any
-        forward pass and without artifacts."""
+        forward pass, of the network or of one unit, and without artifacts."""
         import hsdenoise.network as network
+        import hsdenoise.qru as qru
 
         def no_forward(self, *args, **kwargs):
             raise AssertionError("forward pass ran")
 
         monkeypatch.setattr(network.Model, "forward", no_forward)
+        monkeypatch.setattr(qru.QruUnit, "forward", no_forward)
         if case == "eps":
             weights, flags, message = make_weights(tmp_path), ["--eps", "nan"], "eps must be positive"
         else:
@@ -368,6 +373,30 @@ class TestGcsCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --out-prefix")
         assert not out_dir.exists()
+
+    def test_last_layer_peaks_no_higher_than_first(self, tmp_path):
+        """Only the analysed unit keeps traces: on a 24x24x220 case-5 cube
+        with the standard net, --layer last peaks under tracemalloc no
+        higher than --layer first (57.1 and 79.7 MiB; 232.7 MiB for --layer
+        last when every earlier layer kept its traces)."""
+        weights = str(tmp_path / "net.q3dw")
+        save_weights(weights, build_network(standard_config(), seed=7))
+        noisy, _ = synthesize_case(gen_synthetic(24, 24, 220, 7), 5, [7, 1])
+        src = str(tmp_path / "noisy.hsi")
+        write_hsi(src, noisy.astype(np.float32))
+        peaks = {}
+        assert not tracemalloc.is_tracing()
+        for layer in ("first", "last"):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = run_cli("gcs", src, "--weights", weights, "--layer", layer,
+                               "--out-prefix", str(tmp_path / layer))
+                peaks[layer] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks["last"] <= peaks["first"], {k: v / 2**20 for k, v in peaks.items()}
 
     def test_matrices_match_full_forward(self, tmp_path):
         """Stopping the forward at the analyzed layer writes the matrices

@@ -164,6 +164,28 @@ class TestForwardThrough:
                 assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
                            for a, b in zip(got, want))
 
+    def test_unit_input_gives_the_traced_layer(self):
+        """A unit traced on unit_input(x, layer), with the layers before it
+        run untraced and its skip added, holds the full traced pass's
+        trace of that layer, bit for bit, skip targets included."""
+        model = build_network(standard_config(width_multiplier=0.25), seed=30)
+        x = np.random.default_rng(31).standard_normal((2, 1, 8, 8, 5)).astype(np.float32)
+        _, full = model.forward(x, keep_traces=True)
+        assert model.config.skips
+        for layer, unit in enumerate(model.units):
+            y, trace = unit.forward(model.unit_input(x, layer), keep_trace=True)
+            assert y.tobytes() == full["outputs"][layer].tobytes()
+            got, want = _arrays(trace), _arrays(full["units"][layer])
+            assert len(got) == len(want)
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("layer", [-1, 12])
+    def test_unit_input_layer_out_of_range(self, layer):
+        model = build_network(standard_config(width_multiplier=0.25), seed=33)
+        with pytest.raises(ConfigError, match="outside 0..11"):
+            model.unit_input(np.zeros((1, 1, 8, 8, 5), dtype=np.float32), layer)
+
     def test_whole_network_checks_still_run(self):
         """The input is checked against every layer, not just those run."""
         model = build_network(standard_config(width_multiplier=0.25), seed=32)
@@ -302,6 +324,39 @@ class TestBackward:
         assert flags == [True] * (len(model.units) - 1) + [False]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(8, 4), (1, 1, 1, 1, 1)])
+    def test_misshaped_grad_y_rejected(self, shape):
+        """A c3d net rejects a grad_y that broadcasts against its output
+        but is not its shape, as gated nets do, naming both shapes."""
+        model = build_network(standard_config(kind="c3d", width_multiplier=0.25), seed=16)
+        x = np.random.default_rng(17).standard_normal((1, 1, 8, 8, 4)).astype(np.float32)
+        _, traces = model.forward(x, keep_traces=True)
+        with pytest.raises(ShapeError, match=r"grad_y shape \(.*\) != unit output shape "
+                                             r"\(1, 1, 8, 8, 4\)"):
+            model.backward(traces, np.ones(shape, np.float32))
+
+    def test_peak_memory_bounded(self):
+        """Standard net, 4x1x16x16x31 float32: the backward allocates at
+        most half again of what the traced forward leaves held. Each layer's
+        output gradient is dropped once read, and the gate gradients of all
+        banks land in one stacked buffer: 0.36 of the held memory, against
+        0.74 when every gradient was kept and the banks were concatenated."""
+        model = build_network(standard_config(), seed=18)
+        rng = np.random.default_rng(19)
+        x = rng.random((4, 1, 16, 16, 31)).astype(np.float32)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            y, traces = model.forward(x, keep_traces=True)
+            g = rng.standard_normal(y.shape).astype(np.float32)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.backward(traces, g)
+            extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert extra <= 0.5 * held, f"backward peak {extra / held:.2f} x held memory"
 
     def test_backward_without_traces_rejected(self):
         model = build_network(desk_config(), seed=13)

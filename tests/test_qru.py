@@ -15,10 +15,12 @@ from reference_impls import (
     max_rel_err,
     pool_phi_sum,
     pool_unrolled_b2,
+    stacked_gate_grads,
 )
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
+    ShapeError,
     activate,
     activate_grad,
     conv3d_backward,
@@ -327,6 +329,101 @@ class TestStackedUnit:
             p.reshape(-1)[0] += 0.5
             after, _ = unit.forward(x)
             assert np.abs(after - before).max() > 1e-6
+
+
+class TestStackedBackward:
+    """Gated units write every bank's gate gradient in place into one
+    stacked buffer; the bytes are those of the unfused route."""
+
+    @staticmethod
+    def _captured_backward(unit, trace, grad_y, monkeypatch):
+        """unit.backward's result, the arguments of its one convolution
+        backward call and the out= buffers of its activate_grad calls."""
+        name = "tconv3d_backward" if unit.transposed else "conv3d_backward"
+        real = getattr(qru, name)
+        seen, outs = [], []
+
+        def capture(*args):
+            seen.append(args)
+            return real(*args)
+
+        def capture_grad(y, grad, kind, out=None, _fn=qru.activate_grad):
+            outs.append(out)
+            return _fn(y, grad, kind, out=out)
+
+        monkeypatch.setattr(qru, name, capture)
+        monkeypatch.setattr(qru, "activate_grad", capture_grad)
+        gx, grads = unit.backward(trace, grad_y)
+        assert len(seen) == 1
+        return (gx, grads), seen[0], real, outs
+
+    @pytest.mark.parametrize("dtype,grad_dtype", [(np.float32, np.float32),
+                                                  (np.float64, np.float64),
+                                                  (np.float32, np.float64)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD, BIDIRECTIONAL])
+    def test_same_bytes_as_unfused_route(self, direction, transposed, dtype, grad_dtype,
+                                         monkeypatch):
+        """N = 2, all three directions, transposed or not, float32 and
+        float64 units fed grad_y of their own dtype, and a float32 unit fed
+        a float64 grad_y: the stacked gate gradient has the oracle's bytes,
+        dtype and memory order, and the input and parameter gradients are
+        the convolution backward of the oracle's buffer, byte for byte.
+        Each bank's activate_grad writes into that buffer."""
+        rng = np.random.default_rng(46)
+        stride = (2, 2, 1) if transposed else (1, 1, 1)
+        unit = make_variant("qru3d").build(rng, 2, 3, stride, direction, transposed, dtype=dtype)
+        x = rng.standard_normal((2, 2, 4, 4, 5)).astype(dtype)
+        y, trace = unit.forward(x, keep_trace=True)
+        grad_y = rng.standard_normal(y.shape).astype(grad_dtype)
+        (gx, grads), args, real, outs = self._captured_backward(unit, trace, grad_y,
+                                                                monkeypatch)
+        want = stacked_gate_grads(trace[1], grad_y)
+        got = args[3]
+        assert len(outs) == len(unit.banks)
+        assert all(out is not None and np.shares_memory(out, got) for out in outs)
+        assert got.dtype == want.dtype == dtype
+        assert got.strides == want.strides and bands_first(got)
+        assert got.tobytes() == want.tobytes()
+        want_gx, want_gw, want_gb = real(*args[:3], want, True)
+        n = len(unit.banks)
+        axis = 1 if transposed else 0
+        want_grads = [a for w, b in zip(np.split(want_gw, n, axis=axis), np.split(want_gb, n))
+                      for a in (w, b)]
+        for a, b in zip([gx] + grads, [want_gx] + want_grads):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_pool_backward_out_matches_fresh(self):
+        """qru_pool_backward into given (grad_z, grad_f) views equals the
+        fresh arrays, for a float32 trace and a float64 grad_h."""
+        rng = np.random.default_rng(47)
+        z, f = (bands_first_copy(a.astype(np.float32)) for a in rand_zf(rng, (2, 3, 4, 4, 6)))
+        tr = PoolingTrace(z, f, qru_pool_forward(z, f, BACKWARD), BACKWARD)
+        g = rng.standard_normal(z.shape)
+        fresh = qru_pool_backward(tr, g)
+        stacked = np.empty_like(z, shape=(2, 6, 4, 4, 6))
+        views = np.split(stacked, 2, axis=1)
+        got = qru_pool_backward(tr, g, out=views)
+        assert all(a is b for a, b in zip(got, views))
+        for a, b in zip(views, fresh):
+            assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+
+class TestBackwardShapeCheck:
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 1, 1, 1, 1), (2, 3, 4, 4, 1)])
+    @pytest.mark.parametrize("kind,direction", [("c3d", FORWARD), ("qru3d", FORWARD),
+                                                ("qru3d", BIDIRECTIONAL)])
+    def test_misshaped_grad_y_rejected(self, kind, direction, shape):
+        """Every kind rejects a grad_y that is not the output's shape, even
+        one that broadcasts against it, and names both shapes."""
+        rng = np.random.default_rng(48)
+        unit = make_variant(kind).build(rng, 2, 3, (1, 1, 1), direction)
+        x = rng.standard_normal((2, 2, 4, 4, 5)).astype(np.float32)
+        _, trace = unit.forward(x, keep_trace=True)
+        bad = np.ones(shape, np.float32)
+        with pytest.raises(ShapeError, match=rf"grad_y shape \({shape[0]}, .* != unit output "
+                                             rf"shape \(2, 3, 4, 4, 5\)"):
+            unit.backward(trace, bad)
 
 
 class TestBandsFirstLayout:

@@ -585,6 +585,26 @@ class TestActivations:
         assert np.array_equal(got, want, equal_nan=True)
         assert block[:, :2].tobytes() == others
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_grad_in_place_matches_fresh(self, kind, dtype):
+        """activate_grad(y, g, kind, out=g) on a channel slice of a
+        bands-first block writes the bytes of the fresh call, whose products
+        run grad * (1 - y*y) and (grad * y) * (1 - y), and leaves the other
+        channels alone."""
+        rng = np.random.default_rng(18)
+        y = activate(rng.standard_normal((2, 2, 3, 5, 6)).astype(dtype), kind)
+        block = bands_first_copy(rng.standard_normal((2, 4, 3, 5, 6)).astype(dtype))
+        view = block[:, 2:]
+        g, others = view.copy(), block[:, :2].tobytes()
+        fresh = activate_grad(y, view, kind)
+        want = g * (1.0 - y * y) if kind == "tanh" else g * y * (1.0 - y)
+        got = activate_grad(y, view, kind, out=view)
+        assert got is view
+        assert fresh.dtype == dtype and fresh.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert block[:, :2].tobytes() == others
+
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
     def test_grad_matches_fd(self, kind):
         rng = np.random.default_rng(14)
