@@ -83,6 +83,8 @@ def _sums(rows, cols, include):
     column's included elements alone: a non-finite contribution on an
     excluded element turns that element's zero weight into NaN."""
     total = rows @ cols.T
+    if np.isfinite(total).all():
+        return total
     for r, c in np.argwhere(~np.isfinite(total)):
         total[r, c] = np.where(include[c], rows[r] * cols[c], 0.0).sum()
     return total
@@ -226,7 +228,9 @@ def overlay_values(matrices):
 
 def gcs_to_csv(gcs):
     """CSV rendering: comment lines carry the metadata, then one header row
-    and one row per contributing band; absent cells are empty."""
+    and one row per contributing band; absent cells are empty. One run of
+    defined cells takes one "%.8g" format (f"{v:.8g}"'s), others one each."""
+    n, fmt = gcs.n_bands, ",".join(["%.8g"] * gcs.n_bands)
     lines = [
         f"# direction: {gcs.direction}",
         f"# eps: {gcs.eps:g}",
@@ -234,8 +238,14 @@ def gcs_to_csv(gcs):
         "# excluded: " + ",".join(str(int(e)) for e in gcs.excluded),
         ",".join(["band"] + [str(j + 1) for j in range(gcs.n_bands)]),
     ]
-    for i, row in enumerate(gcs.values.tolist()):
-        lines.append(",".join([str(i + 1)] + ["" if v != v else f"{v:.8g}" for v in row]))
+    for i, (row, cols) in enumerate(zip(gcs.values.tolist(), map(np.flatnonzero, gcs.defined()))):
+        m = len(cols)
+        if m and cols[-1] - cols[0] + 1 == m:
+            lo = int(cols[0])
+            cells = "," * lo + fmt[:5 * m - 1] % tuple(row[lo:lo + m]) + "," * (n - lo - m)
+        else:
+            cells = ",".join(["" if v != v else f"{v:.8g}" for v in row])
+        lines.append(f"{i + 1},{cells}")
     return "\n".join(lines) + "\n"
 
 

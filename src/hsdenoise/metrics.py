@@ -49,16 +49,16 @@ _TAPS = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2) / (2.0
 _TAPS /= _TAPS.sum()
 
 
-def _windowed_mean(plane):
-    """Weighted mean over every valid (fully inside) window position: the
-    window is outer(g, g), so shifted multiply-adds down H, then, on the
-    transposed result, down W."""
+def _windowed_mean(cube):
+    """Weighted mean over every valid (fully inside) window position of each
+    (H, W) plane of a (B, H, W) cube: the window is outer(g, g), so shifted
+    multiply-adds down H, then, on the swapped result, down W."""
     for _ in range(2):
-        acc = _TAPS[0] * plane[:len(plane) - SSIM_WINDOW + 1]
+        acc = _TAPS[0] * cube[:, :cube.shape[1] - SSIM_WINDOW + 1]
         for i in range(1, SSIM_WINDOW):
-            acc += _TAPS[i] * plane[i:i + len(acc)]
-        plane = acc.T
-    return plane
+            acc += _TAPS[i] * cube[:, i:i + acc.shape[1]]
+        cube = acc.swapaxes(1, 2)
+    return cube
 
 
 # SSIM stabilizers (K1 L)^2, (K2 L)^2: K1 = 0.01, K2 = 0.03, dynamic range L = 1.
@@ -67,24 +67,22 @@ SSIM_C1, SSIM_C2 = 0.01 ** 2, 0.03 ** 2
 
 def ssim(x, ref):
     """Mean structural similarity: 11x11 Gaussian windows (sigma 1.5) over
-    the valid region of each band, averaged over windows and bands."""
+    the valid region of each band, averaged over windows and bands; the
+    windows run over all bands at once, each band's mean on its own plane."""
     x, ref = _pair(x, ref)
     h, w, _ = x.shape
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ConfigError(f"spatial extent {h}x{w} too small for an "
                           f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    vals = []
-    for band in range(x.shape[2]):
-        a, b = x[:, :, band], ref[:, :, band]
-        mu_a, mu_b = _windowed_mean(a), _windowed_mean(b)
-        # Moment form: var = E[x^2] - mu^2, cov = E[xy] - mu_a mu_b.
-        var_a = _windowed_mean(a * a) - mu_a * mu_a
-        var_b = _windowed_mean(b * b) - mu_b * mu_b
-        cov = _windowed_mean(a * b) - mu_a * mu_b
-        num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
-        den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
+    a, b = np.moveaxis(x, -1, 0), np.moveaxis(ref, -1, 0)
+    mu_a, mu_b = _windowed_mean(a), _windowed_mean(b)
+    # Moment form: var = E[x^2] - mu^2, cov = E[xy] - mu_a mu_b, summed in place.
+    num = 2 * mu_a * mu_b + SSIM_C1
+    num *= 2 * (_windowed_mean(a * b) - mu_a * mu_b) + SSIM_C2
+    var = _windowed_mean(a * a) - mu_a * mu_a
+    var += _windowed_mean(b * b) - mu_b * mu_b
+    num /= (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var + SSIM_C2)
+    return float(np.mean([np.mean(np.ascontiguousarray(r)) for r in num]))
 
 
 def sam(x, ref):

@@ -11,12 +11,11 @@ band recurrence (qru) and the gcs walk step one band at a time, and a
 band slice a[..., b] is then N * C whole H x W planes, not one element in
 every B. Elementwise numpy keeps its input's layout, so activations,
 pooling traces and their gradients stay bands-first as well. The padded
-grids and im2col columns stay band-last, so every kernel tap
-copies contiguous runs of B: with bands-first grids the 4x4 and 8x8
-planes of the deep layers made those runs short. The transpose happens
-once per map, in the cast that writes the output or crops the input
-gradient. Bands outermost, (B, N, C, H, W), would scatter that write
-across every band.
+grids and im2col columns of kn2row maps (below) stay band-last, so every
+kernel tap copies contiguous runs of B, which the 4x4 and 8x8 planes of
+the deep layers would make short; the transpose happens once per map, in
+the cast that writes the output or crops the input gradient. Maps with
+their band taps in the column keep bands-first order from grid to output.
 
 A kernel is shared between two maps that are exact adjoints of each other:
 
@@ -55,7 +54,10 @@ forward, kn2row; Anderson et al. 2017):
 Band taps stay in the column (T = kh * kw * kb, and kb = 1 on the c1
 side) where the band axis is strided, or where c1 > kh * kw * c2, as in
 the first layer (1 -> 64): there kb blocks of c1 rows cost more than the
-column rows they save.
+column rows they save. These maps and kb = 1 kernels (qru2d's 3x3x1) run
+conv3d's forward and weight gradient on blocks of whole band planes of a
+bands-first grid: the GEMM writes each block into the output's planes, or
+reads grad_out's planes in place as grad rows; tconv3d's backward keeps rows.
 
 Precision contract. A map computes in the result dtype of its array
 operands, np.result_type(x, weight), with grad_out too in the backward
@@ -165,17 +167,17 @@ def _tap_major(weight, stride, dtype):
     return np.ascontiguousarray(wt, dtype=dtype).reshape(bands, weight.shape[0], -1)
 
 
-def _halo_grid(shape, ksize, dtype):
-    """Zero grid in dtype of an (N, C, H, W, B) shape plus a halo of k // 2
-    on each kernel axis, and the index of its interior."""
-    hwb = shape[2:]
-    grid = np.zeros(shape[:2] + tuple(n + k - 1 for n, k in zip(hwb, ksize)), dtype)
-    return grid, (...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(hwb, ksize))
+def _halo_grid(shape, ksize, dtype, planes=False):
+    """Zero grid in dtype of an (N, C, H, W, B) shape plus a halo of k // 2 on
+    each kernel axis, bands-first if planes, and the index of its interior."""
+    full = shape[:2] + tuple(n + k - 1 for n, k in zip(shape[2:], ksize))
+    grid = _bands_first(full, dtype, np.zeros) if planes else np.zeros(full, dtype)
+    return grid, (...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(shape[2:], ksize))
 
 
-def _padded(x, ksize, dtype):
-    """Copy of x in dtype inside its zero halo."""
-    xp, interior = _halo_grid(x.shape, ksize, dtype)
+def _padded(x, ksize, dtype, planes=False):
+    """Copy of x in dtype inside its zero halo, bands-first if planes."""
+    xp, interior = _halo_grid(x.shape, ksize, dtype, planes)
     xp[interior] = x
     return xp
 
@@ -216,10 +218,28 @@ def _im2col_blocks(xp, weight_shape, stride, out_hwb):
         yield n, rs, stacked.reshape(shape[0] * shape[1], -1), work[stacked.size:]
 
 
-def _bands_first(shape, dtype):
-    """Empty array of an (N, C, H, W, B) shape over (N, C, B, H, W) memory."""
+def _plane_blocks(xp, weight_shape, stride, a):
+    """Yield (rows, column) per block of a one-band-tap map within _BLOCK_BYTES,
+    nb bands of all rows, else nr rows of one plane: a's c1 rows (views if a
+    is bands-first) and the column of a bands-first grid, in _tap_major's order."""
+    (ho, wo, bo), (sh, sw, sb) = a.shape[2:], stride
+    k, items = int(np.prod(weight_shape[1:])), _BLOCK_BYTES // xp.dtype.itemsize
+    nb, nr = max(1, min(bo, items // (k * ho * wo))), min(ho, max(1, items // (k * wo)))
+    grid, a = np.moveaxis(xp, -1, 2), np.moveaxis(a, -1, 2)
+    work = np.empty(k * nb * nr * wo, xp.dtype)
+    for n, b, i in np.ndindex(len(xp), -(-bo // nb), -(-ho // nr)):
+        bs, rs = slice(b * nb, min(b * nb + nb, bo)), slice(i * nr, min(i * nr + nr, ho))
+        rows = a[n, :, bs, rs]
+        column = work[:k * rows[0].size].reshape(weight_shape[2:] + (-1,) + rows.shape[1:])
+        for dh, dw, db in np.ndindex(weight_shape[2:]):
+            column[dh, dw, db] = grid[n, :, db::sb, dh::sh, dw::sw][:, bs, rs, :wo]
+        yield rows.reshape(len(rows), -1), column.reshape(k, -1)
+
+
+def _bands_first(shape, dtype, alloc=np.empty):
+    """Array from alloc of an (N, C, H, W, B) shape over (N, C, B, H, W) memory."""
     n_n, c, h, w, b = shape
-    return np.moveaxis(np.empty((n_n, c, b, h, w), dtype), 2, -1)
+    return np.moveaxis(alloc((n_n, c, b, h, w), dtype), 2, -1)
 
 
 def _band_rows(a, n, rs, buf, bands):
@@ -237,7 +257,7 @@ def _band_rows(a, n, rs, buf, bands):
     return rows.reshape(bands * c, -1)
 
 
-def _forward_core(xp, weight, stride, out_hwb, out_dtype):
+def _forward_core(xp, weight, stride, out_hwb, out_dtype, planes=False):
     """Cross-correlation without bias of a padded grid, in its dtype: one
     GEMM of the band-stacked weight, then block e of the product added onto
     block 0 from e columns on, as band tap e reads every band run e
@@ -247,6 +267,10 @@ def _forward_core(xp, weight, stride, out_hwb, out_dtype):
     wt = _tap_major(weight, stride, xp.dtype)
     bands, (wo, bo) = len(wt), out_hwb[1:]
     y = _bands_first((n_n, c1) + out_hwb, out_dtype)
+    if planes:  # the GEMM writes each block into its run of y's planes
+        for out, column in _plane_blocks(xp, weight.shape, stride, y):
+            np.matmul(wt[0], column, out=out)
+        return y
     for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
         m = column.shape[1]
         prod = np.matmul(wt.reshape(-1, len(column)), column,
@@ -280,7 +304,7 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
     return gx
 
 
-def _weight_grad_core(xp, g, weight_shape, stride):
+def _weight_grad_core(xp, g, weight_shape, stride, planes=False):
     """Float64 weight grad from a padded input and grad_out: each block's
     product, band-stacked grad rows @ column.T, in xp's dtype, their sum in
     float64."""
@@ -288,8 +312,11 @@ def _weight_grad_core(xp, g, weight_shape, stride):
     bands = _band_taps(weight_shape, stride)
     gw = np.zeros((bands * c1, kh * kw * (kb // bands) * c2))
     part = np.empty(gw.shape, xp.dtype)
-    for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]):
-        gw += np.matmul(_band_rows(g, n, rs, spare, bands), column.T, out=part)
+    blocks = _plane_blocks(xp, weight_shape, stride, g) if planes else (
+        (_band_rows(g, n, rs, spare, bands), column)
+        for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]))
+    for rows, column in blocks:  # g's planes are read in place where g is bands-first
+        gw += np.matmul(rows.astype(xp.dtype, copy=False), column.T, out=part)
     gw = gw.reshape(bands, c1, kh, kw, kb // bands, c2).transpose(1, 5, 2, 3, 0, 4)
     return np.ascontiguousarray(gw).reshape(weight_shape)
 
@@ -311,8 +338,9 @@ def conv3d_forward(x, kernel, stride):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(_padded(x, kernel.ksize, out_dtype), weight, stride,
-                      _strided_hwb(x.shape[2:], stride), out_dtype)
+    planes = _band_taps(weight.shape, stride) == 1  # walk whole band planes
+    y = _forward_core(_padded(x, kernel.ksize, out_dtype, planes), weight, stride,
+                      _strided_hwb(x.shape[2:], stride), out_dtype, planes)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -327,7 +355,9 @@ def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
     dtype = np.result_type(x, weight, grad_out)
-    gw = _weight_grad_core(_padded(x, kernel.ksize, dtype), grad_out, weight.shape, stride)
+    planes = _band_taps(weight.shape, stride) == 1
+    gw = _weight_grad_core(_padded(x, kernel.ksize, dtype, planes), grad_out, weight.shape,
+                           stride, planes)
     gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
         if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)

@@ -263,6 +263,48 @@ def ssim_direct(x, ref, k1=0.01, k2=0.03, data_range=1.0):
     return float(np.mean(vals))
 
 
+def ssim_per_band(x, ref):
+    """Moment-form SSIM one band at a time: each band's five windowed means
+    as shifted multiply-adds down H, then, on the transposed result, down W,
+    in the same order as the cube-wide walk, so agreement is byte for byte."""
+    taps = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5 ** 2))
+    taps /= taps.sum()
+
+    def windowed_mean(plane):
+        for _ in range(2):
+            acc = taps[0] * plane[:len(plane) - 10]
+            for i in range(1, 11):
+                acc += taps[i] * plane[i:i + len(acc)]
+            plane = acc.T
+        return plane
+
+    x = np.asarray(x, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    vals = []
+    for band in range(x.shape[2]):
+        a, b = x[:, :, band], ref[:, :, band]
+        mu_a, mu_b = windowed_mean(a), windowed_mean(b)
+        var_a = windowed_mean(a * a) - mu_a * mu_a
+        var_b = windowed_mean(b * b) - mu_b * mu_b
+        cov = windowed_mean(a * b) - mu_a * mu_b
+        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        vals.append(np.mean(num / den))
+    return float(np.mean(vals))
+
+
+def gcs_csv_per_cell(values, direction, h_numel, excluded, eps):
+    """The gcs CSV text with every cell formatted on its own: f"{v:.8g}",
+    empty for NaN."""
+    lines = [f"# direction: {direction}", f"# eps: {eps:g}", f"# h_numel: {h_numel}",
+             "# excluded: " + ",".join(str(int(e)) for e in excluded),
+             ",".join(["band"] + [str(j + 1) for j in range(len(values))])]
+    for i, row in enumerate(np.asarray(values).tolist()):
+        lines.append(",".join([str(i + 1)] + ["" if v != v else f"{v:.8g}" for v in row]))
+    return "\n".join(lines) + "\n"
+
+
 def bands_first(a):
     """True when an (N, C, H, W, B) array has (N, C, B, H, W) memory."""
     return np.moveaxis(a, -1, 2).flags.c_contiguous

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import bands_first_copy, phi
+from reference_impls import bands_first_copy, gcs_csv_per_cell, phi
 from hsdenoise import gcs
 from hsdenoise.gcs import (
     GcsMatrix,
@@ -426,6 +426,23 @@ class TestEmitters:
             "2,,1.2345679e+08,0\n"
             "3,,,1e+300\n"
         )
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_csv_matches_per_cell_formatter(self, direction):
+        """Rows whose defined cells are one run (one format each) and rows
+        with a gap (cell by cell) render byte for byte as the per-cell
+        formatter: either triangle, an all-NaN column inside the span (a band
+        with nothing kept), an inf cell and an all-NaN row."""
+        rng = np.random.default_rng(27)
+        n = 9
+        values = rng.uniform(0, 1, (n, n)) * 10.0 ** rng.integers(-12, 12, (n, n))
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        values[~(upper if direction == FORWARD else upper.T)] = np.nan
+        values[:, 4] = np.nan
+        values[2, 6 if direction == FORWARD else 0] = np.inf
+        values[7] = np.nan
+        m = GcsMatrix(values, direction, 18, np.arange(n), 1e-6)
+        assert gcs_to_csv(m) == gcs_csv_per_cell(values, direction, 18, np.arange(n), 1e-6)
 
     def test_pgm_layout(self):
         """PGM output is binary P5 with one byte per matrix cell."""

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import ssim_direct
+from reference_impls import ssim_direct, ssim_per_band
 from hsdenoise.metrics import MetricError, psnr, psnr_per_band, sam, ssim
 from hsdenoise.noise import add_gaussian_iid
 from hsdenoise.tensors import ConfigError, ShapeError
@@ -66,6 +66,17 @@ class TestSsim:
         mine = ssim(x, ref)
         oracle = np.mean([ssim_direct(x[:, :, b], ref[:, :, b]) for b in range(4)])
         assert abs(mine - float(oracle)) <= 1e-4
+
+    @pytest.mark.parametrize("shape", [(19, 13, 3), (11, 11, 2)], ids=["h!=w", "11x11"])
+    def test_matches_per_band_loop(self, shape):
+        """The windowed means over the whole cube, then each band's mean, are
+        byte-equal to a per-band loop, whatever the input's memory order."""
+        rng = np.random.default_rng(8)
+        ref = rng.uniform(0, 1, size=shape)
+        x = np.clip(ref + rng.normal(0, 0.1, size=shape), 0, 1)
+        expected = ssim_per_band(x, ref)
+        assert ssim(x, ref) == expected
+        assert ssim(np.asfortranarray(x), ref) == expected
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)

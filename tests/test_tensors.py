@@ -501,6 +501,79 @@ def test_weight_grad_sums_blocks_in_float64(monkeypatch):
         assert_rel(actual, gw_ref, 2 * float(np.finfo(np.float32).eps))
 
 
+# Maps with one band tap, which walk whole band planes. Each column has
+# T * c2 = 27 rows: at 27 rows or fewer, the float32 GEMM's sums do not
+# depend on how many columns a block has (from 36 rows on, OpenBLAS's
+# small-matrix kernel sums some column counts in another order).
+# (wshape, stride)
+PLANE_KERNELS = {
+    "first-1to64": ((64, 1, 3, 3, 3), (1, 1, 1)),
+    "qru2d-3x3x1": ((32, 3, 3, 3, 1), (1, 1, 1)),
+    "band-strided": ((64, 1, 3, 3, 3), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("split", ["bands", "rows"])
+@pytest.mark.parametrize("name", sorted(PLANE_KERNELS))
+def test_plane_walk_splits_keep_forward_bytes(name, split, monkeypatch):
+    """With the block budget lowered so that each sample splits into blocks
+    of three band planes (bands), or each plane into blocks of two rows
+    (rows), the last block shorter: the float32 forward is byte-equal to the
+    run in one block per sample, and the forward and weight gradient stay
+    within RTOL_FLOAT32 of the float64 oracles."""
+    wshape, stride = PLANE_KERNELS[name]
+    c1, c2 = wshape[:2]
+    ksize = wshape[2:]
+    pad = tuple(k // 2 for k in ksize)
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((2, c2, 9, 7, 13)).astype(np.float32)
+    w = rng.standard_normal(wshape).astype(np.float32)
+    kern = ConvKernel(w, np.zeros(c1, np.float32))
+    whole = conv3d_forward(x, kern, stride)
+    ho, wo, bo = whole.shape[2:]
+    k = c2 * int(np.prod(ksize))
+    xp = tensors._padded(x, ksize, np.float32, True)
+    assert len(list(tensors._plane_blocks(xp, wshape, stride, whole))) == 2
+
+    if split == "bands":
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * k * ho * wo * 4)
+        expect = [3 * ho * wo] * (bo // 3) + [bo % 3 * ho * wo]
+    else:
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 2 * k * wo * 4)
+        expect = ([2 * wo] * (ho // 2) + [ho % 2 * wo]) * bo
+    cols = [column.shape[1] for _, column in tensors._plane_blocks(xp, wshape, stride, whole)]
+    assert cols == 2 * expect and expect[-1] < expect[0]
+
+    y = conv3d_forward(x, kern, stride)
+    assert y.tobytes() == whole.tobytes()
+    assert_rel(y, conv3d_im2col(x, w, np.zeros(c1), stride, pad), RTOL_FLOAT32)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    _, gw, _ = conv3d_backward(x, kern, stride, g, False)
+    assert_rel(gw, conv3d_weight_grad_im2col(x, g, ksize, stride, pad), RTOL_FLOAT32)
+
+
+def test_first_layer_forward_within_block_budget():
+    """A float32 1 -> 64 forward over 1x1x24x24x220, gcs's first layer:
+    it allocates at most its padded grid, weight copy and output plus one
+    _BLOCK_BYTES block (10% slack). A full-size product or a transposed
+    copy of the 32 MiB output exceeds it."""
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((1, 1, 24, 24, 220)).astype(np.float32)
+    kern = ConvKernel(rng.standard_normal((64, 1, 3, 3, 3)).astype(np.float32),
+                      np.zeros(64, np.float32))
+    padded = 26 * 26 * 222 * 4
+    bound = 1.1 * (padded + 64 * 27 * 4 + 64 * 24 * 24 * 220 * 4 + tensors._BLOCK_BYTES)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conv3d_forward(x, kern, (1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
+
+
 def test_standard_net_float32_within_contract_of_float64_shadow():
     """The float32 standard network's output on a fixed case-5 cube stays
     within 1e-5 absolute of its float64 shadow's (output peak about 2.2)."""
