@@ -132,10 +132,27 @@ def cmd_gen_synthetic(args):
     return 0
 
 
+def _read_cube(path):
+    """The cube at path, refused if it holds NaN or Inf: one such sample
+    would spread through every layer to the whole output, or into every
+    metric, or hide under the noise that add-noise lays over it."""
+    import numpy as np
+    from .hsio import read_hsi
+    cube = read_hsi(path)
+    bad = ~np.isfinite(cube)
+    if bad.any():
+        bands = [str(j + 1) for j in np.flatnonzero(bad.any(axis=(0, 1)))]
+        more = f" and {len(bands) - 10} more" if len(bands) > 10 else ""
+        raise ValueError(
+            f"{path}: {int(bad.sum())} non-finite samples (NaN or Inf) in band(s) "
+            f"{', '.join(bands[:10])}{more}; cubes must be finite")
+    return cube
+
+
 def cmd_add_noise(args):
-    from .hsio import read_hsi, write_hsi
+    from .hsio import write_hsi
     from .noise import CorruptionReport, add_gaussian_iid, synthesize_case
-    cube = read_hsi(args.input)
+    cube = _read_cube(args.input)
     if args.case is not None:
         noisy, report = synthesize_case(cube, args.case, args.seed)
         regime = f"case {args.case}"
@@ -155,26 +172,12 @@ def cmd_add_noise(args):
     return 0
 
 
-def _require_finite(cube, path):
-    """Reject a cube holding NaN or Inf: one such sample would spread
-    through every layer to the whole output, or into every metric."""
-    import numpy as np
-    bad = ~np.isfinite(cube)
-    if bad.any():
-        bands = [str(j + 1) for j in np.flatnonzero(bad.any(axis=(0, 1)))]
-        more = f" and {len(bands) - 10} more" if len(bands) > 10 else ""
-        raise ValueError(
-            f"{path}: {int(bad.sum())} non-finite samples (NaN or Inf) in band(s) "
-            f"{', '.join(bands[:10])}{more}; cubes must be finite")
-
-
 def cmd_denoise(args):
     import numpy as np
-    from .hsio import read_hsi, write_hsi
+    from .hsio import write_hsi
     from .network import load_weights
     model = load_weights(args.weights, global_residual=args.residual)
-    cube = read_hsi(args.input)
-    _require_finite(cube, args.input)
+    cube = _read_cube(args.input)
     height, width = cube.shape[:2]
     # Reflect-pad H and W up to the encoder's divisor; crop back below.
     req = model.config.downsample_factor()
@@ -193,17 +196,14 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    from .hsio import read_hsi
     from .metrics import SSIM_WINDOW, psnr, psnr_per_band, sam, ssim
-    clean = read_hsi(args.clean).astype("float64")
-    _require_finite(clean, args.clean)
+    clean = _read_cube(args.clean).astype("float64")
     cubes = []
     for path in args.inputs:
-        cube = read_hsi(path).astype("float64")
+        cube = _read_cube(path).astype("float64")
         if cube.shape != clean.shape:
             raise ValueError(
                 f"{path} shape {cube.shape} does not match clean {clean.shape}")
-        _require_finite(cube, path)
         cubes.append((path, cube))
     height, width = clean.shape[:2]
     if min(height, width) < SSIM_WINDOW:
@@ -244,17 +244,15 @@ def cmd_gcs(args):
     import numpy as np
     from .gcs import (GcsMatrix, check_eps, gcs_matrix, gcs_to_csv, no_recurrence,
                       overlay_values, relative_bands, values_to_pgm)
-    from .hsio import read_hsi
     from .network import load_weights
     if os.path.basename(args.out_prefix) in ("", os.curdir, os.pardir):
         raise ValueError(f"--out-prefix {args.out_prefix!r} names a directory, not a file prefix")
-    model = load_weights(args.weights, global_residual=args.residual)
+    model = load_weights(args.weights)
     layer = _layer_index(args.layer, len(model.units))
     check_eps(args.eps)
     if not model.units[layer].gated:
         raise no_recurrence(layer)
-    cube = read_hsi(args.input)
-    _require_finite(cube, args.input)
+    cube = _read_cube(args.input)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
     # gcs reads only this layer's traces: the layers before it run untraced.
     _, trace = model.units[layer].forward(model.unit_input(x, layer), keep_trace=True)
@@ -350,12 +348,11 @@ def cmd_gradcheck(args):
 
 def _load_patch_arrays(paths, size, stride, augment):
     import numpy as np
-    from .hsio import extract_patches, read_hsi
+    from .hsio import extract_patches
     arrays = []
     bands = None
     for path in paths:
-        cube = read_hsi(path)
-        _require_finite(cube, path)
+        cube = _read_cube(path)
         if bands is None:
             bands = cube.shape[2]
         elif cube.shape[2] != bands:
@@ -471,7 +468,6 @@ def build_parser():
                    help="'first', 'last', or a 1-based layer index")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--residual", type=_bool_key, default=True)
     p.set_defaults(func=cmd_gcs)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")

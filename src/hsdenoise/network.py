@@ -180,24 +180,17 @@ class Model:
         gradient checking)."""
         return Model(self.config, [u.astype(dtype) for u in self.units])
 
-    def forward(self, x, keep_traces=False, through=None):
+    def forward(self, x, keep_traces=False):
         """Run the network; returns (output, traces or None).
 
         Traces hold each unit's own trace plus every layer output, enough
         for backward() and for the spectral-dependency diagnostics. Without
         traces a pass holds only what a later step reads: the current
         activation, and a layer output read by a skip until that skip adds
-        it; units then run their gates and recurrence in place.
-
-        `through` (zero-based layer index) stops right after that unit and
-        returns its output, without the global residual, and the traces of
-        the layers run so far. A layer reads only earlier layers, so those
-        traces equal the first through+1 of a full pass. The input is
-        checked against the whole network either way.
+        it; units then run their recurrence in place.
         """
-        stop = len(self.units) if through is None else self._layer(through) + 1
-        cur, outputs, unit_traces = self._walk(x, stop, keep_traces)
-        if through is None and self.config.global_residual:
+        cur, outputs, unit_traces = self._walk(x, len(self.units), keep_traces)
+        if self.config.global_residual:
             cur = cur + x
         traces = {"outputs": list(outputs.values()), "units": unit_traces}
         return cur, (traces if keep_traces else None)
@@ -206,14 +199,11 @@ class Model:
         """The input forward() feeds unit `layer` (zero-based), its skip
         added, from a pass without traces over the layers before it; so a
         traced unit.forward on it gives forward's trace of that layer."""
-        cur, outputs, _ = self._walk(x, self._layer(layer), False)
+        if not 0 <= layer < len(self.units):
+            raise ConfigError(f"layer {layer} outside 0..{len(self.units) - 1}")
+        cur, outputs, _ = self._walk(x, layer, False)
         src = self.config.skips.get(layer)
         return cur if src is None else cur + outputs[src]
-
-    def _layer(self, index):
-        if not 0 <= index < len(self.units):
-            raise ConfigError(f"layer {index} outside 0..{len(self.units) - 1}")
-        return index
 
     def _walk(self, x, stop, keep_traces):
         """Check x, run units 0..stop-1: (last output, kept outputs, traces)."""

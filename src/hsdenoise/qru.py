@@ -167,13 +167,13 @@ class QruUnit:
         )
 
     def forward(self, x, keep_trace=False):
-        """(y, trace or None). Untraced, gates and a second direction's h
-        run in place on the conv output; y, the first h, is the one new
-        array. Traced, new gates replace the conv output before any h."""
+        """(y, trace or None). Gates activate in place on the conv output, so
+        a trace's z and f are bank views of it. Untraced, a second direction's
+        h runs in place too and y, the first h, is the one new array."""
         conv = tconv3d_forward if self.transposed else conv3d_forward
         pre = np.split(conv(x, self._stacked(), self.stride), len(self.banks), axis=1)
-        pre = [activate(p, kind, out=None if keep_trace else p)
-               for p, kind in zip(pre, ("tanh", "sigmoid") * 2)]
+        for p, kind in zip(pre, ("tanh", "sigmoid") * 2):
+            activate(p, kind, out=p)
         if not self.gated:
             return pre[0], ((x, pre[0]) if keep_trace else None)
         y = None

@@ -139,6 +139,9 @@ class StageSpec:
         self.cases = cases
 
 
+SCHEDULE_EPOCHS = 100
+
+
 def schedule_for_epoch(epoch):
     """Stage settings for a zero-based epoch of the 100-epoch curriculum.
 
@@ -149,8 +152,8 @@ def schedule_for_epoch(epoch):
     """
     if not isinstance(epoch, (int, np.integer)) or isinstance(epoch, bool):
         raise ConfigError(f"epoch must be an integer, got {epoch!r}")
-    if epoch < 0 or epoch >= 100:
-        raise ConfigError(f"epoch {epoch} outside the schedule range [0, 100)")
+    if epoch < 0 or epoch >= SCHEDULE_EPOCHS:
+        raise ConfigError(f"epoch {epoch} outside the schedule range [0, {SCHEDULE_EPOCHS})")
     if epoch < 30:
         lr = 1e-3 if epoch < 20 else 1e-4
         return StageSpec(1, lr, 16, "fixed", sigma=50.0)
@@ -187,6 +190,9 @@ class TrainOptions:
             raise ConfigError(f"unknown training policy {policy!r}")
         if epochs <= 0:
             raise ConfigError("epochs must be positive")
+        if policy == "schedule" and epochs > SCHEDULE_EPOCHS:
+            raise ConfigError(f"{epochs} epochs run past the {SCHEDULE_EPOCHS}-epoch schedule; "
+                              f"use policy fixed for longer runs")
         if start_epoch < 0 or start_epoch >= epochs:
             raise ConfigError(f"start epoch {start_epoch} outside [0, {epochs})")
         if batch_size < 1:

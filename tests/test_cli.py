@@ -128,6 +128,19 @@ class TestAddNoise:
         assert "sigma must be finite and non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        """A NaN sample exits 2 naming its count and band, with no cube or
+        report: case 5 could overwrite it and hide the bad source."""
+        src, cube = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 6), seed=1)
+        cube[2, 3, 4] = np.nan
+        write_hsi(src, cube)
+        out = tmp_path / "noisy.hsi"
+        assert run_cli("add-noise", src, str(out), "--case", 5, "--seed", 0) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: 1 non-finite samples" in err and "band(s) 5;" in err
+        assert not out.exists()
+        assert not (tmp_path / "noisy.hsi.report.txt").exists()
+
     def test_missing_input_fails(self, tmp_path, capsys):
         """A missing input exits nonzero with a diagnostic."""
         code = run_cli("add-noise", str(tmp_path / "nope.hsi"),
@@ -399,8 +412,8 @@ class TestGcsCommand:
         assert peaks["last"] <= peaks["first"], {k: v / 2**20 for k, v in peaks.items()}
 
     def test_matrices_match_full_forward(self, tmp_path):
-        """Stopping the forward at the analyzed layer writes the matrices
-        of the full pass's traces of that layer."""
+        """gcs on one layer writes the matrices of the full traced pass's
+        traces of that layer."""
         weights = make_weights(tmp_path, n_layers=5)
         src, cube = make_cube(tmp_path, "in.hsi", shape=(8, 8, 6), seed=10)
         prefix = str(tmp_path / "g3")
@@ -508,6 +521,18 @@ class TestTrainCommand:
                        "--patch-size", 8)
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_epochs_past_schedule_rejected(self, tmp_path, capsys):
+        """The default schedule policy covers 100 epochs: asking for more
+        exits 2 naming the schedule, before --out-dir is created, instead of
+        failing at epoch 100 with no final weights or log."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(8, 8, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir), "--epochs", 101,
+                       "--max-steps-per-epoch", 1, "--width", 2, "--patch-size", 8)
+        assert code == 2
+        assert "101 epochs run past the 100-epoch schedule" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--data", "--val"])

@@ -310,6 +310,8 @@ class TestTrainLoop:
             TrainOptions(policy="annealed")
         with pytest.raises(ConfigError):
             TrainOptions(epochs=0)
+        with pytest.raises(ConfigError, match="101 epochs run past the 100-epoch schedule"):
+            TrainOptions(epochs=101)
         with pytest.raises(ConfigError):
             TrainOptions(epochs=2, start_epoch=2)
         for size in (0, -1):
