@@ -196,7 +196,7 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    from .metrics import SSIM_WINDOW, psnr, psnr_per_band, sam, ssim
+    from .metrics import SSIM_WINDOW, psnr_per_band, sam, ssim
     clean = _read_cube(args.clean).astype("float64")
     cubes = []
     for path in args.inputs:
@@ -215,9 +215,9 @@ def cmd_eval(args):
     header += [f"psnr_b{j + 1}" for j in range(clean.shape[2])]
     lines.append(",".join(header))
     for path, cube in cubes:
-        row = [path, f"{psnr(cube, clean):.6f}", f"{ssim(cube, clean):.6f}",
-               f"{sam(cube, clean):.6f}"]
-        row += [f"{v:.6f}" for v in psnr_per_band(cube, clean)]
+        per_band = psnr_per_band(cube, clean)
+        row = [path, f"{per_band.mean():.6f}", f"{ssim(cube, clean):.6f}",
+               f"{sam(cube, clean):.6f}"] + [f"{v:.6f}" for v in per_band]
         lines.append(",".join(row))
         print(f"{path}: mpsnr {row[1]} mssim {row[2]} sam {row[3]}")
     with open(args.out, "w") as fh:
@@ -254,9 +254,10 @@ def cmd_gcs(args):
         raise no_recurrence(layer)
     cube = _read_cube(args.input)
     x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
-    # gcs reads only this layer's traces: the layers before it run untraced.
-    _, trace = model.units[layer].forward(model.unit_input(x, layer), keep_trace=True)
-    matrices = [gcs_matrix(t, eps=args.eps) for t in trace[1]]
+    # gcs reads only this layer's traces: the layers before it run untraced,
+    # and map drops each direction's trace before the next one's h is made.
+    traces = model.units[layer].direction_traces(model.unit_input(x, layer))
+    matrices = list(map(lambda t: gcs_matrix(t, eps=args.eps), traces))
     parent = os.path.dirname(args.out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -21,7 +21,7 @@ i's candidate times the product of the gates between i and j. `gcs_matrix`
 computes it block by block, as chunked state-space and gated linear-attention
 layers do: a band-by-band walk inside each block of bands, one GEMM between
 each block and all earlier ones, and gate products carried by multiplication
-alone, on one float64 copy of the trace (the candidate rows) plus one block.
+alone, on one float64 copy of the trace (the candidate rows) plus two blocks.
 """
 
 import numpy as np
@@ -72,21 +72,22 @@ def no_recurrence(layer):
     return ConfigError(f"layer {layer} has no pooling recurrence to analyze")
 
 
-def _block_rows(a, step, start, stop):
-    """Float64 C-ordered (stop - start, numel) copy of walk-order bands start..stop-1."""
-    rows = np.moveaxis(np.asarray(a), -1, 0)[::step][start:stop]
-    return np.array(rows, dtype=np.float64, order="C").reshape(stop - start, -1)
+def _block_rows(a, step, start, out):
+    """Cast walk-order bands start.. of a into out, a float64 (bands, numel) block."""
+    rows = np.moveaxis(np.asarray(a), -1, 0)[::step][start:start + len(out)]
+    np.copyto(out.reshape(rows.shape), rows)
+    return out
 
 
-def _sums(rows, cols, include):
+def _sums(rows, cols, drop):
     """rows @ cols.T, with every non-finite cell summed again over its
-    column's included elements alone: a non-finite contribution on an
-    excluded element turns that element's zero weight into NaN."""
+    column's kept elements alone: a non-finite contribution on an
+    excluded (dropped) element turns that element's zero weight into NaN."""
     total = rows @ cols.T
     if np.isfinite(total).all():
         return total
     for r, c in np.argwhere(~np.isfinite(total)):
-        total[r, c] = np.where(include[c], rows[r] * cols[c], 0.0).sum()
+        total[r, c] = np.where(drop[c], 0.0, rows[r] * cols[c]).sum()
     return total
 
 
@@ -115,7 +116,8 @@ def gcs_matrix(trace, eps=1e-6):
     that walk's, which moves cells by about 1e-15 relative. That is
     O(bands^2 * numel) arithmetic in GEMMs, plus
     O(bands * numel * (K + bands / K)) in-place row scaling, on one float64
-    (bands, numel) array, the c rows; g, w and the mask exist per block.
+    (bands, numel) array, the c rows; each block casts into it and into two
+    float64 K-row buffers and one mask, made once per call, for g and w.
     """
     if not isinstance(trace, PoolingTrace):
         raise ConfigError("gcs_matrix needs a single-direction pooling trace")
@@ -123,31 +125,33 @@ def gcs_matrix(trace, eps=1e-6):
     shape = np.shape(trace.z)
     n_bands, h_numel = shape[-1], int(np.prod(shape[:-1]))
     step = _band_order(n_bands, trace.direction).step
-    sq = np.empty((n_bands, h_numel))
+    k = min(_BLOCK_BANDS, n_bands)
+    sq, blocks = np.empty((n_bands, h_numel)), np.empty((2, k, h_numel))
+    mask = np.empty((k, h_numel), dtype=bool)
     kept = np.empty(n_bands, dtype=np.int64)
     walk = np.full((n_bands, n_bands), np.nan)
     with np.errstate(divide="ignore"):
         for start in range(0, n_bands, _BLOCK_BANDS):
             stop = min(start + _BLOCK_BANDS, n_bands)
-            # Block C's rows: c goes into sq; g, w and the mask exist for C only.
-            g = _block_rows(trace.f, step, start, stop)
-            c = sq[start:stop]
-            c[...] = _block_rows(trace.z, step, start, stop)
-            np.square(np.multiply(c, 1.0 - g, out=c), out=c)
+            # Block C's rows: c goes into sq; g, w and the mask into the block buffers.
+            g, w, drop = blocks[0, :stop - start], blocks[1, :stop - start], mask[:stop - start]
+            c = _block_rows(trace.z, step, start, sq[start:stop])
+            _block_rows(trace.f, step, start, g)
+            np.square(np.multiply(c, np.subtract(1.0, g, out=w), out=c), out=c)
             np.square(g, out=g)
-            w = _block_rows(trace.h, step, start, stop)
-            include = np.abs(w) >= eps
+            _block_rows(trace.h, step, start, w)
+            np.invert(np.greater_equal(np.abs(w, out=w), eps, out=drop), out=drop)
             np.divide(1.0, np.square(w, out=w), out=w)
-            w[~include] = 0.0
-            kept[start:stop] = np.count_nonzero(include, axis=1)
+            w[drop] = 0.0
+            kept[start:stop] = h_numel - np.count_nonzero(drop, axis=1)
             for q, p in enumerate(range(start, stop)):
                 sq[start:p] *= g[q]
-                walk[start:p + 1, p] = _sums(sq[start:p + 1], w[q:q + 1], include[q:q + 1])[:, 0]
+                walk[start:p + 1, p] = _sums(sq[start:p + 1], w[q:q + 1], drop[q:q + 1])[:, 0]
                 # g_p becomes the prefix product of C up to p, w_p becomes b_p.
                 if q:
                     g[q] *= g[q - 1]
                 w[q] *= g[q]
-            walk[:start, start:stop] = _sums(sq[:start], w, include)
+            walk[:start, start:stop] = _sums(sq[:start], w, drop)
             sq[:start] *= g[-1]
     walk[:, kept == 0] = np.nan
     values = np.sqrt(walk[::step, ::step])

@@ -166,27 +166,37 @@ class QruUnit:
             np.concatenate([k.bias for k in self.banks]),
         )
 
-    def forward(self, x, keep_trace=False):
-        """(y, trace or None). Gates activate in place on the conv output, so
-        a trace's z and f are bank views of it. Untraced, a second direction's
-        h runs in place too and y, the first h, is the one new array."""
+    def _gates(self, x):
+        """The stacked conv output split into bank views, gates activated in
+        place, so a trace's z and f are bank views of it."""
         conv = tconv3d_forward if self.transposed else conv3d_forward
         pre = np.split(conv(x, self._stacked(), self.stride), len(self.banks), axis=1)
         for p, kind in zip(pre, ("tanh", "sigmoid") * 2):
             activate(p, kind, out=p)
+        return pre
+
+    def direction_traces(self, x):
+        """Yield a gated unit's PoolingTrace per direction, each h made only when
+        asked for: a consumer that drops each trace first holds one h at a time."""
+        pre = self._gates(x)
+        for d, z, f in zip(self._directions(), pre[0::2], pre[1::2]):
+            yield PoolingTrace(z, f, qru_pool_forward(z, f, d), d)
+
+    def forward(self, x, keep_trace=False):
+        """(y, trace or None). Traced, the traces are direction_traces' and y
+        adds their h. Untraced, a second direction's h runs in place into its
+        z and y, the first h, is the one new array."""
+        if keep_trace and self.gated:
+            traces = list(self.direction_traces(x))
+            y = traces[0].h if len(traces) == 1 else traces[0].h + traces[1].h
+            return y, (x, traces)
+        pre = self._gates(x)
         if not self.gated:
             return pre[0], ((x, pre[0]) if keep_trace else None)
-        y = None
-        traces = []
-        for d, z, f in zip(self._directions(), pre[0::2], pre[1::2]):
-            if keep_trace or y is None:
-                h = qru_pool_forward(z, f, d)
-                y = h if y is None else y + h
-            else:
-                y += qru_pool_forward(z, f, d, out=z)
-            if keep_trace:
-                traces.append(PoolingTrace(z, f, h, d))
-        return y, ((x, traces) if keep_trace else None)
+        y = qru_pool_forward(pre[0], pre[1], self._directions()[0])
+        for d, z, f in zip(self._directions()[1:], pre[2::2], pre[3::2]):
+            y += qru_pool_forward(z, f, d, out=z)
+        return y, None
 
     def backward(self, trace, grad_y, input_grad=True):
         """(grad_x, per-parameter grads); grad_x is None when input_grad is

@@ -352,6 +352,7 @@ class TestGcsCommand:
 
         monkeypatch.setattr(network.Model, "forward", no_forward)
         monkeypatch.setattr(qru.QruUnit, "forward", no_forward)
+        monkeypatch.setattr(qru.QruUnit, "direction_traces", no_forward)
         if case == "eps":
             weights, flags, message = make_weights(tmp_path), ["--eps", "nan"], "eps must be positive"
         else:
@@ -424,6 +425,76 @@ class TestGcsCommand:
         for tr in pooling_traces(traces, 2):
             text = open(f"{prefix}.{tr.direction}.csv").read()
             assert text.endswith(gcs_to_csv(gcs_matrix(tr)))
+
+    @pytest.mark.parametrize("layer", ["first", "last"])
+    def test_bidirectional_matrices_match_full_forward(self, tmp_path, layer):
+        """gcs on the standard net's bidirectional first or last layer writes
+        one matrix per trace of that layer in the full traced pass."""
+        weights = str(tmp_path / "net.q3dw")
+        model = build_network(standard_config(), seed=3)
+        save_weights(weights, model)
+        src, cube = make_cube(tmp_path, "in.hsi", shape=(8, 8, 6), seed=11)
+        prefix = str(tmp_path / layer)
+        assert run_cli("gcs", src, "--weights", weights, "--layer", layer,
+                       "--out-prefix", prefix) == 0
+        _, traces = model.forward(cube[np.newaxis, np.newaxis], keep_traces=True)
+        branches = pooling_traces(traces, 0 if layer == "first" else len(model.units) - 1)
+        assert [tr.direction for tr in branches] == ["forward", "backward"]
+        for tr in branches:
+            text = open(f"{prefix}.{tr.direction}.csv").read()
+            assert text.endswith(gcs_to_csv(gcs_matrix(tr)))
+
+    def test_first_direction_h_freed_before_second(self, tmp_path, monkeypatch):
+        """gcs --layer first drops the forward trace before the backward
+        direction's recurrence runs: no h it pooled earlier is still alive."""
+        import weakref
+
+        import hsdenoise.qru as qru
+
+        made = []
+        pool = qru.qru_pool_forward
+
+        def watched(z, f, d, out=None):
+            assert all(ref() is None for ref in made), "an earlier h is still alive"
+            h = pool(z, f, d, out)
+            made.append(weakref.ref(h))
+            return h
+
+        monkeypatch.setattr(qru, "qru_pool_forward", watched)
+        weights = make_weights(tmp_path)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 5), seed=12)
+        assert run_cli("gcs", src, "--weights", weights, "--out-prefix",
+                       str(tmp_path / "g")) == 0
+        assert len(made) == 2
+
+    def test_first_layer_holds_one_direction(self, tmp_path):
+        """gcs --layer first on the standard net and a 24x24x220 case-5 cube
+        makes no unit output and holds one h while gcs_matrix runs: its
+        tracemalloc peak stays within the stacked gate buffer, one h, the
+        float64 c rows and the two block buffers of gcs_matrix, plus 10
+        percent (62.7 MiB against 63.3; 79.7 with both h and y alive)."""
+        import hsdenoise.gcs as gcs
+
+        weights = str(tmp_path / "net.q3dw")
+        save_weights(weights, build_network(standard_config(), seed=7))
+        noisy, _ = synthesize_case(gen_synthetic(24, 24, 220, 7), 5, [7, 1])
+        src = str(tmp_path / "noisy.hsi")
+        write_hsi(src, noisy.astype(np.float32))
+        numel, bands = 16 * 24 * 24, 220
+        h_bytes = 4 * numel * bands
+        bound = 1.1 * (4 * h_bytes + h_bytes + 8 * numel * bands
+                       + 2 * 8 * gcs._BLOCK_BANDS * numel)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = run_cli("gcs", src, "--weights", weights, "--layer", "first",
+                           "--out-prefix", str(tmp_path / "first"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f}"
 
 
 class TestGradcheckCommand:

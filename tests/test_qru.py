@@ -548,6 +548,32 @@ class TestTracedForward:
         assert held == (4 + 3) * 16 * x.nbytes
         assert peak <= 1.02 * held, f"peak {peak / 2**20:.1f} MiB, held {held / 2**20:.1f}"
 
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD, BIDIRECTIONAL])
+    def test_direction_traces_match_forward(self, monkeypatch, direction):
+        """direction_traces yields forward(keep_trace=True)'s z, f and h byte
+        for byte, one direction per step, and runs each direction's
+        recurrence only when the consumer asks for that trace."""
+        rng = np.random.default_rng(47)
+        unit = make_variant("qru3d").build(rng, 2, 3, (1, 1, 1), direction, dtype=np.float32)
+        x = rng.standard_normal((1, 2, 4, 4, 6)).astype(np.float32)
+        _, (_, want) = unit.forward(x, keep_trace=True)
+        pooled = []
+        pool = qru.qru_pool_forward
+
+        def counted(z, f, d, out=None):
+            pooled.append(d)
+            return pool(z, f, d, out)
+
+        monkeypatch.setattr(qru, "qru_pool_forward", counted)
+        got = []
+        for tr in unit.direction_traces(x):
+            assert pooled == [t.direction for t in want[:len(got) + 1]]
+            got.append(tr)
+        assert [t.direction for t in got] == [t.direction for t in want]
+        for tr, ref in zip(got, want):
+            for name in ("z", "f", "h"):
+                assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
+
 
 class TestUnitForward:
     def test_forward_unit_is_causal_beyond_one_band(self):
