@@ -173,25 +173,15 @@ def cmd_add_noise(args):
 
 
 def cmd_denoise(args):
-    import numpy as np
     from .hsio import write_hsi
     from .network import load_weights
     model = load_weights(args.weights, global_residual=args.residual)
     cube = _read_cube(args.input)
-    height, width = cube.shape[:2]
-    # Reflect-pad H and W up to the encoder's divisor; crop back below.
-    req = model.config.downsample_factor()
-    pad_h, pad_w = -height % req[0], -width % req[1]
-    if pad_h or pad_w:
-        cube = np.pad(cube, ((0, pad_h), (0, pad_w), (0, 0)), mode="reflect")
-    x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
-    out, _ = model.forward(x)
-    restored = np.clip(out[0, 0, :height, :width], 0.0, 1.0).astype(np.float32)
-    write_hsi(args.output, restored)
+    write_hsi(args.output, model.denoise(cube))
     _write_meta(args.output + ".meta", "denoise", {
         "weights": args.weights, "input": args.input, "output": args.output,
         "residual": args.residual})
-    print(f"wrote {args.output} ({height}x{width}x{cube.shape[2]})")
+    print(f"wrote {args.output} ({'x'.join(map(str, cube.shape))})")
     return 0
 
 

@@ -195,6 +195,15 @@ class Model:
         traces = {"outputs": list(outputs.values()), "units": unit_traces}
         return cur, (traces if keep_traces else None)
 
+    def denoise(self, cube):
+        """The restored (H, W, B) cube, clipped to [0, 1]: one float32 forward
+        without traces on the cube reflect-padded to the encoder's divisor."""
+        height, width = cube.shape[:2]
+        req = self.config.downsample_factor()
+        cube = np.pad(cube, ((0, -height % req[0]), (0, -width % req[1]), (0, 0)), mode="reflect")
+        out, _ = self.forward(np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32))
+        return np.clip(out[0, 0, :height, :width], 0.0, 1.0)
+
     def unit_input(self, x, layer):
         """The input forward() feeds unit `layer` (zero-based), its skip
         added, from a pass without traces over the layers before it; so a

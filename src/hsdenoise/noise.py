@@ -80,15 +80,6 @@ class CorruptionReport:
         bands = set(self.stripes) | set(self.deadlines) | set(self.impulses)
         return len(bands)
 
-    def merge(self, other):
-        if other.sigma_per_band is not None:
-            self.sigma_per_band = other.sigma_per_band
-        self.stripes.update(other.stripes)
-        self.deadlines.update(other.deadlines)
-        self.impulses.update(other.impulses)
-        self.notes.update(other.notes)
-        return self
-
     def to_text(self):
         lines = [f"regime: {self.regime}"]
         if self.sigma_per_band is not None:
@@ -229,18 +220,18 @@ def synthesize_case(x, case, seed):
         raise NoiseError(f"case must be one of {CASES}, got {case}")
     base = _seed_path(seed)
     y, report = add_noniid_gaussian(x, base + [0])
-    report.regime = f"case-{case}"
-    if case == 1:
-        return y, report
+    sigmas = report.sigma_per_band
     if case == 2:
-        y2, rep2 = add_stripes(y, base + [1])
+        y, report = add_stripes(y, base + [1])
     elif case == 3:
-        y2, rep2 = add_deadline(y, base + [1])
+        y, report = add_deadline(y, base + [1])
     elif case == 4:
-        y2, rep2 = add_impulse(y, base + [1])
-    else:
-        y2, rep2 = _case5_sparse(y, base + [1])
-    return y2, report.merge(rep2)
+        y, report = add_impulse(y, base + [1])
+    elif case == 5:
+        y, report = _case5_sparse(y, base + [1])
+    report.regime = f"case-{case}"
+    report.sigma_per_band = sigmas
+    return y, report
 
 
 def _case5_sparse(y, seed):

@@ -54,10 +54,11 @@ forward, kn2row; Anderson et al. 2017):
 Band taps stay in the column (T = kh * kw * kb, and kb = 1 on the c1
 side) where the band axis is strided, or where c1 > kh * kw * c2, as in
 the first layer (1 -> 64): there kb blocks of c1 rows cost more than the
-column rows they save. These maps and kb = 1 kernels (qru2d's 3x3x1) run
-conv3d's forward and weight gradient on blocks of whole band planes of a
-bands-first grid: the GEMM writes each block into the output's planes, or
-reads grad_out's planes in place as grad rows; tconv3d's backward keeps rows.
+column rows they save. The walk follows the map's shape: these maps and
+kb = 1 kernels (qru2d's 3x3x1) run the forward product and the weight
+gradient, of conv3d and of tconv3d's backward alike, on blocks of whole
+band planes of a bands-first grid: the GEMM writes each block into the
+output's planes, or reads the grad rows' planes in place.
 
 Precision contract. A map computes in the result dtype of its array
 operands, np.result_type(x, weight), with grad_out too in the backward
@@ -175,9 +176,11 @@ def _halo_grid(shape, ksize, dtype, planes=False):
     return grid, (...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(shape[2:], ksize))
 
 
-def _padded(x, ksize, dtype, planes=False):
-    """Copy of x in dtype inside its zero halo, bands-first if planes."""
-    xp, interior = _halo_grid(x.shape, ksize, dtype, planes)
+def _padded(x, weight_shape, stride, dtype):
+    """Copy of x in dtype inside its zero halo for a map of this kernel and
+    stride: bands-first where the map has one band tap, for the plane walk."""
+    xp, interior = _halo_grid(x.shape, weight_shape[2:], dtype,
+                              _band_taps(weight_shape, stride) == 1)
     xp[interior] = x
     return xp
 
@@ -257,7 +260,7 @@ def _band_rows(a, n, rs, buf, bands):
     return rows.reshape(bands * c, -1)
 
 
-def _forward_core(xp, weight, stride, out_hwb, out_dtype, planes=False):
+def _forward_core(xp, weight, stride, out_hwb, out_dtype):
     """Cross-correlation without bias of a padded grid, in its dtype: one
     GEMM of the band-stacked weight, then block e of the product added onto
     block 0 from e columns on, as band tap e reads every band run e
@@ -267,7 +270,7 @@ def _forward_core(xp, weight, stride, out_hwb, out_dtype, planes=False):
     wt = _tap_major(weight, stride, xp.dtype)
     bands, (wo, bo) = len(wt), out_hwb[1:]
     y = _bands_first((n_n, c1) + out_hwb, out_dtype)
-    if planes:  # the GEMM writes each block into its run of y's planes
+    if bands == 1:  # the GEMM writes each block into its run of y's planes
         for out, column in _plane_blocks(xp, weight.shape, stride, y):
             np.matmul(wt[0], column, out=out)
         return y
@@ -304,7 +307,7 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
     return gx
 
 
-def _weight_grad_core(xp, g, weight_shape, stride, planes=False):
+def _weight_grad_core(xp, g, weight_shape, stride):
     """Float64 weight grad from a padded input and grad_out: each block's
     product, band-stacked grad rows @ column.T, in xp's dtype, their sum in
     float64."""
@@ -312,7 +315,7 @@ def _weight_grad_core(xp, g, weight_shape, stride, planes=False):
     bands = _band_taps(weight_shape, stride)
     gw = np.zeros((bands * c1, kh * kw * (kb // bands) * c2))
     part = np.empty(gw.shape, xp.dtype)
-    blocks = _plane_blocks(xp, weight_shape, stride, g) if planes else (
+    blocks = _plane_blocks(xp, weight_shape, stride, g) if bands == 1 else (
         (_band_rows(g, n, rs, spare, bands), column)
         for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]))
     for rows, column in blocks:  # g's planes are read in place where g is bands-first
@@ -338,9 +341,8 @@ def conv3d_forward(x, kernel, stride):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    planes = _band_taps(weight.shape, stride) == 1  # walk whole band planes
-    y = _forward_core(_padded(x, kernel.ksize, out_dtype, planes), weight, stride,
-                      _strided_hwb(x.shape[2:], stride), out_dtype, planes)
+    y = _forward_core(_padded(x, weight.shape, stride, out_dtype), weight, stride,
+                      _strided_hwb(x.shape[2:], stride), out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -355,9 +357,7 @@ def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
     dtype = np.result_type(x, weight, grad_out)
-    planes = _band_taps(weight.shape, stride) == 1
-    gw = _weight_grad_core(_padded(x, kernel.ksize, dtype, planes), grad_out, weight.shape,
-                           stride, planes)
+    gw = _weight_grad_core(_padded(x, weight.shape, stride, dtype), grad_out, weight.shape, stride)
     gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
         if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
@@ -396,7 +396,7 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     expect = (x.shape[0], weight.shape[1]) + tuple(s * n for n, s in zip(x.shape[2:], stride))
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gp = _padded(grad_out, kernel.ksize, np.result_type(x, weight, grad_out))
+    gp = _padded(grad_out, weight.shape, stride, np.result_type(x, weight, grad_out))
     gw = _weight_grad_core(gp, x, weight.shape, stride)
     gx = _forward_core(gp, weight, stride, x.shape[2:], x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)

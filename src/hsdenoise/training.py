@@ -272,11 +272,7 @@ def _corrupt(clean, stage, seed_path):
 
 
 def _val_psnr(model, val_pairs):
-    scores = []
-    for noisy, clean in val_pairs:
-        out, _ = model.forward(noisy[np.newaxis])
-        scores.append(psnr(np.clip(out[0, 0], 0.0, 1.0), clean[0]))
-    return float(np.mean(scores))
+    return float(np.mean([psnr(model.denoise(noisy[0]), clean[0]) for noisy, clean in val_pairs]))
 
 
 def _build_val_pairs(val_patches, seed):

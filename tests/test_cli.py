@@ -178,6 +178,19 @@ class TestDenoise:
         want = np.clip(full[0, 0, :10, :13], 0.0, 1.0)
         assert np.array_equal(read_hsi(out), want)
 
+    def test_model_denoise_writes_cli_bytes(self, tmp_path):
+        """Model.denoise, called with the cube alone, returns the bytes that
+        `hsdenoise denoise` writes for the same weights and 10x13 cube."""
+        model = build_network(standard_config(), seed=0)
+        weights = str(tmp_path / "bench.q3dw")
+        save_weights(weights, model)
+        src, cube = make_cube(tmp_path, "odd.hsi", shape=(10, 13, 3), seed=3)
+        out = str(tmp_path / "out.hsi")
+        assert run_cli("denoise", src, out, "--weights", weights) == 0
+        restored = model.denoise(cube)
+        assert restored.shape == cube.shape and restored.dtype == np.float32
+        assert restored.tobytes() == read_hsi(out).tobytes()
+
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         """A NaN or Inf sample fails with its count and bands, no output."""
         weights = make_weights(tmp_path)

@@ -532,7 +532,7 @@ def test_plane_walk_splits_keep_forward_bytes(name, split, monkeypatch):
     whole = conv3d_forward(x, kern, stride)
     ho, wo, bo = whole.shape[2:]
     k = c2 * int(np.prod(ksize))
-    xp = tensors._padded(x, ksize, np.float32, True)
+    xp = tensors._padded(x, wshape, stride, np.float32)
     assert len(list(tensors._plane_blocks(xp, wshape, stride, whole))) == 2
 
     if split == "bands":

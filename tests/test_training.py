@@ -4,6 +4,7 @@ finite-difference gradient checker."""
 import numpy as np
 import pytest
 
+from hsdenoise.metrics import psnr
 from hsdenoise.network import (
     WeightsError,
     build_network,
@@ -24,6 +25,7 @@ from hsdenoise.training import (
     save_optimizer_state,
     schedule_for_epoch,
     train,
+    _build_val_pairs,
     _corrupt,
 )
 
@@ -300,6 +302,36 @@ class TestTrainLoop:
             val_patches=val))
         assert log.rows[0]["val_psnr"] is not None
         assert log.rows[0]["val_psnr"] > 5.0
+
+    def test_val_psnr_is_mean_denoise_psnr(self):
+        """val_psnr is the mean PSNR of Model.denoise on each fixed noisy
+        validation patch against its clean patch."""
+        patches = smooth_patches(4, 8, 8, 4, seed=13)
+        val = smooth_patches(3, 8, 8, 4, seed=14)
+        model = build_network(desk_config(width=4, n_layers=3), seed=5)
+        _, log = train(model, patches, TrainOptions(
+            seed=6, epochs=1, policy="fixed", lr=1e-3, batch_size=2, sigma=25.0,
+            val_patches=val))
+        want = np.mean([psnr(model.denoise(noisy[0]), clean[0])
+                        for noisy, clean in _build_val_pairs(val, 6)])
+        assert log.rows[0]["val_psnr"] == float(want)
+
+    @pytest.mark.parametrize("first", [29, 49])
+    def test_schedule_policy_with_step_cap(self, first):
+        """Under the default schedule policy, two epochs across a stage
+        boundary log the schedule's stage, batch size and learning rate, and
+        max_steps_per_epoch=1 cuts each epoch to one Adam step, though 40
+        patches fill three stage-1 batches of 16."""
+        patches = smooth_patches(40, 8, 8, 4, seed=16)
+        model = build_network(desk_config(width=4, n_layers=3), seed=8)
+        state, log = train(model, patches, TrainOptions(
+            seed=4, epochs=first + 2, start_epoch=first, max_steps_per_epoch=1))
+        for row, epoch in zip(log.rows, (first, first + 1), strict=True):
+            spec = schedule_for_epoch(epoch)
+            assert (row["epoch"], row["stage"], row["batch_size"], row["lr"]) == (
+                epoch, spec.stage, spec.batch_size, spec.lr)
+        assert log.rows[1]["stage"] == log.rows[0]["stage"] + 1
+        assert (state.step, state.epoch) == (2, first + 2)
 
     def test_bad_options_rejected(self):
         """Empty patch lists, bad policies, and bad ranges are errors."""
