@@ -232,22 +232,14 @@ def _layer_index(text, n_layers):
 
 def cmd_gcs(args):
     import numpy as np
-    from .gcs import (GcsMatrix, check_eps, gcs_matrix, gcs_to_csv, no_recurrence,
-                      overlay_values, relative_bands, values_to_pgm)
+    from .gcs import (GcsMatrix, gcs_to_csv, layer_matrices, overlay_values, relative_bands,
+                      values_to_pgm)
     from .network import load_weights
     if os.path.basename(args.out_prefix) in ("", os.curdir, os.pardir):
         raise ValueError(f"--out-prefix {args.out_prefix!r} names a directory, not a file prefix")
     model = load_weights(args.weights)
     layer = _layer_index(args.layer, len(model.units))
-    check_eps(args.eps)
-    if not model.units[layer].gated:
-        raise no_recurrence(layer)
-    cube = _read_cube(args.input)
-    x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
-    # gcs reads only this layer's traces: the layers before it run untraced,
-    # and map drops each direction's trace before the next one's h is made.
-    traces = model.units[layer].direction_traces(model.unit_input(x, layer))
-    matrices = list(map(lambda t: gcs_matrix(t, eps=args.eps), traces))
+    matrices = layer_matrices(model, _read_cube(args.input), layer, args.eps)
     parent = os.path.dirname(args.out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -362,8 +354,6 @@ def cmd_train(args):
     settings = resolve_settings(args)
     stride = settings["patch-stride"] or settings["patch-size"]
     patches = _load_patch_arrays(args.data, settings["patch-size"], stride, settings["augment"])
-    if not patches:
-        raise ValueError("no training patches extracted from --data")
     val_patches = None
     if args.val:
         val_patches = _load_patch_arrays(args.val, settings["patch-size"],

@@ -159,6 +159,19 @@ def gcs_matrix(trace, eps=1e-6):
     return GcsMatrix(values, trace.direction, h_numel, excluded, eps)
 
 
+def layer_matrices(model, cube, layer, eps=1e-6):
+    """Each direction's GcsMatrix of unit `layer` (zero-based) on an (H, W, B) cube, checked
+    before any layer runs. map, unlike a list comprehension, frees each trace before the next."""
+    if not 0 <= layer < len(model.units):
+        raise ConfigError(f"layer {layer} outside 0..{len(model.units) - 1}")
+    check_eps(eps)
+    if not model.units[layer].gated:
+        raise no_recurrence(layer)
+    x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
+    traces = model.units[layer].direction_traces(model.unit_input(x, layer))
+    return list(map(lambda t: gcs_matrix(t, eps=eps), traces))
+
+
 class RelativeBands:
     """Per-output-band counts of contributing bands, split by side."""
 

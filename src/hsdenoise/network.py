@@ -183,8 +183,8 @@ class Model:
     def forward(self, x, keep_traces=False):
         """Run the network; returns (output, traces or None).
 
-        Traces hold each unit's own trace plus every layer output, enough
-        for backward() and for the spectral-dependency diagnostics. Without
+        Traces hold each unit's own trace, all that backward() and the
+        spectral-dependency diagnostics read, plus every layer output. Without
         traces a pass holds only what a later step reads: the current
         activation, and a layer output read by a skip until that skip adds
         it; units then run their recurrence in place.
@@ -197,10 +197,12 @@ class Model:
 
     def denoise(self, cube):
         """The restored (H, W, B) cube, clipped to [0, 1]: one float32 forward
-        without traces on the cube reflect-padded to the encoder's divisor."""
+        without traces on the cube, reflect-padded to the encoder's divisor
+        only if it does not divide (no layer writes into its input)."""
         height, width = cube.shape[:2]
         req = self.config.downsample_factor()
-        cube = np.pad(cube, ((0, -height % req[0]), (0, -width % req[1]), (0, 0)), mode="reflect")
+        if height % req[0] or width % req[1]:
+            cube = np.pad(cube, ((0, -height % req[0]), (0, -width % req[1]), (0, 0)), "reflect")
         out, _ = self.forward(np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32))
         return np.clip(out[0, 0, :height, :width], 0.0, 1.0)
 

@@ -58,14 +58,12 @@ class AdamState:
 
     __slots__ = ("m", "v", "step", "epoch", "beta1", "beta2", "eps")
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for p in params]
         self.step = 0
         self.epoch = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
 
 
 def adam_step(state, params, grads, lr):
@@ -106,7 +104,7 @@ def save_optimizer_state(path, state):
 
 
 def load_optimizer_state(path):
-    """Read an Adam state sidecar back into an AdamState."""
+    """Read an Adam state sidecar back into an AdamState, betas and eps too."""
     reader = BlobReader.open(path, WeightsError, b"Q3DA", 1)
     step, epoch, n_arrays = reader.unpack("<QII", "header")
     beta1, beta2, eps = reader.unpack("<ddd", "hyperparameters")

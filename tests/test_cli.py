@@ -191,6 +191,18 @@ class TestDenoise:
         assert restored.shape == cube.shape and restored.dtype == np.float32
         assert restored.tobytes() == read_hsi(out).tobytes()
 
+    def test_residual_flag_switches_output(self, tmp_path):
+        """--residual off runs the same weights without the global residual,
+        so it writes other bytes than --residual on."""
+        weights = make_weights(tmp_path)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=6)
+        blobs = {}
+        for flag in ("on", "off"):
+            out = str(tmp_path / f"out-{flag}.hsi")
+            assert run_cli("denoise", src, out, "--weights", weights, "--residual", flag) == 0
+            blobs[flag] = read_hsi(out).tobytes()
+        assert blobs["on"] != blobs["off"]
+
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         """A NaN or Inf sample fails with its count and bands, no output."""
         weights = make_weights(tmp_path)
@@ -302,6 +314,19 @@ class TestGcsCommand:
                        "--out-prefix", prefix)
         assert code == 2
         assert "outside 1..3" in capsys.readouterr().err
+
+    def test_layer_name_rejected(self, tmp_path, capsys):
+        """A --layer that is neither a name nor a number exits 2 saying what
+        it takes, and writes nothing."""
+        weights = make_weights(tmp_path)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
+        out_dir = tmp_path / "out"
+        code = run_cli("gcs", src, "--weights", weights, "--layer", "middle",
+                       "--out-prefix", str(out_dir / "g"))
+        assert code == 2
+        assert ("--layer takes 'first', 'last', or a 1-based index, got 'middle'"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_zero_epsilon_fails_without_output(self, tmp_path, capsys):
         """--eps 0 exits 2 and leaves no artifact behind."""
@@ -520,6 +545,28 @@ class TestGradcheckCommand:
         assert f"eps must be positive and finite, got {float(eps)!r}" in out.err
         assert "passed" not in out.out
 
+    def test_failed_case_reported(self, capsys, monkeypatch):
+        """With one case failing, gradcheck prints that case's table (and no
+        other, without --verbose), counts it on stderr and exits 1."""
+        import hsdenoise.training as training
+
+        calls = []
+
+        def one_fails(target, x, tolerance, eps):
+            calls.append(target)
+            err = 0.5 if len(calls) == 3 else 0.0
+            return training.GradCheckReport([("layer01.w", err)], tolerance)
+
+        monkeypatch.setattr(training, "grad_check", one_fails)
+        assert run_cli("gradcheck") == 1
+        out = capsys.readouterr()
+        assert "== tconv3d unit: FAIL (max rel err 5.000e-01)" in out.out
+        assert "layer01.w  5.0000e-01  FAIL" in out.out
+        assert out.out.count("rel_err     verdict") == 1
+        assert "all gradient checks passed" not in out.out
+        assert "1 gradient check(s) failed" in out.err
+        assert len(calls) == 9
+
 
 class TestTrainCommand:
     def test_small_fixed_run(self, tmp_path):
@@ -671,6 +718,36 @@ class TestTrainCommand:
                        "--out-dir", out_dir) == 0
         log = open(os.path.join(out_dir, "trainlog.csv")).read()
         assert "# policy: fixed" in log
+
+    @pytest.mark.parametrize("line, message", [
+        ("residual = maybe", "bad value for residual: expected on/off, got 'maybe'"),
+        ("kind = qru4d", "bad value for kind: expected one of ('qru3d', 'qru2d', 'c3d'), "
+                         "got 'qru4d'"),
+    ], ids=["bool", "choice"])
+    def test_bad_config_value_fails(self, tmp_path, capsys, line, message):
+        """A config value its key cannot take exits 2 naming the key, before
+        --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=12)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--config", str(cfg), "--data", src,
+                       "--out-dir", str(out_dir))
+        assert code == 2
+        assert f"{cfg}:1: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_band_count_mismatch_fails(self, tmp_path, capsys):
+        """--data cubes of 4 and 5 bands exit 2 naming the second file,
+        before --out-dir is created."""
+        first, _ = make_cube(tmp_path, "four.hsi", shape=(8, 8, 4), seed=13)
+        second, _ = make_cube(tmp_path, "five.hsi", shape=(8, 8, 5), seed=14)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", first, second, "--out-dir", str(out_dir),
+                       "--policy", "fixed", "--epochs", 1, "--width", 2, "--patch-size", 8)
+        assert code == 2
+        assert f"{second} has 5 bands, earlier cubes had 4" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         """Unknown keys in the config file abort before any work."""

@@ -19,7 +19,7 @@ from hsdenoise.gcs import (
     relative_bands,
     values_to_pgm,
 )
-from hsdenoise.network import build_network, desk_config
+from hsdenoise.network import build_network, desk_config, standard_config
 from hsdenoise.qru import BACKWARD, FORWARD, PoolingTrace, qru_pool_forward
 from hsdenoise.tensors import ConfigError
 
@@ -394,6 +394,48 @@ class TestNetworkExtraction:
         _, net_traces = model.forward(x, keep_traces=True)
         with pytest.raises(ConfigError):
             pooling_traces(net_traces, 3)
+
+
+class TestLayerMatrices:
+    @pytest.mark.parametrize("layer", [0, 5, 11])
+    def test_matches_full_forward_traces(self, layer):
+        """On the standard net, layer_matrices gives, byte for byte, the
+        matrices of that layer's traces in the full traced pass: the
+        bidirectional ends and a one-direction deep layer."""
+        model = build_network(standard_config(), seed=3)
+        cube = np.random.default_rng(22).random((8, 8, 6)).astype(np.float32)
+        got = gcs.layer_matrices(model, cube, layer)
+        _, traces = model.forward(cube[np.newaxis, np.newaxis], keep_traces=True)
+        want = [gcs_matrix(t) for t in pooling_traces(traces, layer)]
+        assert [m.direction for m in got] == [m.direction for m in want]
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w.values.tobytes()
+            assert g.excluded.tobytes() == w.excluded.tobytes()
+            assert g.h_numel == w.h_numel
+
+    @pytest.mark.parametrize("case, layer, eps, message", [
+        ("qru3d", 0, float("nan"), "eps must be positive and finite, got nan"),
+        ("c3d", 1, 1e-6, "layer 1 has no pooling recurrence"),
+        ("standard", 12, 1e-6, r"layer 12 outside 0\.\.11"),
+        ("standard", -1, 1e-6, r"layer -1 outside 0\.\.11"),
+    ], ids=["eps", "c3d", "past-last", "negative"])
+    def test_bad_request_fails_before_any_layer(self, monkeypatch, case, layer, eps, message):
+        """A bad eps, a layer without a recurrence, or a layer outside the
+        net (a negative one does not wrap to the last) raises ConfigError
+        before any layer runs."""
+        import hsdenoise.network as network
+        import hsdenoise.qru as qru
+
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("a layer ran")
+
+        monkeypatch.setattr(network.Model, "unit_input", no_run)
+        monkeypatch.setattr(qru.QruUnit, "direction_traces", no_run)
+        config = standard_config() if case == "standard" else desk_config(width=4, kind=case)
+        model = build_network(config, seed=1)
+        cube = np.full((8, 8, 4), 0.5, dtype=np.float32)
+        with pytest.raises(ConfigError, match=message):
+            gcs.layer_matrices(model, cube, layer, eps)
 
 
 class TestEmitters:

@@ -210,6 +210,24 @@ class TestForwardWithoutTraces:
             tracemalloc.stop()
         assert peak <= 64 << 20, f"peak {peak / 2**20:.1f} MiB > 64 MiB"
 
+    def test_denoise_pads_only_when_needed(self, monkeypatch):
+        """A desk model divides every extent, so denoise runs on the cube as
+        it is: with np.pad patched to raise it returns the unpatched call's
+        bytes, and the caller's cube is left as it was."""
+        import hsdenoise.network as network
+
+        model = build_network(desk_config(width=4), seed=40)
+        cube = np.random.default_rng(41).random((7, 5, 4)).astype(np.float32)
+        cube_bytes = cube.tobytes()
+        want = model.denoise(cube)
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad ran")
+
+        monkeypatch.setattr(network.np, "pad", no_pad)
+        assert model.denoise(cube).tobytes() == want.tobytes()
+        assert cube.tobytes() == cube_bytes
+
 
 class TestBackward:
     def test_zero_grad_output(self):

@@ -389,6 +389,17 @@ class TestOptimizerStateIO:
         for a, b in zip(state.m + state.v, back.m + back.v):
             assert np.array_equal(a, b)
 
+    def test_loaded_state_keeps_file_hyperparameters(self, tmp_path):
+        """A new state takes Adam's fixed 0.9, 0.999 and 1e-8; a loaded one
+        keeps the betas and eps its file holds, whatever they are."""
+        state = AdamState([np.zeros(3, dtype=np.float32)])
+        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        state.beta1, state.beta2, state.eps = 0.8, 0.99, 1e-6
+        path = str(tmp_path / "s.q3da")
+        save_optimizer_state(path, state)
+        back = load_optimizer_state(path)
+        assert (back.beta1, back.beta2, back.eps) == (0.8, 0.99, 1e-6)
+
     def test_truncated_file_rejected(self, tmp_path):
         """A cut-off file reports the byte offset it failed at."""
         p = [np.zeros((2, 2), dtype=np.float32)]
