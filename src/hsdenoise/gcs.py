@@ -26,7 +26,7 @@ alone, on one float64 copy of the trace (the candidate rows) plus two blocks.
 
 import numpy as np
 
-from .qru import PoolingTrace, _band_order
+from .qru import FORWARD, PoolingTrace, _in_order
 from .tensors import ConfigError
 
 # Bands per block of the gcs_matrix walk: the walk inside a block scales
@@ -72,9 +72,9 @@ def no_recurrence(layer):
     return ConfigError(f"layer {layer} has no pooling recurrence to analyze")
 
 
-def _block_rows(a, step, start, out):
-    """Cast walk-order bands start.. of a into out, a float64 (bands, numel) block."""
-    rows = np.moveaxis(np.asarray(a), -1, 0)[::step][start:start + len(out)]
+def _block_rows(a, start, out):
+    """Cast bands start.. of a into out, a float64 (bands, numel) block."""
+    rows = np.moveaxis(a, -1, 0)[start:start + len(out)]
     np.copyto(out.reshape(rows.shape), rows)
     return out
 
@@ -95,10 +95,10 @@ def gcs_matrix(trace, eps=1e-6):
     """Band-contribution matrix of one trace, in one walk over blocks of
     _BLOCK_BANDS (K) bands.
 
-    In walk order, band p has the rows c_p = ((1 - f_p) z_p)^2,
-    g_p = f_p^2 and w_p = 1 / h_p^2 on elements with |h_p| >= eps (0
-    elsewhere), and the squared cell (i, p) is the sum over elements of
-    c_i g_{i+1} ... g_p w_p. Per block C:
+    In walk order (on the trace's _in_order views), band p has the rows
+    c_p = ((1 - f_p) z_p)^2, g_p = f_p^2 and w_p = 1 / h_p^2 on elements
+    with |h_p| >= eps (0 elsewhere), and the squared cell (i, p) is the sum
+    over elements of c_i g_{i+1} ... g_p w_p. Per block C:
 
     - Diagonal: the band-by-band walk within C. Step p scales C's earlier
       rows by g_p in place, then a matrix-vector product with w_p gives
@@ -122,9 +122,8 @@ def gcs_matrix(trace, eps=1e-6):
     if not isinstance(trace, PoolingTrace):
         raise ConfigError("gcs_matrix needs a single-direction pooling trace")
     check_eps(eps)
-    shape = np.shape(trace.z)
-    n_bands, h_numel = shape[-1], int(np.prod(shape[:-1]))
-    step = _band_order(n_bands, trace.direction).step
+    z, f, h = _in_order(trace.direction, *map(np.asarray, (trace.z, trace.f, trace.h)))
+    n_bands, h_numel = z.shape[-1], int(np.prod(z.shape[:-1]))
     k = min(_BLOCK_BANDS, n_bands)
     sq, blocks = np.empty((n_bands, h_numel)), np.empty((2, k, h_numel))
     mask = np.empty((k, h_numel), dtype=bool)
@@ -135,11 +134,11 @@ def gcs_matrix(trace, eps=1e-6):
             stop = min(start + _BLOCK_BANDS, n_bands)
             # Block C's rows: c goes into sq; g, w and the mask into the block buffers.
             g, w, drop = blocks[0, :stop - start], blocks[1, :stop - start], mask[:stop - start]
-            c = _block_rows(trace.z, step, start, sq[start:stop])
-            _block_rows(trace.f, step, start, g)
+            c = _block_rows(z, start, sq[start:stop])
+            _block_rows(f, start, g)
             np.square(np.multiply(c, np.subtract(1.0, g, out=w), out=c), out=c)
             np.square(g, out=g)
-            _block_rows(trace.h, step, start, w)
+            _block_rows(h, start, w)
             np.invert(np.greater_equal(np.abs(w, out=w), eps, out=drop), out=drop)
             np.divide(1.0, np.square(w, out=w), out=w)
             w[drop] = 0.0
@@ -154,9 +153,9 @@ def gcs_matrix(trace, eps=1e-6):
             walk[:start, start:stop] = _sums(sq[:start], w, drop)
             sq[:start] *= g[-1]
     walk[:, kept == 0] = np.nan
-    values = np.sqrt(walk[::step, ::step])
-    excluded = (h_numel - kept)[::step]
-    return GcsMatrix(values, trace.direction, h_numel, excluded, eps)
+    back = slice(None, None, 1 if trace.direction == FORWARD else -1)  # walk to band order
+    return GcsMatrix(np.sqrt(walk[back, back]), trace.direction, h_numel,
+                     (h_numel - kept)[back], eps)
 
 
 def layer_matrices(model, cube, layer, eps=1e-6):
@@ -202,18 +201,6 @@ def relative_bands(gcs):
     fwd = (hit & (rows < cols)).sum(axis=0).astype(np.int64)
     bwd = (hit & (rows > cols)).sum(axis=0).astype(np.int64)
     return RelativeBands(total, fwd, bwd, threshold)
-
-
-def relative_band_histogram(matrices):
-    """Empirical distribution of relative-band counts, pooled over every
-    output band of every matrix; index k holds the number of observations
-    with exactly k relative bands."""
-    totals = []
-    for m in matrices:
-        totals.extend(relative_bands(m).total.tolist())
-    if not totals:
-        raise ConfigError("no traces to pool a histogram from")
-    return np.bincount(np.asarray(totals, dtype=np.int64))
 
 
 def pooling_traces(net_traces, layer):

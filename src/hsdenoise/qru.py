@@ -37,7 +37,9 @@ from .tensors import (
 FORWARD = "forward"
 BACKWARD = "backward"
 BIDIRECTIONAL = "bidirectional"
-DIRECTIONS = (FORWARD, BACKWARD, BIDIRECTIONAL)
+# The recurrence passes of each direction, in bank order.
+_PASSES = {FORWARD: (FORWARD,), BACKWARD: (BACKWARD,), BIDIRECTIONAL: (FORWARD, BACKWARD)}
+DIRECTIONS = tuple(_PASSES)
 
 
 class PoolingTrace:
@@ -52,11 +54,13 @@ class PoolingTrace:
         self.direction = direction
 
 
-def _band_order(n_bands, direction):
+def _in_order(direction, *arrays):
+    """The arrays as views in one pass's walk order: a backward pass is the
+    forward recurrence over the band-reversed spectrum."""
     if direction == FORWARD:
-        return range(n_bands)
+        return arrays
     if direction == BACKWARD:
-        return range(n_bands - 1, -1, -1)
+        return tuple(a[..., ::-1] for a in arrays)
     raise ConfigError(f"pooling direction must be forward or backward, got {direction!r}")
 
 
@@ -65,48 +69,47 @@ def qru_pool_forward(z, f, direction, out=None):
     if z.shape != f.shape:
         raise ShapeError(f"z shape {z.shape} != f shape {f.shape}")
     h = np.empty_like(z) if out is None else out
+    zv, fv, hv = _in_order(direction, z, f, h)
     prev = np.zeros(z.shape[:-1], dtype=z.dtype)
-    for b in _band_order(z.shape[-1], direction):
-        prev = f[..., b] * prev + (1.0 - f[..., b]) * z[..., b]
-        h[..., b] = prev
+    for b in range(z.shape[-1]):
+        prev = fv[..., b] * prev + (1.0 - fv[..., b]) * zv[..., b]
+        hv[..., b] = prev
     return h
 
 
 def qru_pool_backward(trace, grad_h, out=None):
     """Exact reverse of the recurrence: gradients w.r.t. z and f.
 
-    Walking the band order backwards, the accumulated hidden gradient
+    Last band first on the walk-order views of the trace and of grad_h
+    and out (see _in_order), the accumulated hidden gradient
     g_b = grad_h_b + f_{b+1} * g_{b+1} feeds
         grad_z_b = (1 - f_b) * g_b
         grad_f_b = (h_{b-1} - z_b) * g_b
-    with indices read in the trace's own direction, plane by plane into
-    out, a (grad_z, grad_f) pair such as two bank views of a stacked
-    buffer, or new arrays laid out like z. g and the carry take the result
-    dtype of grad_h and the trace, the one scratch plane the trace's.
+    plane by plane into out, a (grad_z, grad_f) pair such as two bank views
+    of a stacked buffer, or new arrays laid out like z, returned as given.
+    g and the carry take the result dtype of grad_h and the trace, the one
+    scratch plane the trace's.
     """
     z, f, h = trace.z, trace.f, trace.h
     if grad_h.shape != z.shape:
         raise ShapeError(f"grad_h shape {grad_h.shape} != trace shape {z.shape}")
     gz, gf = (np.empty_like(z), np.empty_like(f)) if out is None else out
-    order = list(_band_order(z.shape[-1], trace.direction))
+    zv, fv, hv, ghv, gzv, gfv = _in_order(trace.direction, z, f, h, grad_h, gz, gf)
     g, carry = np.zeros((2,) + z.shape[:-1], np.result_type(grad_h, z))
     scratch, zero_prev = np.zeros((2,) + z.shape[:-1], z.dtype)
-    for pos in range(len(order) - 1, -1, -1):
-        b = order[pos]
-        np.add(grad_h[..., b], carry, out=g)
-        h_prev = h[..., order[pos - 1]] if pos > 0 else zero_prev
-        np.multiply(np.subtract(1.0, f[..., b], out=scratch), g, out=gz[..., b])
-        np.multiply(np.subtract(h_prev, z[..., b], out=scratch), g, out=gf[..., b])
-        np.multiply(f[..., b], g, out=carry)
+    for b in range(z.shape[-1] - 1, -1, -1):
+        np.add(ghv[..., b], carry, out=g)
+        h_prev = hv[..., b - 1] if b else zero_prev
+        np.multiply(np.subtract(1.0, fv[..., b], out=scratch), g, out=gzv[..., b])
+        np.multiply(np.subtract(h_prev, zv[..., b], out=scratch), g, out=gfv[..., b])
+        np.multiply(fv[..., b], g, out=carry)
     return gz, gf
 
 
 def bank_count(kind, direction):
     """Kernel banks of one unit: one for c3d, else a (wz, wf) pair per
-    recurrence direction."""
-    if kind == "c3d":
-        return 1
-    return 4 if direction == BIDIRECTIONAL else 2
+    recurrence pass (none for an unknown direction, which QruUnit names)."""
+    return 1 if kind == "c3d" else 2 * len(_PASSES.get(direction, ()))
 
 
 _TAGS = {FORWARD: "fwd", BACKWARD: "bwd"}
@@ -130,9 +133,9 @@ class QruUnit:
     """
 
     def __init__(self, banks, stride, direction, transposed=False):
-        if direction not in DIRECTIONS:
+        if direction not in _PASSES:
             raise ConfigError(f"unknown direction {direction!r}")
-        need = 4 if direction == BIDIRECTIONAL else 2
+        need = 2 * len(_PASSES[direction])
         if len(banks) not in (1, need):
             raise ConfigError(f"{direction} unit needs 1 or {need} kernel banks, got {len(banks)}")
         if any(k.weight.shape != banks[0].weight.shape for k in banks):
@@ -148,11 +151,6 @@ class QruUnit:
     @property
     def gated(self):
         return len(self.banks) > 1
-
-    def _directions(self):
-        if self.direction == BIDIRECTIONAL:
-            return [FORWARD, BACKWARD]
-        return [self.direction]
 
     def _out_axis(self):
         """Output-channel axis of the weights: c2 when transposed, else c1."""
@@ -179,7 +177,7 @@ class QruUnit:
         """Yield a gated unit's PoolingTrace per direction, each h made only when
         asked for: a consumer that drops each trace first holds one h at a time."""
         pre = self._gates(x)
-        for d, z, f in zip(self._directions(), pre[0::2], pre[1::2]):
+        for d, z, f in zip(_PASSES[self.direction], pre[0::2], pre[1::2]):
             yield PoolingTrace(z, f, qru_pool_forward(z, f, d), d)
 
     def forward(self, x, keep_trace=False):
@@ -193,8 +191,8 @@ class QruUnit:
         pre = self._gates(x)
         if not self.gated:
             return pre[0], ((x, pre[0]) if keep_trace else None)
-        y = qru_pool_forward(pre[0], pre[1], self._directions()[0])
-        for d, z, f in zip(self._directions()[1:], pre[2::2], pre[3::2]):
+        y = qru_pool_forward(pre[0], pre[1], _PASSES[self.direction][0])
+        for d, z, f in zip(_PASSES[self.direction][1:], pre[2::2], pre[3::2]):
             y += qru_pool_forward(z, f, d, out=z)
         return y, None
 
@@ -234,7 +232,7 @@ class QruUnit:
 
     def param_names(self):
         if self.gated:
-            banks = [f"{_TAGS[d]}.{w}" for d in self._directions() for w in ("wz", "wf")]
+            banks = [f"{_TAGS[d]}.{w}" for d in _PASSES[self.direction] for w in ("wz", "wf")]
         else:
             banks = ["w"]
         return [f"{b}.{part}" for b in banks for part in ("weight", "bias")]

@@ -140,12 +140,18 @@ def he_init(rng, shape, fan_in, dtype=np.float32):
     return rng.normal(0.0, std, size=shape).astype(dtype)
 
 
-def _check_input(x, name="input"):
+def _check_input(x, weight, transposed=False):
+    """x as an array with 5 axes and the channels a map consumes: c1 of
+    the weight for a transposed map, else c2."""
     x = np.asarray(x)
     if x.ndim != 5:
         raise ShapeError(
-            f"{name} must have axes (batch, channel, height, width, band); got {x.ndim} axes"
+            f"input must have axes (batch, channel, height, width, band); got {x.ndim} axes"
         )
+    c = weight.shape[0 if transposed else 1]
+    if x.shape[1] != c:
+        kind = "transposed kernel" if transposed else "kernel"
+        raise ShapeError(f"input has {x.shape[1]} channels but {kind} consumes {c}")
     return x
 
 
@@ -331,13 +337,9 @@ def _strided_hwb(in_hwb, stride):
 
 def conv3d_forward(x, kernel, stride):
     """Strided "same"-padded cross-correlation mapping c2 -> c1 channels."""
-    x = _check_input(x)
     weight, bias = kernel.weight, kernel.bias
-    c1, c2 = weight.shape[:2]
-    if x.shape[1] != c2:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but kernel consumes {c2}"
-        )
+    x = _check_input(x, weight)
+    c1 = weight.shape[0]
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
@@ -350,9 +352,8 @@ def conv3d_forward(x, kernel, stride):
 def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     """(grad_input, grad_weight, grad_bias) of conv3d_forward; grad_input
     is None when input_grad is false."""
-    x = _check_input(x)
-    grad_out = _check_input(grad_out, "grad_out")
     weight = kernel.weight
+    x, grad_out = _check_input(x, weight), np.asarray(grad_out)
     expect = (x.shape[0], weight.shape[0]) + _strided_hwb(x.shape[2:], stride)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
@@ -371,13 +372,9 @@ def tconv3d_forward(x, kernel, stride):
     (plus a bias per c2 channel), so a stride of s plays the role of the
     fractional stride 1/s: output extents are s times the input's.
     """
-    x = _check_input(x)
     weight, bias = kernel.weight, kernel.bias
-    c1, c2 = weight.shape[:2]
-    if x.shape[1] != c1:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but transposed kernel consumes {c1}"
-        )
+    x = _check_input(x, weight, transposed=True)
+    c2 = weight.shape[1]
     if bias.shape[0] != c2:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c2}")
     out_hwb = tuple(s * n for n, s in zip(x.shape[2:], stride))
@@ -390,9 +387,8 @@ def tconv3d_forward(x, kernel, stride):
 def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     """(grad_input, grad_weight, grad_bias) of tconv3d_forward; grad_input
     is None when input_grad is false."""
-    x = _check_input(x)
-    grad_out = _check_input(grad_out, "grad_out")
     weight = kernel.weight
+    x, grad_out = _check_input(x, weight, transposed=True), np.asarray(grad_out)
     expect = (x.shape[0], weight.shape[1]) + tuple(s * n for n, s in zip(x.shape[2:], stride))
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
@@ -401,19 +397,6 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     gx = _forward_core(gp, weight, stride, x.shape[2:], x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
-
-
-def _chunks(x, out, items):
-    """(x, out) slice pairs of at most `items` elements over whole trailing axes."""
-    if out.size <= items:
-        yield x, out
-    elif out[0].size <= items:
-        step = items // out[0].size
-        for i in range(0, len(out), step):
-            yield x[i:i + step], out[i:i + step]
-    else:
-        for xi, oi in zip(x, out):
-            yield from _chunks(xi, oi, items)
 
 
 def activate(x, kind, out=None):
@@ -426,15 +409,16 @@ def activate(x, kind, out=None):
     # expit without the scipy import: exp only of -|x|, so it cannot
     # overflow; 1 / (1 + e) for x >= 0 and e / (1 + e) below, the numerator
     # max(e, x >= 0) as e <= 1 (np.where's select took 3x the rest). e and
-    # the denominator share one scratch, chunk by chunk in memory order.
-    items = min(x.size, _SCRATCH_BYTES // (2 * x.dtype.itemsize))
+    # the denominator share one scratch per nditer chunk; buffersize=0 means numpy's default.
+    items = max(1, min(x.size, _SCRATCH_BYTES // (2 * x.dtype.itemsize)))
     scratch = np.empty((2, items), x.dtype)
-    order = np.argsort([-abs(s) for s in out.strides], kind="stable")
-    for xc, oc in _chunks(x.transpose(order), out.transpose(order), items):
-        e, den = (s[:xc.size].reshape(xc.shape) for s in scratch)
-        np.exp(np.negative(np.abs(xc, out=e), out=e), out=e)
-        np.add(e, 1.0, out=den)
-        np.divide(np.maximum(e, xc >= 0, out=e), den, out=oc)
+    with np.nditer([x, out], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["writeonly"]], order="K", buffersize=items) as chunks:
+        for xc, oc in chunks:
+            e, den = scratch[:, :len(xc)]
+            np.exp(np.negative(np.abs(xc, out=e), out=e), out=e)
+            np.add(e, 1.0, out=den)
+            np.divide(np.maximum(e, xc >= 0, out=e), den, out=oc)
     return out
 
 

@@ -379,10 +379,12 @@ def grad_check(target, x, tolerance=1e-3, eps=1e-3):
     error per parameter group (relative to max(|analytic|, |numeric|, 1e-6)).
     `target` is a Model or any unit exposing forward/backward/param_arrays.
     A NaN error (a non-finite gradient or loss) is that group's worst and
-    fails it.
+    fails it. tolerance and eps must be positive and finite: an infinite
+    tolerance would pass every check, and a zero eps divides by zero.
     """
-    if not 0 < eps < np.inf:
-        raise ConfigError(f"eps must be positive and finite, got {eps!r}")
+    for name, value in (("tolerance", tolerance), ("eps", eps)):
+        if not 0 < value < np.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     shadow = target.astype(np.float64)
     x64 = np.asarray(x, dtype=np.float64)
     params = shadow.param_arrays()

@@ -545,6 +545,17 @@ class TestGradcheckCommand:
         assert f"eps must be positive and finite, got {float(eps)!r}" in out.err
         assert "passed" not in out.out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_rejected(self, capsys, tolerance):
+        """A tolerance that is not positive and finite exits 2 with one error
+        line before any check: inf would pass every check, and nan, 0 or -1
+        would fail every one and blame the gradients."""
+        assert run_cli("gradcheck", f"--tolerance={tolerance}") == 2
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [
+            f"error: tolerance must be positive and finite, got {float(tolerance)!r}"]
+        assert out.out == ""
+
     def test_failed_case_reported(self, capsys, monkeypatch):
         """With one case failing, gradcheck prints that case's table (and no
         other, without --verbose), counts it on stderr and exits 1."""

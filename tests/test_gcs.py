@@ -15,7 +15,6 @@ from hsdenoise.gcs import (
     gcs_to_csv,
     overlay_values,
     pooling_traces,
-    relative_band_histogram,
     relative_bands,
     values_to_pgm,
 )
@@ -128,6 +127,17 @@ class TestGcsMatrix:
         assert a.values.tobytes() == b.values.tobytes()
         np.testing.assert_array_equal(a.excluded, b.excluded)
         assert a.excluded.sum() == 1
+
+    def test_backward_is_flipped_forward_bytes(self):
+        """A backward trace's matrix, over two blocks and with exclusions, is
+        the forward matrix of the band-flipped trace flipped on both axes,
+        byte for byte, and so are its exclusion counts."""
+        tr = random_trace(gcs._BLOCK_BANDS + 6, BACKWARD, seed=22)
+        flipped = PoolingTrace(*(np.flip(a, -1) for a in (tr.z, tr.f, tr.h)), FORWARD)
+        got, want = gcs_matrix(tr, eps=0.05), gcs_matrix(flipped, eps=0.05)
+        assert got.excluded.sum() > 0
+        assert got.values.tobytes() == want.values[::-1, ::-1].tobytes()
+        assert got.excluded.tobytes() == want.excluded[::-1].tobytes()
 
     def test_forward_triangle_defined(self):
         """Forward traces define i <= j and leave the rest absent."""
@@ -351,28 +361,6 @@ class TestRelativeBands:
                          for j in range(8)], dtype=np.int64)
         assert np.all(rel.total <= 8)
         assert np.array_equal(rel.total, rel.forward + rel.backward + diag)
-
-
-class TestHistogram:
-    def test_single_band_point_mass(self):
-        """One one-band trace gives a point mass at count 1."""
-        rng = np.random.default_rng(14)
-        z = 0.5 + 0.4 * rng.random((1, 1, 2, 2, 1))
-        f = np.full_like(z, 0.4)
-        tr = PoolingTrace(z, f, qru_pool_forward(z, f, FORWARD), FORWARD)
-        hist = relative_band_histogram([gcs_matrix(tr)])
-        assert hist.tolist() == [0, 1]
-
-    def test_mass_equals_observations(self):
-        """Histogram mass equals traces times bands."""
-        ms = [gcs_matrix(random_trace(5, FORWARD, seed=s)) for s in (15, 16, 17)]
-        hist = relative_band_histogram(ms)
-        assert hist.sum() == 3 * 5
-
-    def test_empty_corpus_rejected(self):
-        """Pooling nothing is an error."""
-        with pytest.raises(ConfigError):
-            relative_band_histogram([])
 
 
 class TestNetworkExtraction:

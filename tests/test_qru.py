@@ -128,6 +128,18 @@ class TestPoolForward:
         hf = qru_pool_forward(z[..., ::-1], f[..., ::-1], FORWARD)
         np.testing.assert_allclose(hb, hf[..., ::-1], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_flipped_forward_bytes(self, dtype):
+        """A backward pass into a bank view of a stacked bands-first buffer
+        has the bytes of the forward pass over the flipped bands, flipped back."""
+        rng = np.random.default_rng(48)
+        z, f = (bands_first_copy(a.astype(dtype)) for a in rand_zf(rng, (2, 3, 4, 5, 6)))
+        out = np.split(bands_first_copy(np.zeros((2, 6, 4, 5, 6), dtype)), 2, axis=1)[1]
+        h = qru_pool_forward(z, f, BACKWARD, out=out)
+        want = np.flip(qru_pool_forward(np.flip(z, -1), np.flip(f, -1), FORWARD), -1)
+        assert h is out and h.dtype == dtype
+        assert h.tobytes() == want.tobytes()
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(Exception, match="shape"):
             qru_pool_forward(np.zeros((1, 1, 2, 2, 3)), np.zeros((1, 1, 2, 2, 4)), FORWARD)
@@ -392,6 +404,24 @@ class TestStackedBackward:
                       for a in (w, b)]
         for a, b in zip([gx] + grads, [want_gx] + want_grads):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_backward_is_flipped_forward_bytes(self, dtype):
+        """qru_pool_backward of a backward trace into bank views of a stacked
+        bands-first buffer has the bytes of the forward-direction gradients
+        of the band-flipped trace, flipped back."""
+        rng = np.random.default_rng(49)
+        z, f = (bands_first_copy(a.astype(dtype)) for a in rand_zf(rng, (2, 3, 4, 5, 6)))
+        g = bands_first_copy(rng.standard_normal(z.shape).astype(dtype))
+        tr = PoolingTrace(z, f, qru_pool_forward(z, f, BACKWARD), BACKWARD)
+        zr, fr = np.flip(z, -1), np.flip(f, -1)
+        flipped = PoolingTrace(zr, fr, qru_pool_forward(zr, fr, FORWARD), FORWARD)
+        views = np.split(bands_first_copy(np.zeros((2, 6, 4, 5, 6), dtype)), 2, axis=1)
+        got = qru_pool_backward(tr, g, out=views)
+        want = qru_pool_backward(flipped, np.flip(g, -1))
+        for a, view, b in zip(got, views, want):
+            assert a is view and a.dtype == dtype
+            assert a.tobytes() == np.flip(b, -1).tobytes()
 
     def test_pool_backward_out_matches_fresh(self):
         """qru_pool_backward into given (grad_z, grad_f) views equals the

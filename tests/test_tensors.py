@@ -164,6 +164,21 @@ class TestConvBackward:
         with pytest.raises(ShapeError, match="grad_out"):
             conv3d_backward(x, kern, (1, 1, 1), np.zeros((1, 3, 2, 2, 2)))
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_input_channels_checked(self, transposed):
+        """Both backward maps name x's wrong channel count (the forward maps'
+        check), given a grad_out of the right shape, before any product."""
+        rng = np.random.default_rng(19)
+        x, kern = rand_case(rng, cin=2, cout=3)
+        fwd, bwd = ((tconv3d_forward, tconv3d_backward) if transposed
+                    else (conv3d_forward, conv3d_backward))
+        if transposed:
+            x = rng.standard_normal((1, 3, 5, 5, 4))
+            kern = ConvKernel(kern.weight, np.zeros(2))
+        grad_out = np.ones_like(fwd(x, kern, (1, 1, 1)))
+        with pytest.raises(ShapeError, match="channels"):
+            bwd(x[:, :1], kern, (1, 1, 1), grad_out)
+
 
 class TestTconv:
     def test_upsamples_spatial_extents(self):
@@ -702,6 +717,11 @@ class TestActivations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             activate(np.zeros(3), "relu")
+
+    def test_sigmoid_of_empty_array(self):
+        """An empty input gives an empty output of its shape."""
+        got = activate(np.empty((2, 0, 3)), "sigmoid")
+        assert got.shape == (2, 0, 3) and got.dtype == np.float64
 
 
 class TestHeInit:
