@@ -383,6 +383,7 @@ def cmd_train(args):
     start_epoch = 0
     if args.resume_state:
         state = load_optimizer_state(args.resume_state)
+        state.check_params(model.param_arrays())
         start_epoch = state.epoch
     options = TrainOptions(
         seed=settings["seed"], epochs=settings["epochs"], start_epoch=start_epoch,
@@ -394,9 +395,17 @@ def cmd_train(args):
     state, log = train(model, patches, options, state=state, log_fn=print)
     save_weights(os.path.join(args.out_dir, "weights_final.q3dw"), model)
     save_optimizer_state(os.path.join(args.out_dir, "optim_final.q3da"), state)
+    meta = dict(settings)
+    if args.resume_weights:
+        # The weights file, not these settings, fixed the network.
+        for key in ("preset", "kind", "schedule", "width", "layers", "width-multiplier"):
+            del meta[key]
+        meta["resume-weights"] = args.resume_weights
+    if args.resume_state:
+        meta["resume-state"] = args.resume_state
     log_path = os.path.join(args.out_dir, "trainlog.csv")
     with open(log_path, "w") as fh:
-        fh.write(_meta_lines("train", settings))
+        fh.write(_meta_lines("train", meta))
         fh.write(log.to_csv())
     print(f"wrote {log_path} and final weights in {args.out_dir}")
     return 0

@@ -16,16 +16,21 @@ Regimes:
                    one band is hit)
 
 Every draw comes from numpy's PCG64 via default_rng, seeded through
-SeedSequence([*seed_path, op_tag, band]): one substream per op per band,
-so evaluation order can never change the result. Seeds may be a single
-int or a sequence of ints. The sparse-noise parameters the literature
-leaves open are fixed here and recorded in the CorruptionReport: stripes
-add a per-column constant offset of magnitude uniform [0.05, 0.15] with
-random sign, deadlines are width-1 columns set to exactly 0, impulse
+SeedSequence([*seed_path, op_tag, *path]): path (0) for the draw that picks
+an op's sigmas, bands or coins, (band) per band of the iid Gaussian, and
+(1 + band) per band another op corrupts, plus the sparse kind (0 stripes,
+1 deadlines, 2 impulses) in case 5. With one substream per op per band,
+evaluation order can never change the result. Seeds may be a single int
+or a sequence of ints; synthesize_case extends the seed with 0 for its
+Gaussian and 1 for its sparse noise. The sparse-noise parameters the
+literature leaves open are fixed here and recorded in the CorruptionReport:
+stripes add a per-column constant offset of magnitude uniform [0.05, 0.15]
+with random sign, deadlines are width-1 columns set to exactly 0, impulse
 pixels are replaced by 0 or 1 equiprobably.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -97,59 +102,53 @@ class CorruptionReport:
         return "\n".join(lines) + "\n"
 
 
+def _walk(x, seed, tag, hits, report):
+    """A copy of x in which each hit (band, path, apply), in order, calls
+    apply(copy, band, rng, report) with rng on the substream (seed, tag, *path)."""
+    y = x.copy()
+    for band, path, apply in hits:
+        apply(y, band, _rng(seed, tag, *path), report)
+    return y
+
+
+def _gaussian_band(sigma, y, band, rng, report):
+    n = rng.normal(0.0, sigma / 255.0, size=y.shape[:2])
+    y[:, :, band] += n.astype(y.dtype, copy=False)
+
+
 def add_gaussian_iid(x, sigma, seed):
     """y = x + N(0, (sigma/255)^2), elementwise, no clipping."""
     x = _check_cube(x)
     if not 0 <= sigma < math.inf:
         raise NoiseError(f"sigma must be finite and non-negative, got {sigma}")
-    y = x.copy()
-    if sigma == 0:
-        return y
-    h, w, b = x.shape
-    for band in range(b):
-        n = _rng(seed, _TAG_IID, band).normal(0.0, sigma / 255.0, size=(h, w))
-        y[:, :, band] += n.astype(x.dtype, copy=False)
-    return y
+    apply = partial(_gaussian_band, sigma)
+    hits = [(band, (band,), apply) for band in range(x.shape[2])] if sigma else []
+    return _walk(x, seed, _TAG_IID, hits, None)
 
 
 def add_noniid_gaussian(x, seed):
     """Per-band Gaussian with sigma_b drawn uniform from [10, 70]."""
     x = _check_cube(x)
-    h, w, b = x.shape
+    b = x.shape[2]
     sigmas = _rng(seed, _TAG_NONIID, 0).uniform(10.0, 70.0, size=b)
-    y = x.copy()
-    for band in range(b):
-        n = _rng(seed, _TAG_NONIID, 1 + band).normal(0.0, sigmas[band] / 255.0, size=(h, w))
-        y[:, :, band] += n.astype(x.dtype, copy=False)
     report = CorruptionReport("noniid-gaussian")
     report.sigma_per_band = [float(s) for s in sigmas]
-    return y, report
+    hits = [(band, (1 + band,), partial(_gaussian_band, sigmas[band])) for band in range(b)]
+    return _walk(x, seed, _TAG_NONIID, hits, report), report
 
 
-def _sparse_band_count(b):
-    """A third of the bands, rounded down, at least one."""
-    return max(1, b // 3)
-
-
-def _pick_bands(x, seed, tag):
-    b = x.shape[2]
-    master = _rng(seed, tag, 0)
-    k = _sparse_band_count(b)
-    return sorted(int(v) for v in master.choice(b, size=k, replace=False))
-
-
-def _column_count(rng, w):
-    """5% to 15% of columns; the count is clamped so the realized fraction
-    stays inside the range wherever the width allows it."""
+def _columns(rng, w):
+    """5% to 15% of the w columns, sorted; the count is clamped so the
+    realized fraction stays inside the range wherever the width allows it."""
     u = rng.uniform(0.05, 0.15)
     lo = max(1, math.ceil(0.05 * w))
     hi = max(lo, math.floor(0.15 * w))
-    return min(max(int(round(u * w)), lo), hi)
+    count = min(max(int(round(u * w)), lo), hi)
+    return sorted(int(c) for c in rng.choice(w, size=count, replace=False))
 
 
 def _stripe_band(y, band, rng, report):
-    h, w, _ = y.shape
-    cols = sorted(int(c) for c in rng.choice(w, size=_column_count(rng, w), replace=False))
+    cols = _columns(rng, y.shape[1])
     mags = rng.uniform(0.05, 0.15, size=len(cols))
     signs = np.where(rng.random(len(cols)) < 0.5, -1.0, 1.0)
     for col, mag, sign in zip(cols, mags, signs):
@@ -158,8 +157,7 @@ def _stripe_band(y, band, rng, report):
 
 
 def _deadline_band(y, band, rng, report):
-    h, w, _ = y.shape
-    cols = sorted(int(c) for c in rng.choice(w, size=_column_count(rng, w), replace=False))
+    cols = _columns(rng, y.shape[1])
     for col in cols:
         y[:, col, band] = 0.0
     report.deadlines[band + 1] = cols
@@ -170,28 +168,31 @@ def _impulse_band(y, band, rng, report):
     frac = rng.uniform(0.10, 0.70)
     count = int(round(frac * h * w))
     flat = rng.choice(h * w, size=count, replace=False)
-    vals = rng.integers(0, 2, size=count).astype(y.dtype)
-    plane = y[:, :, band].reshape(-1)
-    plane[flat] = vals
-    y[:, :, band] = plane.reshape(h, w)
+    y[:, :, band].flat[flat] = rng.integers(0, 2, size=count).astype(y.dtype)
     report.impulses[band + 1] = (float(frac), count)
 
 
-def _add_sparse(x, seed, tag, apply_band, regime):
-    x = _check_cube(x)
-    y = x.copy()
+# Report notes on the parameters the literature leaves open, by sparse regime.
+_NOTES = {
+    "stripes": {"stripe-amplitude": "uniform 0.05..0.15, random sign, whole column"},
+    "impulse": {"impulse-values": "replaced pixels set to 0 or 1 equiprobably"},
+}
+
+
+def _add_sparse(x, seed, tag, apply, regime):
+    """One sparse kind on a third of the bands (rounded down, at least one)."""
+    b = _check_cube(x).shape[2]
+    bands = _rng(seed, tag, 0).choice(b, size=max(1, b // 3), replace=False)
     report = CorruptionReport(regime)
-    for band in _pick_bands(x, seed, tag):
-        apply_band(y, band, _rng(seed, tag, 1 + band), report)
-    return y, report
+    report.notes.update(_NOTES.get(regime, {}))
+    hits = [(band, (1 + band,), apply) for band in sorted(int(v) for v in bands)]
+    return _walk(x, seed, tag, hits, report), report
 
 
 def add_stripes(x, seed):
     """Constant-offset stripes on a third of the bands; other bands are
     left bit-identical."""
-    y, report = _add_sparse(x, seed, _TAG_STRIPE, _stripe_band, "stripes")
-    report.notes["stripe-amplitude"] = "uniform 0.05..0.15, random sign, whole column"
-    return y, report
+    return _add_sparse(x, seed, _TAG_STRIPE, _stripe_band, "stripes")
 
 
 def add_deadline(x, seed):
@@ -202,9 +203,7 @@ def add_deadline(x, seed):
 def add_impulse(x, seed):
     """Salt-and-pepper pixels on a third of the bands; the per-band
     fraction is drawn uniform from [0.10, 0.70] and hit exactly."""
-    y, report = _add_sparse(x, seed, _TAG_IMPULSE, _impulse_band, "impulse")
-    report.notes["impulse-values"] = "replaced pixels set to 0 or 1 equiprobably"
-    return y, report
+    return _add_sparse(x, seed, _TAG_IMPULSE, _impulse_band, "impulse")
 
 
 def synthesize_case(x, case, seed):
@@ -221,37 +220,26 @@ def synthesize_case(x, case, seed):
     base = _seed_path(seed)
     y, report = add_noniid_gaussian(x, base + [0])
     sigmas = report.sigma_per_band
-    if case == 2:
-        y, report = add_stripes(y, base + [1])
-    elif case == 3:
-        y, report = add_deadline(y, base + [1])
-    elif case == 4:
-        y, report = add_impulse(y, base + [1])
+    if case in (2, 3, 4):
+        y, report = (add_stripes, add_deadline, add_impulse)[case - 2](y, base + [1])
     elif case == 5:
-        y, report = _case5_sparse(y, base + [1])
+        y, report = _add_mixture(y, base + [1])
     report.regime = f"case-{case}"
     report.sigma_per_band = sigmas
     return y, report
 
 
-def _case5_sparse(y, seed):
-    h, w, b = y.shape
+def _add_mixture(y, seed):
     master = _rng(seed, _TAG_CASE5, 0)
-    while True:
-        coins = master.random((b, 3)) < (1.0 / 3.0)
-        if coins.any():
-            break
-    out = y.copy()
+    coins = np.zeros((y.shape[2], 3), dtype=bool)
+    while not coins.any():
+        coins = master.random(coins.shape) < (1.0 / 3.0)
     report = CorruptionReport("mixture-sparse")
+    report.notes["mixture-rule"] = ("per band, each sparse type applied with probability 1/3; "
+                                    "redrawn until at least one hit")
+    for notes in _NOTES.values():
+        report.notes.update(notes)
     appliers = (_stripe_band, _deadline_band, _impulse_band)
-    for band in range(b):
-        for kind in range(3):
-            if coins[band, kind]:
-                appliers[kind](out, band, _rng(seed, _TAG_CASE5, 1 + band, kind), report)
-    report.notes["mixture-rule"] = (
-        "per band, each sparse type applied with probability 1/3; "
-        "redrawn until at least one hit"
-    )
-    report.notes["stripe-amplitude"] = "uniform 0.05..0.15, random sign, whole column"
-    report.notes["impulse-values"] = "replaced pixels set to 0 or 1 equiprobably"
-    return out, report
+    hits = [(int(band), (1 + int(band), int(kind)), appliers[kind])
+            for band, kind in np.argwhere(coins)]
+    return _walk(y, seed, _TAG_CASE5, hits, report), report

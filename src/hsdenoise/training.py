@@ -65,6 +65,12 @@ class AdamState:
         self.epoch = 0
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
 
+    def check_params(self, params):
+        """Raise ConfigError unless the moments are shaped like params."""
+        if len(self.m) != len(params) or any(
+                m.shape != p.shape for m, p in zip(self.m, params)):
+            raise ConfigError("optimizer state does not match this model")
+
 
 def adam_step(state, params, grads, lr):
     """One Adam update, in place on `params`.
@@ -255,17 +261,14 @@ def _corrupt(clean, stage, seed_path):
     cube = np.ascontiguousarray(clean[0])
     if stage.regime == "fixed":
         noisy = add_gaussian_iid(cube, stage.sigma, seed_path)
-    elif stage.regime == "blind":
-        rng = np.random.default_rng(list(seed_path) + [0])
-        lo, hi = stage.sigma_range
-        sigma = float(rng.uniform(lo, hi))
-        noisy = add_gaussian_iid(cube, sigma, list(seed_path) + [1])
-    elif stage.regime == "mixture":
-        rng = np.random.default_rng(list(seed_path) + [0])
-        case = int(stage.cases[rng.integers(0, len(stage.cases))])
-        noisy, _ = synthesize_case(cube, case, list(seed_path) + [1])
     else:
-        raise ConfigError(f"unknown noise regime {stage.regime!r}")
+        rng = np.random.default_rng(list(seed_path) + [0])
+        if stage.regime == "blind":
+            sigma = float(rng.uniform(*stage.sigma_range))
+            noisy = add_gaussian_iid(cube, sigma, list(seed_path) + [1])
+        else:
+            case = int(stage.cases[rng.integers(0, len(stage.cases))])
+            noisy, _ = synthesize_case(cube, case, list(seed_path) + [1])
     return noisy[np.newaxis].astype(clean.dtype)
 
 
@@ -296,9 +299,8 @@ def train(model, patches, options, state=None, log_fn=None):
     params = model.param_arrays()
     if state is None:
         state = AdamState(params)
-    elif len(state.m) != len(params) or any(
-            m.shape != p.shape for m, p in zip(state.m, params)):
-        raise ConfigError("optimizer state does not match this model")
+    else:
+        state.check_params(params)
     log = TrainLog()
     say = log_fn if log_fn is not None else (lambda s: None)
     val_pairs = _build_val_pairs(options.val_patches, options.seed) \

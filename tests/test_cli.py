@@ -718,6 +718,48 @@ class TestTrainCommand:
         blob_c = open(os.path.join(dir_c, "weights_final.q3dw"), "rb").read()
         assert blob_a == blob_c
 
+    def test_mismatched_state_fails_before_out_dir(self, tmp_path, capsys):
+        """Resuming a width-3 run's optimizer state into a width-4 model
+        exits 2 with one error line, before --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
+        common = ["--data", src, "--policy", "fixed", "--epochs", 1,
+                  "--batch-size", 2, "--patch-size", 8]
+        first = tmp_path / "first"
+        assert run_cli("train", *common, "--width", 3, "--out-dir", first) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        code = run_cli("train", *common, "--width", 4, "--out-dir", out_dir,
+                       "--resume-state", first / "optim_final.q3da")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "optimizer state does not match this model" in err
+        assert not out_dir.exists()
+
+    def test_resumed_log_names_weights_not_architecture(self, tmp_path):
+        """A run resumed from weights trains the network those weights hold,
+        so its log records the weights and state files, not the architecture
+        settings (here a --kind the run did not have)."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
+        common = ["--data", src, "--policy", "fixed", "--width", 4,
+                  "--batch-size", 2, "--patch-size", 8]
+        first = tmp_path / "first"
+        assert run_cli("train", *common, "--epochs", 1, "--out-dir", first) == 0
+        fresh = open(first / "trainlog.csv").read()
+        for key in ("preset", "kind", "schedule", "width", "layers", "width-multiplier"):
+            assert f"# {key}: " in fresh
+        assert "# resume-" not in fresh
+        weights, state = first / "weights_final.q3dw", first / "optim_final.q3da"
+        out_dir = tmp_path / "run"
+        assert run_cli("train", *common, "--epochs", 2, "--out-dir", out_dir, "--kind", "c3d",
+                       "--resume-weights", weights, "--resume-state", state) == 0
+        log = open(out_dir / "trainlog.csv").read()
+        for key in ("preset", "kind", "schedule", "width", "layers", "width-multiplier"):
+            assert f"# {key}: " not in log
+        assert f"# resume-weights: {weights}\n" in log
+        assert f"# resume-state: {state}\n" in log
+        model = load_weights(str(out_dir / "weights_final.q3dw"))
+        assert {spec.kind for spec in model.config.layers} == {"qru3d"}
+
     def test_config_file_drives_run(self, tmp_path):
         """Settings can come from a config file."""
         src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=11)

@@ -157,6 +157,30 @@ class TestCases:
                 else:
                     assert (y[:, :, band] != base[:, :, band]).any()
 
+    def test_cases_2_to_4_are_noniid_then_sparse(self):
+        """Case k is add_noniid_gaussian under [*seed, 0] followed by the
+        kind's own function under [*seed, 1], byte for byte."""
+        x = flat_cube(b=7).astype(np.float32)
+        for case, add, table in ((2, add_stripes, "stripes"), (3, add_deadline, "deadlines"),
+                                 (4, add_impulse, "impulses")):
+            y, rep = synthesize_case(x, case, seed=[3, 4])
+            gauss, _ = add_noniid_gaussian(x, [3, 4, 0])
+            want, want_rep = add(gauss, [3, 4, 1])
+            assert y.tobytes() == want.tobytes()
+            for name in ("stripes", "deadlines", "impulses"):
+                assert getattr(rep, name) == getattr(want_rep, name)
+            assert getattr(rep, table)
+
+    def test_case5_notes_do_not_depend_on_hits(self):
+        """Every case-5 report notes the stripe amplitude and the impulse
+        values, also when its draw put no stripe (or no impulse) on a band."""
+        missed = set()
+        for seed in range(12):
+            _, rep = synthesize_case(flat_cube(h=8, w=8, b=2), 5, seed=seed)
+            assert {"mixture-rule", "stripe-amplitude", "impulse-values"} <= set(rep.notes)
+            missed |= {name for name in ("stripes", "impulses") if not getattr(rep, name)}
+        assert missed == {"stripes", "impulses"}
+
     def test_case5_has_at_least_one_sparse_hit(self):
         for seed in range(6):
             _, rep = synthesize_case(flat_cube(b=5), 5, seed=seed)
