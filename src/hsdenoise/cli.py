@@ -232,8 +232,7 @@ def _layer_index(text, n_layers):
 
 def cmd_gcs(args):
     import numpy as np
-    from .gcs import (GcsMatrix, gcs_to_csv, layer_matrices, overlay_values, relative_bands,
-                      values_to_pgm)
+    from .gcs import gcs_to_csv, layer_matrices, relative_bands, values_to_pgm
     from .network import load_weights
     if os.path.basename(args.out_prefix) in ("", os.curdir, os.pardir):
         raise ValueError(f"--out-prefix {args.out_prefix!r} names a directory, not a file prefix")
@@ -252,21 +251,19 @@ def cmd_gcs(args):
             fh.write(_meta_lines("gcs", meta))
             fh.write(gcs_to_csv(m))
         written.append(path)
-    combined = GcsMatrix(overlay_values(matrices), "combined",
-                         matrices[0].h_numel,
-                         np.maximum.reduce([m.excluded for m in matrices]),
-                         args.eps)
-    rel = relative_bands(combined)
+    # One dense view of the direction matrices: each cell's larger defined value.
+    overlay = np.fmax.reduce([m.values for m in matrices])
     rel_path = f"{args.out_prefix}.relative.csv"
     with open(rel_path, "w") as fh:
         fh.write(_meta_lines("gcs", meta))
         fh.write("band,total,forward,backward\n")
-        for j in range(combined.n_bands):
-            fh.write(f"{j + 1},{rel.total[j]},{rel.forward[j]},{rel.backward[j]}\n")
+        counts = relative_bands(overlay, matrices[0].h_numel)
+        for j, (total, fwd, bwd) in enumerate(zip(*counts), 1):
+            fh.write(f"{j},{total},{fwd},{bwd}\n")
     written.append(rel_path)
     pgm_path = f"{args.out_prefix}.pgm"
     with open(pgm_path, "wb") as fh:
-        fh.write(values_to_pgm(combined.values))
+        fh.write(values_to_pgm(overlay))
     written.append(pgm_path)
     _write_meta(f"{args.out_prefix}.meta", "gcs", meta)
     print("wrote " + " ".join(written))

@@ -160,47 +160,36 @@ def gcs_matrix(trace, eps=1e-6):
 
 def layer_matrices(model, cube, layer, eps=1e-6):
     """Each direction's GcsMatrix of unit `layer` (zero-based) on an (H, W, B) cube, checked
-    before any layer runs. map, unlike a list comprehension, frees each trace before the next."""
+    before any layer runs. The net runs on Model.net_input(cube), reflect-padded as denoise
+    pads it to H_pad x W_pad; an h_k x w_k trace is cropped, as views, to its first
+    ceil(H h_k / H_pad) x ceil(W w_k / W_pad) positions, so the sums and h_numel count only
+    the cube's own. map, unlike a list comprehension, frees each trace before the next."""
     if not 0 <= layer < len(model.units):
         raise ConfigError(f"layer {layer} outside 0..{len(model.units) - 1}")
     check_eps(eps)
     if not model.units[layer].gated:
         raise no_recurrence(layer)
-    x = np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
-    traces = model.units[layer].direction_traces(model.unit_input(x, layer))
-    return list(map(lambda t: gcs_matrix(t, eps=eps), traces))
+    x = model.net_input(cube)
+
+    def matrix(t):
+        hc, wc = (-(-n * k // p) for n, k, p in zip(cube.shape[:2], t.h.shape[2:4], x.shape[2:4]))
+        crop = PoolingTrace(*(a[:, :, :hc, :wc] for a in (t.z, t.f, t.h)), t.direction)
+        return gcs_matrix(crop, eps=eps)
+    return list(map(matrix, model.units[layer].direction_traces(model.unit_input(x, layer))))
 
 
-class RelativeBands:
-    """Per-output-band counts of contributing bands, split by side."""
-
-    __slots__ = ("total", "forward", "backward", "threshold")
-
-    def __init__(self, total, fwd, bwd, threshold):
-        self.total = total
-        self.forward = fwd
-        self.backward = bwd
-        self.threshold = threshold
-
-
-def relative_bands(gcs):
+def relative_bands(values, h_numel):
     """Count, per output band j, the bands whose contribution is at least a
-    10 percent perturbation: GCS_ij >= 0.1 * sqrt(numel of h_j).
+    10 percent perturbation: GCS_ij >= 0.1 * sqrt(h_numel), where h_numel is
+    the numel of h_j. An absent (NaN) cell never reaches it.
 
-    The split counts classify contributors by side: `forward[j]` counts
+    Returns the (total, forward, backward) count arrays: `forward[j]` counts
     i < j and `backward[j]` counts i > j; the diagonal lands in neither
     split but does count toward `total`.
     """
-    n_bands = gcs.n_bands
-    threshold = np.full(n_bands, 0.1 * np.sqrt(gcs.h_numel))
     with np.errstate(invalid="ignore"):
-        hit = gcs.defined() & (gcs.values >= threshold[np.newaxis, :])
-    total = hit.sum(axis=0).astype(np.int64)
-    rows = np.arange(n_bands)[:, np.newaxis]
-    cols = np.arange(n_bands)[np.newaxis, :]
-    fwd = (hit & (rows < cols)).sum(axis=0).astype(np.int64)
-    bwd = (hit & (rows > cols)).sum(axis=0).astype(np.int64)
-    return RelativeBands(total, fwd, bwd, threshold)
+        hit = values >= 0.1 * np.sqrt(h_numel)
+    return hit.sum(axis=0), np.triu(hit, 1).sum(axis=0), np.tril(hit, -1).sum(axis=0)
 
 
 def pooling_traces(net_traces, layer):
@@ -215,19 +204,6 @@ def pooling_traces(net_traces, layer):
             and all(isinstance(t, PoolingTrace) for t in branches)):
         raise no_recurrence(layer)
     return branches
-
-
-def overlay_values(matrices):
-    """Single dense view of one or more triangular matrices (element-wise
-    max, ignoring absent cells); used for the combined heat map."""
-    if not matrices:
-        raise ConfigError("nothing to overlay")
-    out = matrices[0].values.copy()
-    for m in matrices[1:]:
-        if m.values.shape != out.shape:
-            raise ConfigError("matrices to overlay must share a band count")
-        out = np.fmax(out, m.values)
-    return out
 
 
 def gcs_to_csv(gcs):

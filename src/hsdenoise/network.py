@@ -195,16 +195,22 @@ class Model:
         traces = {"outputs": list(outputs.values()), "units": unit_traces}
         return cur, (traces if keep_traces else None)
 
-    def denoise(self, cube):
-        """The restored (H, W, B) cube, clipped to [0, 1]: one float32 forward
-        without traces on the cube, reflect-padded to the encoder's divisor
-        only if it does not divide (no layer writes into its input)."""
+    def net_input(self, cube):
+        """The (1, 1, H', W', B) float32 network input of an (H, W, B) cube,
+        reflect-padded in H and W to the encoder's divisor only if an extent
+        does not divide (else a view of the cube where the dtype allows)."""
         height, width = cube.shape[:2]
         req = self.config.downsample_factor()
         if height % req[0] or width % req[1]:
             cube = np.pad(cube, ((0, -height % req[0]), (0, -width % req[1]), (0, 0)), "reflect")
-        out, _ = self.forward(np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32))
-        return np.clip(out[0, 0, :height, :width], 0.0, 1.0)
+        return np.ascontiguousarray(cube[np.newaxis, np.newaxis], dtype=np.float32)
+
+    def denoise(self, cube):
+        """The restored (H, W, B) cube, clipped to [0, 1]: one float32 forward
+        without traces on net_input(cube) (no layer writes into its input),
+        cropped back to H and W."""
+        out, _ = self.forward(self.net_input(cube))
+        return np.clip(out[0, 0, :cube.shape[0], :cube.shape[1]], 0.0, 1.0)
 
     def unit_input(self, x, layer):
         """The input forward() feeds unit `layer` (zero-based), its skip

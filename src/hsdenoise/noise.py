@@ -63,6 +63,8 @@ def _check_cube(x):
     x = np.asarray(x)
     if x.ndim != 3:
         raise NoiseError(f"cube must have axes (H, W, B), got {x.ndim} axes")
+    if 0 in x.shape:
+        raise NoiseError("cube extents {}x{}x{} include a zero".format(*x.shape))
     return x
 
 

@@ -313,3 +313,32 @@ def bands_first(a):
 def bands_first_copy(a):
     """Copy of an (N, C, H, W, B) array with (N, C, B, H, W) memory."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 2)), 2, -1)
+
+
+def relative_counts(forward, backward, h_numel):
+    """Per output band j of a bidirectional layer, (total, forward, backward)
+    counts of the cells that reach 0.1 * sqrt(h_numel), cell by cell: i < j
+    read from the forward matrix, i > j from the backward one, and the
+    diagonal if either matrix's diagonal reaches it. NaN reaches nothing."""
+    threshold = 0.1 * np.sqrt(h_numel)
+    fwd, bwd = np.asarray(forward).tolist(), np.asarray(backward).tolist()
+    counts = []
+    for j in range(len(fwd)):
+        before = sum(1 for i in range(j) if fwd[i][j] >= threshold)
+        after = sum(1 for i in range(j + 1, len(fwd)) if bwd[i][j] >= threshold)
+        diagonal = fwd[j][j] >= threshold or bwd[j][j] >= threshold
+        counts.append((before + after + int(diagonal), before, after))
+    return counts
+
+
+def heat_map_pixels(forward, backward):
+    """A bidirectional layer's heat map, cell by cell: v is the forward cell
+    above the diagonal, the backward one below it and the larger defined one
+    on it; each pixel is round(255 v / max v), 0 where v is NaN."""
+    fwd, bwd = np.asarray(forward).tolist(), np.asarray(backward).tolist()
+    n = len(fwd)
+    cells = [[fwd[i][j] if i < j else bwd[i][j] if i > j
+              else max((v for v in (fwd[i][i], bwd[i][i]) if v == v), default=float("nan"))
+              for j in range(n)] for i in range(n)]
+    top = max(v for row in cells for v in row if v == v)
+    return [[0 if v != v else round(255.0 * (v / top)) for v in row] for row in cells]

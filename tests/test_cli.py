@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference_impls import heat_map_pixels, relative_counts
 from hsdenoise.cli import main, parse_config_file, resolve_settings
 from hsdenoise.gcs import gcs_matrix, gcs_to_csv, pooling_traces
 from hsdenoise.hsio import HsiError, gen_synthetic, read_hsi, write_hsi
@@ -364,19 +365,51 @@ class TestGcsCommand:
         assert "1 non-finite samples" in err and "band(s) 4;" in err
         assert not out_dir.exists()
 
-    def test_divisibility_message(self, tmp_path, capsys):
-        """Benchmark-shaped weights: gcs rejects a 66-pixel extent clearly."""
+    @pytest.mark.parametrize("layer, h_numel", [("first", 16 * 66 * 64), ("3", 32 * 33 * 32)],
+                             ids=["first", "layer3"])
+    def test_non_dividing_cube_runs(self, tmp_path, layer, h_numel):
+        """Benchmark-shaped weights: a 66-pixel extent is reflect-padded to
+        68 and each trace cropped back to the cube's own positions, so
+        h_numel counts only those: 66x64 at layer 1, ceil(66 * 34 / 68) x 32
+        at the stride-2 layer 3."""
         import hsdenoise.network as network
         model = build_network(network.standard_config(), seed=0)
         weights = str(tmp_path / "bench.q3dw")
         save_weights(weights, model)
         src, _ = make_cube(tmp_path, "odd.hsi", shape=(66, 64, 4), seed=3)
-        code = run_cli("gcs", src, "--weights", weights,
-                       "--out-prefix", str(tmp_path / "g"))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "66 not divisible by 4" in err
-        assert "crop or pad" in err
+        prefix = str(tmp_path / "g")
+        assert run_cli("gcs", src, "--weights", weights, "--layer", layer,
+                       "--out-prefix", prefix) == 0
+        directions = ["forward", "backward"] if layer == "first" else ["backward"]
+        for d in directions:
+            assert f"# h_numel: {h_numel}\n" in open(f"{prefix}.{d}.csv").read()
+        assert open(prefix + ".pgm", "rb").read().startswith(b"P5\n4 4\n255\n")
+
+    @pytest.mark.parametrize("shape", [(8, 8, 16), (10, 7, 16)], ids=["dividing", "padded"])
+    def test_summary_matches_cell_oracle(self, tmp_path, shape):
+        """relative.csv and the heat map of a bidirectional layer equal the
+        cell-by-cell oracles over the layer's two matrices: counts from the
+        forward matrix above the diagonal, the backward one below it, either
+        on it; pixels round(255 v / max) of that dense view."""
+        from hsdenoise.gcs import layer_matrices
+        model = build_network(standard_config(), seed=4)
+        weights = str(tmp_path / "w.q3dw")
+        save_weights(weights, model)
+        src, cube = make_cube(tmp_path, "in.hsi", shape=shape, seed=9)
+        prefix = str(tmp_path / "g")
+        assert run_cli("gcs", src, "--weights", weights, "--out-prefix", prefix) == 0
+        fwd, bwd = layer_matrices(model, cube, 0)
+        want = relative_counts(fwd.values, bwd.values, fwd.h_numel)
+        rows = [ln for ln in open(prefix + ".relative.csv").read().splitlines()
+                if not ln.startswith("#")][1:]
+        assert [tuple(map(int, r.split(",")[1:])) for r in rows] == want
+        assert any(0 < t < shape[2] for t, _, _ in want)
+        n = shape[2]
+        blob = open(prefix + ".pgm", "rb").read()
+        header = f"P5\n{n} {n}\n255\n".encode()
+        assert blob.startswith(header)
+        pixels = np.frombuffer(blob[len(header):], dtype=np.uint8).reshape(n, n)
+        assert pixels.tolist() == heat_map_pixels(fwd.values, bwd.values)
 
     @pytest.mark.parametrize("case", ["eps", "c3d"])
     def test_bad_request_fails_before_forward(self, tmp_path, capsys, monkeypatch, case):

@@ -13,7 +13,6 @@ from hsdenoise.gcs import (
     GcsMatrix,
     gcs_matrix,
     gcs_to_csv,
-    overlay_values,
     pooling_traces,
     relative_bands,
     values_to_pgm,
@@ -336,31 +335,44 @@ class TestRelativeBands:
         rng = np.random.default_rng(10)
         z = 0.5 + 0.4 * rng.random((1, 1, 3, 3, 1))
         f = np.full_like(z, 0.3)
-        tr = PoolingTrace(z, f, qru_pool_forward(z, f, FORWARD), FORWARD)
-        rel = relative_bands(gcs_matrix(tr))
-        assert rel.total.tolist() == [1]
-        assert rel.forward.tolist() == [0]
-        assert rel.backward.tolist() == [0]
+        m = gcs_matrix(PoolingTrace(z, f, qru_pool_forward(z, f, FORWARD), FORWARD))
+        total, fwd, bwd = relative_bands(m.values, m.h_numel)
+        assert total.tolist() == [1]
+        assert fwd.tolist() == [0]
+        assert bwd.tolist() == [0]
 
     def test_zero_gate_isolates_bands(self):
         """With f identically zero each band is its own only contributor."""
         rng = np.random.default_rng(11)
         z = 0.5 + 0.4 * rng.random((1, 1, 3, 3, 4))
         f = np.zeros_like(z)
-        tr = PoolingTrace(z, f, qru_pool_forward(z, f, FORWARD), FORWARD)
-        rel = relative_bands(gcs_matrix(tr))
-        assert rel.total.tolist() == [1, 1, 1, 1]
-        assert rel.forward.tolist() == [0, 0, 0, 0]
+        m = gcs_matrix(PoolingTrace(z, f, qru_pool_forward(z, f, FORWARD), FORWARD))
+        total, fwd, _ = relative_bands(m.values, m.h_numel)
+        assert total.tolist() == [1, 1, 1, 1]
+        assert fwd.tolist() == [0, 0, 0, 0]
 
     def test_counts_bounded_and_split_consistent(self):
         """Counts never exceed the band count; splits add up with diagonal."""
         m = gcs_matrix(random_trace(8, FORWARD, seed=12))
-        rel = relative_bands(m)
-        diag = np.array([m.defined()[j, j]
-                         and m.values[j, j] >= rel.threshold[j]
-                         for j in range(8)], dtype=np.int64)
-        assert np.all(rel.total <= 8)
-        assert np.array_equal(rel.total, rel.forward + rel.backward + diag)
+        total, fwd, bwd = relative_bands(m.values, m.h_numel)
+        diag = (np.diag(m.values) >= 0.1 * np.sqrt(m.h_numel)).astype(np.int64)
+        assert np.all(total <= 8)
+        assert np.array_equal(total, fwd + bwd + diag)
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_absent_cells_never_count(self, direction):
+        """Absent (NaN) cells count nowhere: with every defined cell set to
+        the threshold, only the direction's triangle counts, less an
+        all-absent band."""
+        m = gcs_matrix(random_trace(6, direction, seed=13))
+        values = m.values.copy()
+        values[:, 2] = np.nan
+        defined = ~np.isnan(values)
+        total, fwd, bwd = relative_bands(np.where(defined, 1.0, values), 100)
+        assert total.tolist() == defined.sum(axis=0).tolist()
+        side, empty = (fwd, bwd) if direction == FORWARD else (bwd, fwd)
+        assert side.tolist() == ([0, 1, 0, 3, 4, 5] if direction == FORWARD else [5, 4, 0, 2, 1, 0])
+        assert empty.tolist() == [0] * 6
 
 
 class TestNetworkExtraction:
@@ -395,6 +407,29 @@ class TestLayerMatrices:
         got = gcs.layer_matrices(model, cube, layer)
         _, traces = model.forward(cube[np.newaxis, np.newaxis], keep_traces=True)
         want = [gcs_matrix(t) for t in pooling_traces(traces, layer)]
+        assert [m.direction for m in got] == [m.direction for m in want]
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w.values.tobytes()
+            assert g.excluded.tobytes() == w.excluded.tobytes()
+            assert g.h_numel == w.h_numel
+
+    @pytest.mark.parametrize("layer", [0, 2, 4, 11])
+    def test_non_dividing_cube_is_padded_then_cropped(self, layer):
+        """A 10x7 cube runs reflect-padded to 12x8, and each matrix equals,
+        byte for byte, gcs_matrix of that layer's trace in the padded full
+        traced pass, cropped to ceil(10 h_k / 12) x ceil(7 w_k / 8): the
+        full-resolution, stride-2, stride-4 and last layers."""
+        model = build_network(standard_config(), seed=3)
+        cube = np.random.default_rng(23).random((10, 7, 6)).astype(np.float32)
+        got = gcs.layer_matrices(model, cube, layer)
+        padded = np.pad(cube, ((0, 2), (0, 1), (0, 0)), "reflect")
+        _, traces = model.forward(padded[np.newaxis, np.newaxis], keep_traces=True)
+        want = []
+        for t in pooling_traces(traces, layer):
+            hc, wc = (int(np.ceil(n * k / p)) for n, k, p in zip((10, 7), t.h.shape[2:4], (12, 8)))
+            want.append(gcs_matrix(PoolingTrace(t.z[:, :, :hc, :wc], t.f[:, :, :hc, :wc],
+                                                t.h[:, :, :hc, :wc], t.direction)))
+            assert want[-1].h_numel == t.h.shape[1] * hc * wc
         assert [m.direction for m in got] == [m.direction for m in want]
         for g, w in zip(got, want):
             assert g.values.tobytes() == w.values.tobytes()
@@ -482,19 +517,3 @@ class TestEmitters:
         payload = blob[len(b"P5\n3 3\n255\n"):]
         assert len(payload) == 9
         assert max(payload) == 255
-
-    def test_overlay_fills_triangles(self):
-        """Overlaying a forward and a backward matrix is dense."""
-        rng_shape = (1, 1, 2, 2)
-        fwd = gcs_matrix(random_trace(4, FORWARD, seed=23, shape=rng_shape))
-        bwd = gcs_matrix(random_trace(4, BACKWARD, seed=24, shape=rng_shape))
-        combined = overlay_values([fwd, bwd])
-        assert np.all(np.isfinite(combined))
-        assert combined[0, 0] == max(fwd.values[0, 0], bwd.values[0, 0])
-
-    def test_overlay_checks_shapes(self):
-        """Mismatched band counts cannot be overlaid."""
-        a = gcs_matrix(random_trace(3, FORWARD, seed=25))
-        b = gcs_matrix(random_trace(4, FORWARD, seed=26))
-        with pytest.raises(ConfigError):
-            overlay_values([a, b])

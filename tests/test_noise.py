@@ -206,6 +206,27 @@ class TestCases:
         assert "stripe band" in text
 
 
+_OPS = {
+    "gaussian-iid": lambda x: add_gaussian_iid(x, 30.0, seed=0),
+    "noniid": lambda x: add_noniid_gaussian(x, seed=0),
+    "stripes": lambda x: add_stripes(x, seed=0),
+    "deadline": lambda x: add_deadline(x, seed=0),
+    "impulse": lambda x: add_impulse(x, seed=0),
+    **{f"case{c}": (lambda x, c=c: synthesize_case(x, c, seed=0)) for c in (1, 2, 3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 0), (0, 4, 3), (4, 0, 3)], ids=["B0", "H0", "W0"])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_zero_extent_rejected(op, shape):
+    """Every public op refuses a cube with a zero extent, naming its
+    extents: case 5 would otherwise redraw its band coins forever on zero
+    bands, numpy would refuse to choose from zero bands or columns, and a
+    zero-height cube would report corruptions that touch no pixel."""
+    with pytest.raises(NoiseError, match="cube extents {}x{}x{} include a zero".format(*shape)):
+        _OPS[op](np.zeros(shape))
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), case=st.sampled_from([2, 3, 4, 5]), b=st.integers(2, 12))
 def test_sparse_reports_stay_in_band_range(seed, case, b):
