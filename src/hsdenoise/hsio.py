@@ -1,5 +1,7 @@
 """Cube container format, patch extraction, normalization, synthetic data.
 
+Only the rescale augmentation (`train --augment rescale|full`) loads scipy.
+
 The on-disk container ("HSI1") is deliberately minimal and fully pinned:
 
   magic    4 bytes   b"HSI1"
@@ -21,7 +23,6 @@ import math
 import struct
 
 import numpy as np
-from scipy import ndimage
 
 from .tensors import ConfigError, ShapeError
 
@@ -126,8 +127,7 @@ class Patch:
 def _rescaled(cube, scale):
     if scale == 1.0:
         return cube
-    # Cubic-spline resample of the spatial axes only; the spectrum is kept
-    # at full length.
+    from scipy import ndimage  # cubic spline over the spatial axes only
     return ndimage.zoom(cube, (scale, scale, 1.0), order=3)
 
 
@@ -199,9 +199,24 @@ def denormalize(cube, record):
     return np.asarray(cube) * (record.hi - record.lo) + record.lo
 
 
+def _gaussian_blur(image, sigma):
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for _ in range(2):  # axis 0, then axis 1 by way of the transpose
+        p, n = np.pad(image, [(r, r), (0, 0)], "symmetric"), image.shape[0]
+        out = p[r:r + n] * w[r]
+        for k in range(r):  # outermost pair first
+            out += (p[k:k + n] + p[2 * r - k:2 * r - k + n]) * w[k]
+        image = out.T
+    return image
+
+
 def gen_synthetic(height, width, bands, seed, rank=4):
     """Seeded synthetic cube in [0, 1]: a sum of `rank` separable terms,
-    each a smooth random spatial texture times a smooth spectral bump."""
+    each a smooth random spatial texture times a smooth spectral bump.
+    Its Gaussian (radius int(4 sigma + 0.5), symmetric edges, centre tap then
+    pairs outermost first) is byte-identical to scipy's gaussian_filter."""
     if min(height, width, bands) < 1:
         raise ConfigError(f"extents must be positive, got {(height, width, bands)}")
     if rank < 1:
@@ -211,7 +226,7 @@ def gen_synthetic(height, width, bands, seed, rank=4):
     cube = np.zeros((height, width, bands))
     for _ in range(rank):
         sigma = rng.uniform(1.5, 5.0)
-        texture = ndimage.gaussian_filter(rng.normal(size=(height, width)), sigma)
+        texture = _gaussian_blur(rng.normal(size=(height, width)), sigma)
         span = texture.max() - texture.min()
         if span > 0:
             texture = (texture - texture.min()) / span

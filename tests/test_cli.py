@@ -884,15 +884,17 @@ class TestTruncatedFiles:
 
 
 class TestDeterminism:
-    def run_subprocess(self, *argv, env_extra=None):
+    def run_python(self, *args, env_extra=None):
         env = dict(os.environ)
         if env_extra:
             env.update(env_extra)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env.setdefault("PYTHONPATH", os.path.join(root, "src"))
-        proc = subprocess.run([sys.executable, "-m", "hsdenoise"] +
-                              [str(a) for a in argv],
+        return subprocess.run([sys.executable] + [str(a) for a in args],
                               capture_output=True, text=True, env=env)
+
+    def run_subprocess(self, *argv, env_extra=None):
+        proc = self.run_python("-m", "hsdenoise", *argv, env_extra=env_extra)
         assert proc.returncode == 0, proc.stderr
         return proc
 
@@ -935,21 +937,54 @@ class TestDeterminism:
     def test_cli_import_leaves_numpy_unloaded(self):
         """HSDENOISE_THREADS reaches the math libraries only if numpy loads
         after the CLI applies it, so importing the CLI must not load numpy."""
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env.setdefault("PYTHONPATH", os.path.join(root, "src"))
-        code = "import sys, hsdenoise.cli; sys.exit('numpy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
+        proc = self.run_python("-c", "import sys, hsdenoise.cli; sys.exit('numpy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr or "numpy was imported"
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        """scipy serves only rescale augmentation: with every scipy import
+        refused, gen-synthetic, add-noise, a rotate-augmented train, and
+        denoise, eval and gcs with the trained weights all exit 0."""
+        code = (
+            "import sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "from hsdenoise.cli import main\n"
+            "d = sys.argv[1]\n"
+            "runs = [\n"
+            "    ['gen-synthetic', '--out', f'{d}/clean.hsi', '--height', '16',\n"
+            "     '--width', '16', '--bands', '8', '--seed', '4'],\n"
+            "    ['add-noise', f'{d}/clean.hsi', f'{d}/noisy.hsi', '--case', '5'],\n"
+            "    ['train', '--data', f'{d}/clean.hsi', '--out-dir', f'{d}/run',\n"
+            "     '--policy', 'fixed', '--epochs', '1', '--width', '4', '--batch-size', '4',\n"
+            "     '--patch-size', '8', '--augment', 'rotate'],\n"
+            "    ['denoise', f'{d}/noisy.hsi', f'{d}/out.hsi',\n"
+            "     '--weights', f'{d}/run/weights_final.q3dw'],\n"
+            "    ['eval', f'{d}/out.hsi', '--clean', f'{d}/clean.hsi', '--out', f'{d}/m.csv'],\n"
+            "    ['gcs', f'{d}/noisy.hsi', '--weights', f'{d}/run/weights_final.q3dw',\n"
+            "     '--layer', 'first', '--out-prefix', f'{d}/g'],\n"
+            "]\n"
+            "for argv in runs:\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n")
+        proc = self.run_python("-c", code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert os.path.getsize(tmp_path / "g.pgm") > 0
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        """Importing every hsdenoise module loads no scipy."""
+        code = ("import importlib, pkgutil, sys, hsdenoise\n"
+                "for mod in pkgutil.iter_modules(hsdenoise.__path__):\n"
+                "    importlib.import_module('hsdenoise.' + mod.name)\n"
+                "sys.exit('scipy' in sys.modules)")
+        proc = self.run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
     def test_bad_thread_env_rejected(self, tmp_path):
         """A malformed thread count aborts with a diagnostic."""
-        env = dict(os.environ)
-        env["HSDENOISE_THREADS"] = "lots"
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env.setdefault("PYTHONPATH", os.path.join(root, "src"))
-        proc = subprocess.run([sys.executable, "-m", "hsdenoise", "gradcheck"],
-                              capture_output=True, text=True, env=env)
+        proc = self.run_python("-m", "hsdenoise", "gradcheck",
+                               env_extra={"HSDENOISE_THREADS": "lots"})
         assert proc.returncode == 2
         assert "HSDENOISE_THREADS" in proc.stderr

@@ -1,11 +1,14 @@
 """Tests for the cube container, patch extraction, and synthetic data."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from hsdenoise.hsio import (
     HsiError,
+    _gaussian_blur,
     denormalize,
     extract_patches,
     gen_synthetic,
@@ -198,6 +201,31 @@ class TestSynthetic:
         assert cube.min() >= 0.0 and cube.max() <= 1.0
         assert cube.std() > 0.01
         assert np.std(cube.mean(axis=(0, 1))) > 1e-4
+
+    def test_gaussian_matches_scipy_bytes(self):
+        """The texture blur is byte for byte ndimage.gaussian_filter on 300
+        random images, sides 1-89 and sigma 1.5-5, so some radii (up to 20)
+        exceed the side and the reflection wraps more than once."""
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            image = rng.normal(size=tuple(rng.integers(1, 90, size=2)))
+            sigma = rng.uniform(1.5, 5.0)
+            want = ndimage.gaussian_filter(image, sigma)
+            assert np.ascontiguousarray(_gaussian_blur(image, sigma)).tobytes() == \
+                want.tobytes(), (image.shape, sigma)
+
+    @pytest.mark.parametrize("shape, seed, digest", [
+        ((64, 64, 31), 1, "e292c1cda75364be985af81884ea13791dc9bb6fb370469a2de7e02a855fffd2"),
+        ((24, 24, 220), 3, "fd2b886eff0453a02aab49a6e3303106fb5b2820b4bc9388a37b08c4932bcdc2"),
+        ((32, 32, 31), 11, "6fe4973ab7ae063ea0b15037bf316c89860b58a2d2cbf3e7657d24d147ec1653"),
+        ((5, 3, 7), 2, "7f76e39f5c19fd393ce655a169a55de27c202340c16f52a18701d586b2c687a3"),
+        ((1, 1, 5), 4, "a54a822f4e66e2d7f6f437b70646a8ab2c39dbf747713b6e9a27224e22051c39"),
+        ((145, 145, 220), 0, "0713f44fec7c903c42508eca954894b7c7406716b7af7515037d9cfe07b5be01"),
+    ])
+    def test_pinned_digests(self, shape, seed, digest):
+        """Synthetic cubes keep the bytes they had when scipy blurred them."""
+        cube = gen_synthetic(*shape, seed=seed)
+        assert hashlib.sha256(cube.tobytes()).hexdigest() == digest
 
     def test_bad_extents_rejected(self):
         """Non-positive extents or rank are errors."""
