@@ -4,7 +4,9 @@ One executable with subcommands: train, denoise, add-noise, eval, gcs,
 gradcheck, gen-synthetic.  Every command is deterministic given its flags
 and seeds; artifacts embed the resolved settings (text artifacts as leading
 comment lines, binary artifacts via a .meta sidecar) and never carry
-timestamps.
+timestamps.  `_write_meta` writes every text artifact and sidecar, so that
+header is written in one place; only the gcs heat map, a binary PGM, opens
+its own file.
 
 The HSDENOISE_THREADS environment variable sets a default thread count for
 the underlying math libraries; it is applied before numpy is first imported,
@@ -34,21 +36,32 @@ def _apply_thread_env():
         os.environ.setdefault(var, value)
 
 
+class _BadValue(ValueError, argparse.ArgumentTypeError):
+    """A value a caster refuses: argparse prints it after the flag,
+    parse_config_file after the file, line and key."""
+
+
 def _bool_key(text):
     lowered = str(text).strip().lower()
     if lowered in ("on", "true", "1", "yes"):
         return True
     if lowered in ("off", "false", "0", "no"):
         return False
-    raise ValueError(f"expected on/off, got {text!r}")
+    raise _BadValue(f"expected on/off, got {text!r}")
 
 
 def _choice_key(*options):
     def cast(text):
         if text not in options:
-            raise ValueError(f"expected one of {options}, got {text!r}")
+            raise _BadValue(f"expected one of {options}, got {text!r}")
         return text
     return cast
+
+
+def _non_negative_int(text):
+    if not str(text).strip().isdecimal():
+        raise _BadValue(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # The documented RunConfig key set: key -> (caster, default). CLI flags
@@ -61,7 +74,7 @@ CONFIG_KEYS = {
     "width": (int, 8),
     "layers": (int, 3),
     "residual": (_bool_key, True),
-    "seed": (int, 0),
+    "seed": (_non_negative_int, 0),
     "epochs": (int, 100),
     "policy": (_choice_key("schedule", "fixed"), "schedule"),
     "lr": (float, 1e-3),
@@ -109,16 +122,12 @@ def resolve_settings(args):
     return settings
 
 
-def _meta_lines(command, settings):
-    lines = [f"# command: {command}"]
-    for key in sorted(settings):
-        lines.append(f"# {key}: {settings[key]}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_meta(path, command, settings):
+def _write_meta(path, command, settings, body=""):
+    """Write a text artifact: `# command:` and the settings as sorted
+    `# key: value` lines, then body."""
+    lines = [f"# command: {command}"] + [f"# {key}: {settings[key]}" for key in sorted(settings)]
     with open(path, "w") as fh:
-        fh.write(_meta_lines(command, settings))
+        fh.write("\n".join(lines) + "\n" + body)
 
 
 def cmd_gen_synthetic(args):
@@ -163,11 +172,9 @@ def cmd_add_noise(args):
         regime = f"iid sigma {args.iid_sigma:g}"
     write_hsi(args.output, noisy.astype(cube.dtype))
     report_path = args.report or args.output + ".report.txt"
-    with open(report_path, "w") as fh:
-        fh.write(_meta_lines("add-noise", {
-            "input": args.input, "output": args.output,
-            "case": args.case, "iid-sigma": args.iid_sigma, "seed": args.seed}))
-        fh.write(report.to_text())
+    _write_meta(report_path, "add-noise", {
+        "input": args.input, "output": args.output,
+        "case": args.case, "iid-sigma": args.iid_sigma, "seed": args.seed}, report.to_text())
     print(f"wrote {args.output} ({regime}); report in {report_path}")
     return 0
 
@@ -200,18 +207,16 @@ def cmd_eval(args):
         raise ValueError(
             f"{args.clean}: spatial extent {height}x{width} is below the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} minimum of the SSIM window")
-    lines = [_meta_lines("eval", {"clean": args.clean}).rstrip("\n")]
     header = ["file", "mpsnr", "mssim", "sam"]
     header += [f"psnr_b{j + 1}" for j in range(clean.shape[2])]
-    lines.append(",".join(header))
+    lines = [",".join(header)]
     for path, cube in cubes:
         per_band = psnr_per_band(cube, clean)
         row = [path, f"{per_band.mean():.6f}", f"{ssim(cube, clean):.6f}",
                f"{sam(cube, clean):.6f}"] + [f"{v:.6f}" for v in per_band]
         lines.append(",".join(row))
         print(f"{path}: mpsnr {row[1]} mssim {row[2]} sam {row[3]}")
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_meta(args.out, "eval", {"clean": args.clean}, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0
 
@@ -244,29 +249,19 @@ def cmd_gcs(args):
         os.makedirs(parent, exist_ok=True)
     meta = {"weights": args.weights, "input": args.input,
             "layer": args.layer, "eps": args.eps}
-    written = []
-    for m in matrices:
-        path = f"{args.out_prefix}.{m.direction}.csv"
-        with open(path, "w") as fh:
-            fh.write(_meta_lines("gcs", meta))
-            fh.write(gcs_to_csv(m))
-        written.append(path)
     # One dense view of the direction matrices: each cell's larger defined value.
     overlay = np.fmax.reduce([m.values for m in matrices])
-    rel_path = f"{args.out_prefix}.relative.csv"
-    with open(rel_path, "w") as fh:
-        fh.write(_meta_lines("gcs", meta))
-        fh.write("band,total,forward,backward\n")
-        counts = relative_bands(overlay, matrices[0].h_numel)
-        for j, (total, fwd, bwd) in enumerate(zip(*counts), 1):
-            fh.write(f"{j},{total},{fwd},{bwd}\n")
-    written.append(rel_path)
-    pgm_path = f"{args.out_prefix}.pgm"
-    with open(pgm_path, "wb") as fh:
+    counts = relative_bands(overlay, matrices[0].h_numel)
+    bodies = {f"{m.direction}.csv": gcs_to_csv(m) for m in matrices}
+    bodies["relative.csv"] = "band,total,forward,backward\n" + "".join(
+        f"{j},{total},{fwd},{bwd}\n" for j, (total, fwd, bwd) in enumerate(zip(*counts), 1))
+    bodies["meta"] = ""
+    for suffix, body in bodies.items():
+        _write_meta(f"{args.out_prefix}.{suffix}", "gcs", meta, body)
+    with open(f"{args.out_prefix}.pgm", "wb") as fh:
         fh.write(values_to_pgm(overlay))
-    written.append(pgm_path)
-    _write_meta(f"{args.out_prefix}.meta", "gcs", meta)
-    print("wrote " + " ".join(written))
+    print("wrote " + " ".join(f"{args.out_prefix}.{suffix}"
+                              for suffix in [*bodies, "pgm"] if suffix != "meta"))
     return 0
 
 
@@ -392,7 +387,11 @@ def cmd_train(args):
     state, log = train(model, patches, options, state=state, log_fn=print)
     save_weights(os.path.join(args.out_dir, "weights_final.q3dw"), model)
     save_optimizer_state(os.path.join(args.out_dir, "optim_final.q3da"), state)
-    meta = dict(settings)
+    meta = dict(settings, data=" ".join(args.data))
+    if args.val:
+        meta["val"] = " ".join(args.val)
+    if args.max_steps_per_epoch is not None:
+        meta["max-steps-per-epoch"] = args.max_steps_per_epoch
     if args.resume_weights:
         # The weights file, not these settings, fixed the network.
         for key in ("preset", "kind", "schedule", "width", "layers", "width-multiplier"):
@@ -401,9 +400,7 @@ def cmd_train(args):
     if args.resume_state:
         meta["resume-state"] = args.resume_state
     log_path = os.path.join(args.out_dir, "trainlog.csv")
-    with open(log_path, "w") as fh:
-        fh.write(_meta_lines("train", meta))
-        fh.write(log.to_csv())
+    _write_meta(log_path, "train", meta, log.to_csv())
     print(f"wrote {log_path} and final weights in {args.out_dir}")
     return 0
 
@@ -420,7 +417,7 @@ def build_parser():
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--bands", type=int, default=31)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--rank", type=int, default=4)
     p.set_defaults(func=cmd_gen_synthetic)
 
@@ -430,7 +427,7 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--case", type=int, choices=(1, 2, 3, 4, 5))
     group.add_argument("--iid-sigma", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=cmd_add_noise)
 
@@ -460,7 +457,7 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -68,8 +68,9 @@ def check_eps(eps):
 
 
 def no_recurrence(layer):
-    """The error for a layer without a pooling recurrence (zero-based)."""
-    return ConfigError(f"layer {layer} has no pooling recurrence to analyze")
+    """The error for zero-based unit `layer` without a pooling recurrence,
+    naming it from 1 as NetworkConfig and the weight names (layer01) do."""
+    return ConfigError(f"layer {layer + 1} has no pooling recurrence to analyze")
 
 
 def _block_rows(a, start, out):

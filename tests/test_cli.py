@@ -430,7 +430,7 @@ class TestGcsCommand:
             model = build_network(desk_config(width=4, kind="c3d"), seed=1)
             weights = str(tmp_path / "c3d.q3dw")
             save_weights(weights, model)
-            flags, message = ["--layer", 2], "layer 1 has no pooling recurrence"
+            flags, message = ["--layer", 2], "layer 2 has no pooling recurrence"
         src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
         out_dir = tmp_path / "out"
         code = run_cli("gcs", src, "--weights", weights, *flags,
@@ -612,6 +612,55 @@ class TestGradcheckCommand:
         assert len(calls) == 9
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("command", ["gen-synthetic", "add-noise", "gradcheck", "train",
+                                         "config"])
+    def test_negative_seed_names_flag(self, tmp_path, capsys, command):
+        """A negative --seed, or a config line `seed = -1`, exits 2 naming the
+        flag (or key and line), before any file or --out-dir exists."""
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(16, 16, 4), seed=9)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "out"
+        argv = {
+            "gen-synthetic": ["gen-synthetic", "--out", out, "--seed", "-1"],
+            "add-noise": ["add-noise", src, out, "--case", 5, "--seed", "-1"],
+            "gradcheck": ["gradcheck", "--seed", "-1"],
+            "train": ["train", "--data", src, "--out-dir", out, "--patch-size", 8,
+                      "--seed", "-1"],
+            "config": ["train", "--config", cfg, "--data", src, "--out-dir", out,
+                       "--patch-size", 8],
+        }[command]
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        if command == "config":
+            assert (f"{cfg}:1: bad value for seed: expected a non-negative integer, got '-1'"
+                    in captured.err)
+        else:
+            assert ("argument --seed: expected a non-negative integer, got '-1'"
+                    in captured.err)
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["in.hsi", "run.cfg"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--kind", "qru4d", "expected one of ('qru3d', 'qru2d', 'c3d'), got 'qru4d'"),
+        ("--residual", "maybe", "expected on/off, got 'maybe'"),
+    ], ids=["choice", "bool"])
+    def test_bad_train_flag_says_what_it_takes(self, tmp_path, capsys, flag, value, message):
+        """A train flag refused by its config key's caster exits 2 with the
+        message the config file would give, after the flag's name."""
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--data", "in.hsi", "--out-dir", out_dir, flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestTrainCommand:
     def test_small_fixed_run(self, tmp_path):
         """A tiny fixed-policy run writes weights, state, and the log."""
@@ -628,6 +677,26 @@ class TestTrainCommand:
         assert "# command: train" in log
         assert "epoch,stage,lr,batch_size,loss,val_psnr" in log
         assert "seconds" not in log
+
+    def test_log_names_inputs(self, tmp_path):
+        """Runs that differ only in --max-steps-per-epoch train different
+        weights, so each log names that flag's value and the --data and
+        --val files."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        val, _ = make_cube(tmp_path, "val.hsi", shape=(8, 8, 4), seed=10)
+        runs = []
+        for steps in (1, 2):
+            out_dir = tmp_path / f"run{steps}"
+            assert run_cli("train", "--data", src, "--val", val, "--out-dir", out_dir,
+                           "--policy", "fixed", "--epochs", 1, "--width", 4,
+                           "--batch-size", 2, "--patch-size", 8,
+                           "--max-steps-per-epoch", steps) == 0
+            log = (out_dir / "trainlog.csv").read_text()
+            assert f"# max-steps-per-epoch: {steps}\n" in log
+            assert f"# data: {src}\n" in log and f"# val: {val}\n" in log
+            runs.append(((out_dir / "weights_final.q3dw").read_bytes(), log))
+        assert runs[0][0] != runs[1][0]
+        assert runs[0][1] != runs[1][1]
 
     def test_stepless_run_rejected(self, tmp_path, capsys):
         """A batch size under which no step could run exits 2 and writes no log."""

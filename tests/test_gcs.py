@@ -438,7 +438,7 @@ class TestLayerMatrices:
 
     @pytest.mark.parametrize("case, layer, eps, message", [
         ("qru3d", 0, float("nan"), "eps must be positive and finite, got nan"),
-        ("c3d", 1, 1e-6, "layer 1 has no pooling recurrence"),
+        ("c3d", 1, 1e-6, "layer 2 has no pooling recurrence"),
         ("standard", 12, 1e-6, r"layer 12 outside 0\.\.11"),
         ("standard", -1, 1e-6, r"layer -1 outside 0\.\.11"),
     ], ids=["eps", "c3d", "past-last", "negative"])
