@@ -260,8 +260,7 @@ def cmd_gcs(args):
         _write_meta(f"{args.out_prefix}.{suffix}", "gcs", meta, body)
     with open(f"{args.out_prefix}.pgm", "wb") as fh:
         fh.write(values_to_pgm(overlay))
-    print("wrote " + " ".join(f"{args.out_prefix}.{suffix}"
-                              for suffix in [*bodies, "pgm"] if suffix != "meta"))
+    print("wrote " + " ".join(f"{args.out_prefix}.{suffix}" for suffix in [*bodies, "pgm"]))
     return 0
 
 
@@ -333,6 +332,9 @@ def _load_patch_arrays(paths, size, stride, augment):
         elif cube.shape[2] != bands:
             raise ValueError(
                 f"{path} has {cube.shape[2]} bands, earlier cubes had {bands}")
+        if min(cube.shape[:2]) < size:
+            raise ValueError(f"{path} is {cube.shape[0]}x{cube.shape[1]}, smaller than "
+                             f"--patch-size {size}")
         for patch in extract_patches(cube, spatial=size, stride=stride,
                                      augment=augment):
             arrays.append(np.ascontiguousarray(patch.data[np.newaxis],
@@ -464,7 +466,7 @@ def build_parser():
     p = sub.add_parser("train", help="run the training loop")
     p.add_argument("--config", help="key = value file; flags override it")
     p.add_argument("--data", nargs="+", required=True, help="training cubes (.hsi)")
-    p.add_argument("--val", nargs="*", default=(), help="validation cubes (.hsi)")
+    p.add_argument("--val", nargs="+", help="validation cubes (.hsi)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resume-weights")
     p.add_argument("--resume-state")

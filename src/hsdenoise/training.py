@@ -23,8 +23,6 @@ Optimizer state sidecar format (Q3DA), little-endian throughout:
     v       float64 raw bytes, C order
 """
 
-import csv
-import io
 import os
 import struct
 import time
@@ -114,8 +112,7 @@ def load_optimizer_state(path):
     reader = BlobReader.open(path, WeightsError, b"Q3DA", 1)
     step, epoch, n_arrays = reader.unpack("<QII", "header")
     beta1, beta2, eps = reader.unpack("<ddd", "hyperparameters")
-    state = AdamState.__new__(AdamState)
-    state.m, state.v = [], []
+    state = AdamState([])
     state.step, state.epoch = step, epoch
     state.beta1, state.beta2, state.eps = beta1, beta2, eps
     for idx in range(n_arrays):
@@ -145,37 +142,31 @@ class StageSpec:
 
 SCHEDULE_EPOCHS = 100
 
+# Each row holds from its first epoch to the next row's: (first epoch, stage,
+# lr, batch, regime, (the regime's StageSpec field, its value)).
+_CURRICULUM = (
+    (0, 1, 1e-3, 16, "fixed", ("sigma", 50.0)),
+    (20, 1, 1e-4, 16, "fixed", ("sigma", 50.0)),
+    (30, 2, 1e-3, 64, "blind", ("sigma_range", (30.0, 70.0))),
+    (35, 2, 1e-4, 64, "blind", ("sigma_range", (30.0, 70.0))),
+    (45, 2, 1e-5, 64, "blind", ("sigma_range", (30.0, 70.0))),
+    (50, 3, 1e-3, 64, "mixture", ("cases", (1, 2, 3, 4))),
+    (85, 3, 1e-4, 64, "mixture", ("cases", (1, 2, 3, 4))),
+    (95, 3, 1e-5, 64, "mixture", ("cases", (1, 2, 3, 4))),
+)
+CHECKPOINT_EPOCHS = (50, 100)  # ends of stage 2 and of the curriculum
+
 
 def schedule_for_epoch(epoch):
-    """Stage settings for a zero-based epoch of the 100-epoch curriculum.
-
-    Stage 1 (epochs 0-29):  fixed sigma 50, batch 16, lr 1e-3 then 1e-4
-    at epoch 20.  Stage 2 (30-49): blind sigma drawn from [30, 70], batch
-    64, lr 1e-3 / 1e-4 at 35 / 1e-5 at 45.  Stage 3 (50-99): mixed
-    complex cases 1-4, batch 64, lr 1e-3 / 1e-4 at 85 / 1e-5 at 95.
-    """
+    """Stage settings for a zero-based epoch of the 100-epoch curriculum: a
+    new StageSpec from the last `_CURRICULUM` row at or before `epoch`."""
     if not isinstance(epoch, (int, np.integer)) or isinstance(epoch, bool):
         raise ConfigError(f"epoch must be an integer, got {epoch!r}")
     if epoch < 0 or epoch >= SCHEDULE_EPOCHS:
         raise ConfigError(f"epoch {epoch} outside the schedule range [0, {SCHEDULE_EPOCHS})")
-    if epoch < 30:
-        lr = 1e-3 if epoch < 20 else 1e-4
-        return StageSpec(1, lr, 16, "fixed", sigma=50.0)
-    if epoch < 50:
-        if epoch < 35:
-            lr = 1e-3
-        elif epoch < 45:
-            lr = 1e-4
-        else:
-            lr = 1e-5
-        return StageSpec(2, lr, 64, "blind", sigma_range=(30.0, 70.0))
-    if epoch < 85:
-        lr = 1e-3
-    elif epoch < 95:
-        lr = 1e-4
-    else:
-        lr = 1e-5
-    return StageSpec(3, lr, 64, "mixture", cases=(1, 2, 3, 4))
+    for first, stage, lr, batch_size, regime, (field, value) in reversed(_CURRICULUM):
+        if epoch >= first:
+            return StageSpec(stage, lr, batch_size, regime, **{field: value})
 
 
 class TrainOptions:
@@ -183,13 +174,11 @@ class TrainOptions:
     policy "fixed" uses a constant lr/batch/sigma (handy for small runs)."""
 
     __slots__ = ("seed", "epochs", "start_epoch", "policy", "lr", "batch_size",
-                 "sigma", "val_patches", "checkpoint_dir", "checkpoint_epochs",
-                 "max_steps_per_epoch")
+                 "sigma", "val_patches", "checkpoint_dir", "max_steps_per_epoch")
 
     def __init__(self, seed=0, epochs=100, start_epoch=0, policy="schedule",
                  lr=1e-3, batch_size=16, sigma=50.0, val_patches=None,
-                 checkpoint_dir=None, checkpoint_epochs=(50, 100),
-                 max_steps_per_epoch=None):
+                 checkpoint_dir=None, max_steps_per_epoch=None):
         if policy not in ("schedule", "fixed"):
             raise ConfigError(f"unknown training policy {policy!r}")
         if epochs <= 0:
@@ -217,7 +206,6 @@ class TrainOptions:
         self.sigma = sigma
         self.val_patches = val_patches
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_epochs = tuple(checkpoint_epochs)
         self.max_steps_per_epoch = max_steps_per_epoch
 
 
@@ -229,26 +217,13 @@ class TrainLog:
     def __init__(self):
         self.rows = []
 
-    def add(self, epoch, stage, lr, batch_size, loss, val_psnr, seconds):
-        self.rows.append({"epoch": epoch, "stage": stage, "lr": lr,
-                          "batch_size": batch_size, "loss": loss,
-                          "val_psnr": val_psnr, "seconds": seconds})
-
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["epoch", "stage", "lr", "batch_size", "loss", "val_psnr"])
+        lines = ["epoch,stage,lr,batch_size,loss,val_psnr\n"]
         for row in self.rows:
             val = "" if row["val_psnr"] is None else f"{row['val_psnr']:.6f}"
-            writer.writerow([row["epoch"], row["stage"], f"{row['lr']:.8g}",
-                             row["batch_size"], f"{row['loss']:.10e}", val])
-        return buf.getvalue()
-
-
-def _stage_for(options, epoch):
-    if options.policy == "schedule":
-        return schedule_for_epoch(epoch)
-    return StageSpec(0, options.lr, options.batch_size, "fixed", sigma=options.sigma)
+            lines.append(f"{row['epoch']},{row['stage']},{row['lr']:.8g},"
+                         f"{row['batch_size']},{row['loss']:.10e},{val}\n")
+        return "".join(lines)
 
 
 def _corrupt(clean, stage, seed_path):
@@ -269,7 +244,7 @@ def _corrupt(clean, stage, seed_path):
         else:
             case = int(stage.cases[rng.integers(0, len(stage.cases))])
             noisy, _ = synthesize_case(cube, case, list(seed_path) + [1])
-    return noisy[np.newaxis].astype(clean.dtype)
+    return noisy[np.newaxis]
 
 
 def _val_psnr(model, val_pairs):
@@ -282,7 +257,7 @@ def _build_val_pairs(val_patches, seed):
     pairs = []
     for i, clean in enumerate(val_patches):
         noisy = add_gaussian_iid(clean[0], 50.0, [seed, 999_983, i])
-        pairs.append((noisy[np.newaxis].astype(clean.dtype), clean))
+        pairs.append((noisy[np.newaxis], clean))
     return pairs
 
 
@@ -305,17 +280,15 @@ def train(model, patches, options, state=None, log_fn=None):
     say = log_fn if log_fn is not None else (lambda s: None)
     val_pairs = _build_val_pairs(options.val_patches, options.seed) \
         if options.val_patches else None
+    fixed = StageSpec(0, options.lr, options.batch_size, "fixed", sigma=options.sigma)
 
     for epoch in range(options.start_epoch, options.epochs):
-        stage = _stage_for(options, epoch)
+        stage = schedule_for_epoch(epoch) if options.policy == "schedule" else fixed
         t0 = time.perf_counter()
         rng = np.random.default_rng([options.seed, epoch])
         order = rng.permutation(len(patches))
         losses = []
-        steps = 0
-        for start in range(0, len(order), stage.batch_size):
-            if options.max_steps_per_epoch is not None and steps >= options.max_steps_per_epoch:
-                break
+        for start in range(0, len(order), stage.batch_size)[:options.max_steps_per_epoch]:
             slots = order[start:start + stage.batch_size]
             clean = np.stack([patches[i] for i in slots])
             noisy = np.stack([
@@ -326,16 +299,17 @@ def train(model, patches, options, state=None, log_fn=None):
             _, grads = model.backward(traces, grad, input_grad=False)
             adam_step(state, params, grads, stage.lr)
             losses.append(loss)
-            steps += 1
         state.epoch = epoch + 1
         seconds = time.perf_counter() - t0
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
+        mean_loss = float(np.mean(losses))
         val = _val_psnr(model, val_pairs) if val_pairs else None
-        log.add(epoch, stage.stage, stage.lr, stage.batch_size, mean_loss, val, seconds)
+        log.rows.append({"epoch": epoch, "stage": stage.stage, "lr": stage.lr,
+                         "batch_size": stage.batch_size, "loss": mean_loss,
+                         "val_psnr": val, "seconds": seconds})
         val_txt = "" if val is None else f"  val_psnr {val:.2f}"
         say(f"epoch {epoch:3d}  stage {stage.stage}  lr {stage.lr:g}  "
             f"loss {mean_loss:.4e}{val_txt}  ({seconds:.1f}s)")
-        if options.checkpoint_dir and (epoch + 1) in options.checkpoint_epochs:
+        if options.checkpoint_dir and (epoch + 1) in CHECKPOINT_EPOCHS:
             os.makedirs(options.checkpoint_dir, exist_ok=True)
             tag = f"epoch{epoch + 1:03d}"
             save_weights(f"{options.checkpoint_dir}/weights_{tag}.q3dw", model)

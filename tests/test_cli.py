@@ -304,6 +304,18 @@ class TestGcsCommand:
         blob = open(prefix + ".pgm", "rb").read()
         assert blob.startswith(b"P5\n5 5\n255\n")
 
+    def test_wrote_line_lists_every_file(self, tmp_path, capsys):
+        """The `wrote` line names each of the five files gcs writes."""
+        weights = make_weights(tmp_path)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 5), seed=7)
+        prefix = str(tmp_path / "out" / "g")
+        assert run_cli("gcs", src, "--weights", weights, "--out-prefix", prefix) == 0
+        named = capsys.readouterr().out.split()
+        assert named[0] == "wrote"
+        assert sorted(named[1:]) == sorted(
+            os.path.join(tmp_path, "out", f) for f in os.listdir(tmp_path / "out"))
+        assert len(named) == 6
+
     def test_layer_selector(self, tmp_path, capsys):
         """Layer names resolve; out-of-range indices fail."""
         weights = make_weights(tmp_path)
@@ -800,6 +812,32 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}: 1 non-finite samples" in err and "band(s) 3;" in err
+        assert not out_dir.exists()
+
+    def test_val_without_paths_rejected(self, tmp_path, capsys):
+        """--val with no cube after it exits 2 before --out-dir is created,
+        rather than training without validation."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--data", src, "--out-dir", out_dir, "--policy", "fixed",
+                    "--epochs", 1, "--width", 2, "--patch-size", 8, "--val")
+        assert exc.value.code == 2
+        assert "argument --val: expected at least one argument" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--val"])
+    def test_cube_smaller_than_patch_named(self, tmp_path, capsys, flag):
+        """A --data or --val cube smaller than --patch-size exits 2 naming the
+        file, its H x W and the patch size, before --out-dir is created."""
+        good, _ = make_cube(tmp_path, "good.hsi", shape=(16, 16, 4), seed=9)
+        small, _ = make_cube(tmp_path, "small.hsi", shape=(3, 5, 4), seed=9)
+        cubes = ["--data", small] if flag == "--data" else ["--data", good, "--val", small]
+        out_dir = tmp_path / "run"
+        code = run_cli("train", *cubes, "--out-dir", str(out_dir), "--policy", "fixed",
+                       "--epochs", 1, "--width", 2, "--batch-size", 2, "--patch-size", 8)
+        assert code == 2
+        assert f"{small} is 3x5, smaller than --patch-size 8" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_resume_matches_straight_run(self, tmp_path):

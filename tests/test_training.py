@@ -270,17 +270,17 @@ class TestTrainLoop:
             assert np.array_equal(ma, mc)
 
     def test_checkpoints_written(self, tmp_path):
-        """Checkpoint epochs produce loadable weight and optimizer files."""
+        """The epoch-50 checkpoint is a loadable weight and optimizer pair."""
         patches = smooth_patches(4, 8, 8, 4, seed=10)
         model = build_network(desk_config(width=4, n_layers=3), seed=3)
         train(model, patches, TrainOptions(
-            seed=1, epochs=2, policy="fixed", lr=1e-3, batch_size=2, sigma=25.0,
-            checkpoint_dir=str(tmp_path), checkpoint_epochs=(2,)))
-        loaded = load_weights(str(tmp_path / "weights_epoch002.q3dw"))
+            seed=1, epochs=50, start_epoch=48, policy="fixed", lr=1e-3, batch_size=2,
+            sigma=25.0, checkpoint_dir=str(tmp_path)))
+        loaded = load_weights(str(tmp_path / "weights_epoch050.q3dw"))
         for pa, pb in zip(model.param_arrays(), loaded.param_arrays()):
             assert np.array_equal(pa, pb)
-        state = load_optimizer_state(str(tmp_path / "optim_epoch002.q3da"))
-        assert state.epoch == 2
+        state = load_optimizer_state(str(tmp_path / "optim_epoch050.q3da"))
+        assert state.epoch == 50
 
     def test_csv_has_no_wall_time(self):
         """Wall time stays out of the CSV artifact; loggers still see it."""
@@ -316,12 +316,12 @@ class TestTrainLoop:
                         for noisy, clean in _build_val_pairs(val, 6)])
         assert log.rows[0]["val_psnr"] == float(want)
 
-    @pytest.mark.parametrize("first", [29, 49])
+    @pytest.mark.parametrize("first", [19, 29, 34, 44, 49, 84, 94])
     def test_schedule_policy_with_step_cap(self, first):
-        """Under the default schedule policy, two epochs across a stage
-        boundary log the schedule's stage, batch size and learning rate, and
-        max_steps_per_epoch=1 cuts each epoch to one Adam step, though 40
-        patches fill three stage-1 batches of 16."""
+        """Under the default schedule policy, two epochs across each
+        curriculum boundary log the schedule's stage, batch size and learning
+        rate, and max_steps_per_epoch=1 cuts each epoch to one Adam step,
+        though 40 patches fill three stage-1 batches of 16."""
         patches = smooth_patches(40, 8, 8, 4, seed=16)
         model = build_network(desk_config(width=4, n_layers=3), seed=8)
         state, log = train(model, patches, TrainOptions(
@@ -330,7 +330,8 @@ class TestTrainLoop:
             spec = schedule_for_epoch(epoch)
             assert (row["epoch"], row["stage"], row["batch_size"], row["lr"]) == (
                 epoch, spec.stage, spec.batch_size, spec.lr)
-        assert log.rows[1]["stage"] == log.rows[0]["stage"] + 1
+        assert log.rows[1]["lr"] != log.rows[0]["lr"]
+        assert log.rows[1]["stage"] == log.rows[0]["stage"] + (first in (29, 49))
         assert (state.step, state.epoch) == (2, first + 2)
 
     def test_bad_options_rejected(self):
