@@ -389,15 +389,21 @@ def cmd_train(args):
     state, log = train(model, patches, options, state=state, log_fn=print)
     save_weights(os.path.join(args.out_dir, "weights_final.q3dw"), model)
     save_optimizer_state(os.path.join(args.out_dir, "optim_final.q3da"), state)
-    meta = dict(settings, data=" ".join(args.data))
+    # The log records only the settings this run read: the curriculum sets
+    # lr, batch and sigma, a preset reads only its own size keys, and
+    # resumed weights, not these settings, fix the network.
+    unread = {"lr", "batch-size", "sigma"} if settings["policy"] == "schedule" else set()
+    if args.resume_weights:
+        unread |= {"preset", "kind", "schedule", "width", "layers", "width-multiplier"}
+    else:
+        unread |= {"width-multiplier"} if settings["preset"] == "desk" else {"width", "layers"}
+    meta = {key: value for key, value in settings.items() if key not in unread}
+    meta.update({"patch-stride": stride, "data": " ".join(args.data)})
     if args.val:
         meta["val"] = " ".join(args.val)
     if args.max_steps_per_epoch is not None:
         meta["max-steps-per-epoch"] = args.max_steps_per_epoch
     if args.resume_weights:
-        # The weights file, not these settings, fixed the network.
-        for key in ("preset", "kind", "schedule", "width", "layers", "width-multiplier"):
-            del meta[key]
         meta["resume-weights"] = args.resume_weights
     if args.resume_state:
         meta["resume-state"] = args.resume_state

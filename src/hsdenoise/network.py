@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .hsio import BlobReader
-from .qru import BACKWARD, BIDIRECTIONAL, FORWARD, QruUnit, bank_count, make_variant
+from .qru import (BACKWARD, BIDIRECTIONAL, DIRECTIONS, FORWARD, VARIANT_KINDS, QruUnit,
+                  bank_count, make_variant)
 from .tensors import ConfigError, ConvKernel, ShapeError
 
 SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
@@ -279,14 +280,9 @@ class Model:
 def build_network(config, seed, dtype=np.float32):
     """Instantiate every layer with He-style init, deterministic by seed."""
     rng = np.random.default_rng(seed)
-    units = []
-    for spec in config.layers:
-        factory = make_variant(spec.kind)
-        units.append(
-            factory.build(rng, spec.cin, spec.cout, spec.stride, spec.direction,
-                          spec.transposed, dtype)
-        )
-    return Model(config, units)
+    return Model(config, [make_variant(s.kind).build(rng, s.cin, s.cout, s.stride, s.direction,
+                                                     s.transposed, dtype)
+                          for s in config.layers])
 
 
 # --- Q3DW weights container -------------------------------------------------
@@ -294,9 +290,10 @@ def build_network(config, seed, dtype=np.float32):
 #   magic   4 bytes  "Q3DW"
 #   version u16 LE   currently 1
 #   layers  u16 LE
-#   then per layer:
-#     variant   u8   0 = qru3d, 1 = qru2d, 2 = c3d
-#     direction u8   0 = forward, 1 = backward, 2 = bidirectional
+#   then per layer, the 46-byte _LAYER header and the kernel banks:
+#     variant   u8   index in qru.VARIANT_KINDS: 0 = qru3d, 1 = qru2d, 2 = c3d
+#     direction u8   index in qru.DIRECTIONS: 0 = forward, 1 = backward,
+#                    2 = bidirectional (the order of both tuples is the format)
 #     cout, cin, kh, kw, kb        u32 LE each
 #     stride pairs (num, den) x 3  u32 LE each; den > 1 marks an
 #                                  upsampling (transposed) layer of
@@ -310,23 +307,16 @@ def build_network(config, seed, dtype=np.float32):
 
 MAGIC = b"Q3DW"
 VERSION = 1
-_VARIANT_TAGS = {"qru3d": 0, "qru2d": 1, "c3d": 2}
-_VARIANT_NAMES = {v: k for k, v in _VARIANT_TAGS.items()}
-_DIR_TAGS = {FORWARD: 0, BACKWARD: 1, BIDIRECTIONAL: 2}
-_DIR_NAMES = {v: k for k, v in _DIR_TAGS.items()}
+_LAYER = "<BB5I6I"
 
 
 def save_weights(path, model):
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<HH", VERSION, len(model.units))
+    buf = bytearray(MAGIC + struct.pack("<HH", VERSION, len(model.units)))
     for spec, unit in zip(model.config.layers, model.units):
-        buf += struct.pack("<BB", _VARIANT_TAGS[spec.kind], _DIR_TAGS[spec.direction])
-        kh, kw, kb = unit.banks[0].ksize
-        buf += struct.pack("<5I", spec.cout, spec.cin, kh, kw, kb)
-        for s in spec.stride:
-            num, den = (1, s) if spec.transposed else (s, 1)
-            buf += struct.pack("<II", num, den)
+        pairs = [n for s in spec.stride for n in ((1, s) if spec.transposed else (s, 1))]
+        buf += struct.pack(_LAYER, VARIANT_KINDS.index(spec.kind),
+                           DIRECTIONS.index(spec.direction), spec.cout, spec.cin,
+                           *unit.banks[0].ksize, *pairs)
         for kern in unit.banks:
             buf += np.ascontiguousarray(kern.weight, dtype="<f4").tobytes()
             buf += np.ascontiguousarray(kern.bias, dtype="<f4").tobytes()
@@ -340,16 +330,14 @@ def load_weights(path, global_residual=True):
     layer_specs = []
     units = []
     for j in range(n_layers):
-        vtag, dtag, cout, cin, kh, kw, kb, *pairs = reader.unpack(
-            "<BB5I6I", f"layer {j + 1} header")
-        if vtag not in _VARIANT_NAMES or dtag not in _DIR_NAMES:
+        vtag, dtag, cout, cin, kh, kw, kb, *pairs = reader.unpack(_LAYER, f"layer {j + 1} header")
+        if vtag >= len(VARIANT_KINDS) or dtag >= len(DIRECTIONS):
             raise WeightsError(f"unknown variant/direction tags in layer {j + 1}")
         if 0 in (cout, cin) or any(k % 2 == 0 for k in (kh, kw, kb)):
             raise WeightsError(
                 f"layer {j + 1} maps {cin} -> {cout} channels with a {kh}x{kw}x{kb} "
                 f"kernel; channels must be positive and kernel extents odd")
-        kind = _VARIANT_NAMES[vtag]
-        direction = _DIR_NAMES[dtag]
+        kind, direction = VARIANT_KINDS[vtag], DIRECTIONS[dtag]
         nums, dens = pairs[0::2], pairs[1::2]
         if any(d < 1 or n < 1 for n, d in zip(nums, dens)):
             raise WeightsError(f"invalid stride pair in layer {j + 1}")

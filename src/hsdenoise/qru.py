@@ -253,18 +253,11 @@ class VariantFactory:
             raise ConfigError(f"unknown unit kind {kind!r}; expected one of {VARIANT_KINDS}")
         self.kind = kind
 
-    @property
-    def ksize(self):
-        return (3, 3, 1) if self.kind == "qru2d" else (3, 3, 3)
-
-    def _new_kernel(self, rng, cin, cout, transposed, dtype):
-        shape = ((cin, cout) if transposed else (cout, cin)) + self.ksize
-        fan_in = cin * int(np.prod(self.ksize))
-        weight = he_init(rng, shape, fan_in, dtype)
-        return ConvKernel(weight, np.zeros(cout, dtype=dtype))
-
     def build(self, rng, cin, cout, stride, direction, transposed=False, dtype=np.float32):
-        banks = [self._new_kernel(rng, cin, cout, transposed, dtype)
+        ksize = (3, 3, 1) if self.kind == "qru2d" else (3, 3, 3)
+        shape = ((cin, cout) if transposed else (cout, cin)) + ksize
+        fan_in = cin * int(np.prod(ksize))
+        banks = [ConvKernel(he_init(rng, shape, fan_in, dtype), np.zeros(cout, dtype=dtype))
                  for _ in range(bank_count(self.kind, direction))]
         return QruUnit(banks, stride, direction, transposed)
 

@@ -885,7 +885,7 @@ class TestTrainCommand:
         first = tmp_path / "first"
         assert run_cli("train", *common, "--epochs", 1, "--out-dir", first) == 0
         fresh = open(first / "trainlog.csv").read()
-        for key in ("preset", "kind", "schedule", "width", "layers", "width-multiplier"):
+        for key in ("preset", "kind", "schedule", "width", "layers"):
             assert f"# {key}: " in fresh
         assert "# resume-" not in fresh
         weights, state = first / "weights_final.q3dw", first / "optim_final.q3da"
@@ -899,6 +899,30 @@ class TestTrainCommand:
         assert f"# resume-state: {state}\n" in log
         model = load_weights(str(out_dir / "weights_final.q3dw"))
         assert {spec.kind for spec in model.config.layers} == {"qru3d"}
+
+    @pytest.mark.parametrize("policy, preset, kept, dropped", [
+        ("schedule", "desk", {"width": 3, "layers": 4},
+         ("lr", "batch-size", "sigma", "width-multiplier")),
+        ("fixed", "desk", {"lr": 0.002, "batch-size": 2, "sigma": 10.0, "width": 3, "layers": 4},
+         ("width-multiplier",)),
+        ("fixed", "benchmark", {"lr": 0.002, "batch-size": 2, "sigma": 10.0,
+                                "width-multiplier": 0.25}, ("width", "layers")),
+    ], ids=["schedule-desk", "fixed-desk", "fixed-benchmark"])
+    def test_log_records_only_settings_read(self, tmp_path, policy, preset, kept, dropped):
+        """The log's header holds the settings the run read: lr, batch size
+        and sigma only under --policy fixed, only its own preset's size keys,
+        and the patch stride it used. The other flags are still accepted."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=12)
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--data", src, "--out-dir", out_dir, "--epochs", 1,
+                       "--policy", policy, "--preset", preset, "--patch-size", 8,
+                       "--lr", 0.002, "--batch-size", 2, "--sigma", 10, "--width", 3,
+                       "--layers", 4, "--width-multiplier", 0.25) == 0
+        log = open(out_dir / "trainlog.csv").read()
+        for key, value in dict(kept, **{"patch-stride": 8}).items():
+            assert f"# {key}: {value}\n" in log
+        for key in dropped:
+            assert f"# {key}: " not in log
 
     def test_config_file_drives_run(self, tmp_path):
         """Settings can come from a config file."""

@@ -361,6 +361,14 @@ _PUBLISHED_CONFIGS = {
 }
 
 
+def _header_offsets(model):
+    """Byte offset of each layer's 46-byte header in the model's Q3DW file."""
+    offsets = [8]  # magic, version, layer count
+    for unit in model.units[:-1]:
+        offsets.append(offsets[-1] + 46 + 4 * sum(a.size for a in unit.param_arrays()))
+    return offsets
+
+
 class TestWeightsIO:
     @pytest.mark.parametrize("name", sorted(_PUBLISHED_CONFIGS))
     def test_save_load_save_byte_identical(self, tmp_path, name):
@@ -376,6 +384,37 @@ class TestWeightsIO:
         for a, b in zip(model.units, loaded.units):
             assert (a.stride, a.banks[0].ksize) == (b.stride, b.banks[0].ksize)
             assert a.transposed == b.transposed
+
+    @pytest.mark.parametrize("schedule", ["alternating", "forward", "bidirectional"])
+    @pytest.mark.parametrize("kind", ["qru3d", "qru2d", "c3d"])
+    def test_layer_tags_hold_documented_values(self, tmp_path, kind, schedule):
+        """Byte 0 of every layer header is the variant tag (qru3d 0, qru2d 1,
+        c3d 2) and byte 1 the direction tag (forward 0, backward 1,
+        bidirectional 2), as the README's file format says."""
+        model = build_network(desk_config(width=2, n_layers=4, kind=kind, schedule=schedule),
+                              seed=21)
+        path = tmp_path / "m.q3dw"
+        save_weights(path, model)
+        raw = path.read_bytes()
+        variant = {"qru3d": 0, "qru2d": 1, "c3d": 2}[kind]
+        direction = {FORWARD: 0, BACKWARD: 1, BIDIRECTIONAL: 2}
+        tags = [tuple(raw[offset:offset + 2]) for offset in _header_offsets(model)]
+        assert tags == [(variant, direction[spec.direction]) for spec in model.config.layers]
+
+    @pytest.mark.parametrize("tag", [0, 1], ids=["variant", "direction"])
+    @pytest.mark.parametrize("layer", [1, 3])
+    def test_unknown_tag_rejected(self, tmp_path, layer, tag):
+        """A tag byte past the last documented value is an error naming the
+        layer, whichever of the two tags holds it."""
+        model = build_network(desk_config(width=2), seed=22)
+        path = tmp_path / "m.q3dw"
+        save_weights(path, model)
+        raw = bytearray(path.read_bytes())
+        raw[_header_offsets(model)[layer - 1] + tag] = 3
+        path.write_bytes(bytes(raw))
+        message = f"^unknown variant/direction tags in layer {layer}$"
+        with pytest.raises(WeightsError, match=message):
+            load_weights(path)
 
     def test_mixed_stride_pair_rejected(self, tmp_path):
         """A stride pair num > 1 in an upsampling layer (den > 1) is an error
