@@ -16,7 +16,9 @@ README's "File formats" section has the conversion recipe.
 
 BlobReader is the one bounds-checked reader behind the HSI1, Q3DW and Q3DA
 parsers: all three start with a 4-byte magic and a u16 version, and every
-read names the byte offset where a short or malformed file went wrong.
+read names the byte offset where a short or malformed file went wrong. It
+hands out views of the file's bytes, so reading a cube holds the file and
+the returned array, and writing one holds nothing beside the cube.
 """
 
 import math
@@ -42,7 +44,7 @@ class BlobReader:
     and raises `error` (the format's own error class) naming the offset."""
 
     def __init__(self, blob, error):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.error = error
         self.offset = 0
 
@@ -53,7 +55,7 @@ class BlobReader:
             reader = cls(fh.read(), error)
         got = reader.take(4, "magic")
         if got != magic:
-            raise error(f"bad magic {got!r} at byte 0, expected {magic!r}")
+            raise error(f"bad magic {bytes(got)!r} at byte 0, expected {magic!r}")
         (found,) = reader.unpack("<H", "version")
         if found != version:
             raise error(f"unsupported version {found} at byte 4")
@@ -97,7 +99,7 @@ def write_hsi(path, cube):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HIII", VERSION, h, w, b))
-        fh.write(np.ascontiguousarray(cube, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(cube, dtype="<f4").data)
 
 
 def read_hsi(path):

@@ -11,11 +11,12 @@ band recurrence (qru) and the gcs walk step one band at a time, and a
 band slice a[..., b] is then N * C whole H x W planes, not one element in
 every B. Elementwise numpy keeps its input's layout, so activations,
 pooling traces and their gradients stay bands-first as well. The padded
-grids and im2col columns of kn2row maps (below) stay band-last, so every
+windows and im2col columns of kn2row maps (below) stay band-last, so every
 kernel tap copies contiguous runs of B, which the 4x4 and 8x8 planes of
-the deep layers would make short; the transpose happens once per map, in
-the cast that writes the output or crops the input gradient. Maps with
-their band taps in the column keep bands-first order from grid to output.
+the deep layers would make short; the transpose happens once per element,
+as a row enters a window from the input or leaves it into the input
+gradient, or in the cast that writes the output. Maps with their band taps
+in the column keep bands-first order from grid to output.
 
 A kernel is shared between two maps that are exact adjoints of each other:
 
@@ -34,7 +35,7 @@ map's s * n, and the two are adjoints for every input extent.
 Convolution here means cross-correlation (no kernel flip), the usual
 deep-learning convention. The cores lower it to one GEMM per block of
 output rows of one sample (the column bounded by the blocking, as in MEC).
-The band axis is contiguous in the padded grid and never strided in the
+The band axis is contiguous in the padded window and never strided in the
 network, so a band tap is a shift by one element along every band run.
 The column therefore holds only the T = kh * kw spatial taps, each copied
 over the whole padded run of Bo + kb - 1 bands, and the kb band taps move
@@ -49,7 +50,7 @@ forward, kn2row; Anderson et al. 2017):
                      after e zeros, so it meets the column e bands on
     input gradient   (T * c2, kb * c1) weight.T @ band-stacked grad rows,
     (= transposed)   added back slice by slice (T slices of whole runs)
-                     onto a padded input grid
+                     onto a window of the padded input grid
 
 Band taps stay in the column (T = kh * kw * kb, and kb = 1 on the c1
 side) where the band axis is strided, or where c1 > kh * kw * c2, as in
@@ -63,13 +64,13 @@ output's planes, or reads the grad rows' planes in place.
 Precision contract. A map computes in the result dtype of its array
 operands, np.result_type(x, weight), with grad_out too in the backward
 maps; there is no option and no second path. The tap-major weight copy,
-the padded grid, the block buffer and every GEMM product take that
-dtype, and the forward's band-tap sums and the input gradient's grid
+the padded window, the block buffer and every GEMM product take that
+dtype, and the forward's band-tap sums and the input gradient's window
 sum in it. The weight gradient takes each block's product in it too but sums
 the blocks in float64, so its float32 rounding spans one block, not the
 whole batch; the bias gradient sums grad_out in float64. Results are cast once to the
 output dtype: the forward product as it is written into the output, the
-input gradient's grid as it is cropped, the weight gradient at the end.
+input gradient's rows as they are cropped, the weight gradient at the end.
 
     float32 operands (every shipped model): each map and each gradient
     stays within 32 float32 epsilons (3.8e-6) of the largest magnitude of the
@@ -80,9 +81,12 @@ input gradient's grid as it is cropped, the weight gradient at the end.
     product and sum is float64, end to end.
 
 Both bounds are pinned in tests/test_tensors.py. A call holds its weight
-copy, its padded grid (the input, or the input gradient), its output and
-one block buffer of at most _BLOCK_BYTES; block sizes follow from shapes
-and the compute dtype alone.
+copy, its output, one block buffer of at most _BLOCK_BYTES and one window
+of zero-padded grid rows, the input's or the input gradient's, that spans
+a block within _BLOCK_BYTES; the plane walk pads its whole input (one
+channel in the shipped net). Block and window sizes follow from shapes and
+the compute dtype alone, and a core copies each row of its input into a
+window, or of the input gradient out of one, once.
 """
 
 import numpy as np
@@ -174,30 +178,25 @@ def _tap_major(weight, stride, dtype):
     return np.ascontiguousarray(wt, dtype=dtype).reshape(bands, weight.shape[0], -1)
 
 
-def _halo_grid(shape, ksize, dtype, planes=False):
-    """Zero grid in dtype of an (N, C, H, W, B) shape plus a halo of k // 2 on
-    each kernel axis, bands-first if planes, and the index of its interior."""
-    full = shape[:2] + tuple(n + k - 1 for n, k in zip(shape[2:], ksize))
-    grid = _bands_first(full, dtype, np.zeros) if planes else np.zeros(full, dtype)
-    return grid, (...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(shape[2:], ksize))
-
-
 def _padded(x, weight_shape, stride, dtype):
-    """Copy of x in dtype inside its zero halo for a map of this kernel and
-    stride: bands-first where the map has one band tap, for the plane walk."""
-    xp, interior = _halo_grid(x.shape, weight_shape[2:], dtype,
-                              _band_taps(weight_shape, stride) == 1)
-    xp[interior] = x
+    """x as the cores read it: x itself, padded a few rows at a time, or for
+    the plane walk (one band tap) a copy in dtype in its zero halo, bands-first."""
+    if _band_taps(weight_shape, stride) > 1:
+        return x
+    ksize, hwb = weight_shape[2:], x.shape[2:]
+    xp = _bands_first(x.shape[:2] + tuple(n + k - 1 for n, k in zip(hwb, ksize)), dtype, np.zeros)
+    xp[(...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(hwb, ksize))] = x
     return xp
 
 
 def _blocks(weight_shape, stride, out_hwb, n_n, dtype):
     """Yield (n, rs, taps, work) per block of output rows rs of sample n:
-    the slices of a padded (N, C, H, W, B) grid that each column tap reads,
-    over runs of Bo + bands - 1 bands, and one reused buffer in dtype for
-    the column or product on the c2 side (T * c2 rows) and the band-stacked
-    product or grad rows on the c1 side (bands * c1 rows), within
-    _BLOCK_BYTES and the output's c1 side unless one row alone is larger."""
+    the slices each column tap reads of a padded (C, H, W, B) window from
+    the block's first grid row, over runs of Bo + bands - 1 bands, and one
+    reused buffer in dtype for the column or product on the c2 side (T * c2
+    rows) and the band-stacked product or grad rows on the c1 side (bands *
+    c1 rows), within _BLOCK_BYTES and the output's c1 side unless one row
+    alone is larger."""
     c1, c2, kh, kw, kb = weight_shape
     bands = _band_taps(weight_shape, stride)
     (ho, wo, bo), (sh, sw, sb) = out_hwb, stride
@@ -211,19 +210,59 @@ def _blocks(weight_shape, stride, out_hwb, n_n, dtype):
     for n in range(n_n):
         for i0 in range(0, ho, rows):
             i1 = min(i0 + rows, ho)
-            taps = [(n, slice(None), slice(dh + i0 * sh, dh + (i1 - 1) * sh + 1, sh), w, b)
+            taps = [(slice(None), slice(dh, dh + (i1 - i0 - 1) * sh + 1, sh), w, b)
                     for dh, w, b in wb]
             yield n, slice(i0, i1), taps, work
 
 
-def _im2col_blocks(xp, weight_shape, stride, out_hwb):
-    """Yield (n, rs, column, spare) per block: the block's T slices of xp as
-    a (T * c2, len(rs) * Wo * run) column in its work buffer, and the rest."""
-    for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, xp.shape[0], xp.dtype):
-        shape = (len(taps),) + xp[taps[0]].shape
+def _windows(a, weight_shape, stride, out_hwb, dtype, enter=None, leave=None):
+    """Yield (n, rs, taps, work, view) per block of _blocks, view the block's
+    rows of a zero-padded, band-last (C, R, W + kw - 1, B + kb - 1) window on
+    the grid of sample n of a (N, C, H, W, B): R rows span a block within
+    _BLOCK_BYTES alone, several blocks where the output caps them. It moves
+    on when a block runs past it or starts a sample: leave(n, xs, rows) takes
+    the rows no later block touches, those the block shares move up, and the
+    rest are zeroed for enter(n, xs, rows); rows: the interior of a's rows xs."""
+    kh, sh, (h, w, b) = weight_shape[2], stride[0], a.shape[2:]
+    ph, pw, pb = (k // 2 for k in weight_shape[2:])
+    win = held = None
+
+    def interior(top, rows):  # a's rows that grid rows top, top + 1, ... hold
+        lo, hi = (min(max(r - ph, 0), h) for r in (top, top + rows.shape[1]))
+        return slice(lo, hi), rows[:, lo + ph - top:hi + ph - top, pw:pw + w, pb:pb + b]
+
+    for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, len(a), dtype):
+        p0, p1 = rs.start * sh, (rs.stop - 1) * sh + kh
+        if win is None:
+            fit = max(1, _BLOCK_BYTES * (rs.stop - rs.start) // work.nbytes)
+            win = np.empty((a.shape[1], min(h + 2 * ph, (fit - 1) * sh + kh),
+                            w + 2 * pw, b + 2 * pb), dtype)
+        r = len(win[0])
+        if held is None or held[0] != n or p1 > held[1] + r:
+            keep = max(0, held[1] + r - p0) if held and held[0] == n else 0
+            if leave and held:
+                leave(held[0], *interior(held[1], win[:, :r - keep]))
+            win[:, :keep] = win[:, r - keep:]
+            win[:, keep:] = 0
+            if enter:
+                enter(n, *interior(p0 + keep, win[:, keep:]))
+            held = n, p0
+        yield n, rs, taps, work, win[:, p0 - held[1]:]
+    if leave and held:
+        leave(held[0], *interior(held[1], win))
+
+
+def _im2col_blocks(x, weight_shape, stride, out_hwb, dtype):
+    """Yield (n, rs, column, spare) per block: the block's T tap slices of
+    x's zero-padded rows in dtype as a (T * c2, len(rs) * Wo * run) column in
+    its work buffer, and the rest. Each row of x enters a window once."""
+    windows = _windows(x, weight_shape, stride, out_hwb, dtype,
+                       enter=lambda n, xs, rows: np.copyto(rows, x[n, :, xs]))
+    for n, rs, taps, work, view in windows:
+        shape = (len(taps),) + view[taps[0]].shape
         stacked = work[:int(np.prod(shape))].reshape(shape)
         for i, sl in enumerate(taps):
-            stacked[i] = xp[sl]
+            stacked[i] = view[sl]
         yield n, rs, stacked.reshape(shape[0] * shape[1], -1), work[stacked.size:]
 
 
@@ -266,66 +305,65 @@ def _band_rows(a, n, rs, buf, bands):
     return rows.reshape(bands * c, -1)
 
 
-def _forward_core(xp, weight, stride, out_hwb, out_dtype):
-    """Cross-correlation without bias of a padded grid, in its dtype: one
-    GEMM of the band-stacked weight, then block e of the product added onto
-    block 0 from e columns on, as band tap e reads every band run e
-    elements further (kn2row). The last bands - 1 columns of each run read
-    past it: dropped."""
-    n_n, c1 = xp.shape[0], weight.shape[0]
-    wt = _tap_major(weight, stride, xp.dtype)
+def _forward_core(x, weight, stride, out_hwb, dtype, out_dtype):
+    """Cross-correlation without bias of x (see _padded), in dtype: one GEMM
+    of the band-stacked weight, then block e of the product added onto block
+    0 from e columns on, as band tap e reads every band run e elements
+    further (kn2row). The last bands - 1 columns of each run: dropped."""
+    n_n, c1 = x.shape[0], weight.shape[0]
+    wt = _tap_major(weight, stride, dtype)
     bands, (wo, bo) = len(wt), out_hwb[1:]
     y = _bands_first((n_n, c1) + out_hwb, out_dtype)
     if bands == 1:  # the GEMM writes each block into its run of y's planes
-        for out, column in _plane_blocks(xp, weight.shape, stride, y):
+        for out, column in _plane_blocks(x, weight.shape, stride, y):
             np.matmul(wt[0], column, out=out)
         return y
-    for n, rs, column, spare in _im2col_blocks(xp, weight.shape, stride, out_hwb):
+    for n, rs, column, spare in _im2col_blocks(x, weight.shape, stride, out_hwb, dtype):
         m = column.shape[1]
         prod = np.matmul(wt.reshape(-1, len(column)), column,
-                         out=spare[:bands * c1 * m].reshape(-1, m)).reshape(bands, c1, m)
-        for e in range(1, bands):
-            prod[0, :, :m - e] += prod[e, :, e:]
+                         out=spare[:bands * c1 * m].reshape(-1, m)).reshape(bands, -1)
+        for e in range(1, bands):  # flat: what crosses into the next c1 row is dropped
+            prod[0, :-e] += prod[e, e:]
         y[n, :, rs] = prod[0].reshape(c1, -1, wo, bo + bands - 1)[..., :bo]
     return y
 
 
 def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
-    """Adjoint of _forward_core: grad_out scattered onto the input grid,
-    whose halo is then cropped. Computes in the result dtype of g, weight
-    and the output: one GEMM of the transposed band-stacked weight with the
-    band-stacked grad rows."""
+    """Adjoint of _forward_core: grad_out scattered onto windows of the
+    input's padded grid, in the result dtype of g, weight and the output, by
+    one GEMM of the transposed band-stacked weight with the band-stacked
+    grad rows; a row no later block touches is cropped into the result."""
     (n_n, c1), c2 = g.shape[:2], weight.shape[1]
     dtype = np.result_type(g, weight, out_dtype)
     bands = _band_taps(weight.shape, stride)
     wt = _tap_major(weight, stride, dtype).transpose(2, 0, 1).reshape(-1, bands * c1)
-    gxp, interior = _halo_grid((n_n, c2) + in_hwb, weight.shape[2:], dtype)
-    for n, rs, taps, work in _blocks(weight.shape, stride, g.shape[2:], n_n, dtype):
+    # A row stride above half the kernel leaves rows that no window reaches: zeros.
+    gx = _bands_first((n_n, c2) + in_hwb, out_dtype,
+                      np.zeros if 2 * stride[0] > weight.shape[2] + 1 else np.empty)
+    windows = _windows(gx, weight.shape, stride, g.shape[2:], dtype,
+                       leave=lambda n, xs, rows: np.copyto(gx[n, :, xs], rows))
+    for n, rs, taps, work, view in windows:
         rows = _band_rows(g, n, rs, work, bands)
         size = len(wt) * rows.shape[1]
         prod = np.matmul(wt, rows, out=work[rows.size:rows.size + size].reshape(len(wt), -1))
         prod = prod.reshape(len(taps), c2, -1, g.shape[3], g.shape[4] + bands - 1)
         for i, sl in enumerate(taps):
-            gxp[sl] += prod[i]
-    work = rows = prod = None  # free the block buffer before the cropped copy
-    gx = _bands_first(gxp.shape[:2] + in_hwb, out_dtype)
-    gx[...] = gxp[interior]
+            view[sl] += prod[i]
     return gx
 
 
-def _weight_grad_core(xp, g, weight_shape, stride):
-    """Float64 weight grad from a padded input and grad_out: each block's
-    product, band-stacked grad rows @ column.T, in xp's dtype, their sum in
-    float64."""
+def _weight_grad_core(x, g, weight_shape, stride, dtype):
+    """Float64 weight grad from x (see _padded) and grad_out: each block's
+    product, band-stacked grad rows @ column.T, in dtype, their sum in float64."""
     c1, c2, kh, kw, kb = weight_shape
     bands = _band_taps(weight_shape, stride)
     gw = np.zeros((bands * c1, kh * kw * (kb // bands) * c2))
-    part = np.empty(gw.shape, xp.dtype)
-    blocks = _plane_blocks(xp, weight_shape, stride, g) if bands == 1 else (
+    part = np.empty(gw.shape, dtype)
+    blocks = _plane_blocks(x, weight_shape, stride, g) if bands == 1 else (
         (_band_rows(g, n, rs, spare, bands), column)
-        for n, rs, column, spare in _im2col_blocks(xp, weight_shape, stride, g.shape[2:]))
+        for n, rs, column, spare in _im2col_blocks(x, weight_shape, stride, g.shape[2:], dtype))
     for rows, column in blocks:  # g's planes are read in place where g is bands-first
-        gw += np.matmul(rows.astype(xp.dtype, copy=False), column.T, out=part)
+        gw += np.matmul(rows.astype(dtype, copy=False), column.T, out=part)
     gw = gw.reshape(bands, c1, kh, kw, kb // bands, c2).transpose(1, 5, 2, 3, 0, 4)
     return np.ascontiguousarray(gw).reshape(weight_shape)
 
@@ -344,7 +382,7 @@ def conv3d_forward(x, kernel, stride):
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
     y = _forward_core(_padded(x, weight.shape, stride, out_dtype), weight, stride,
-                      _strided_hwb(x.shape[2:], stride), out_dtype)
+                      _strided_hwb(x.shape[2:], stride), out_dtype, out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -358,7 +396,8 @@ def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
     dtype = np.result_type(x, weight, grad_out)
-    gw = _weight_grad_core(_padded(x, weight.shape, stride, dtype), grad_out, weight.shape, stride)
+    gw = _weight_grad_core(_padded(x, weight.shape, stride, dtype), grad_out, weight.shape,
+                           stride, dtype)
     gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
         if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
@@ -392,9 +431,10 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     expect = (x.shape[0], weight.shape[1]) + tuple(s * n for n, s in zip(x.shape[2:], stride))
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    gp = _padded(grad_out, weight.shape, stride, np.result_type(x, weight, grad_out))
-    gw = _weight_grad_core(gp, x, weight.shape, stride)
-    gx = _forward_core(gp, weight, stride, x.shape[2:], x.dtype) if input_grad else None
+    dtype = np.result_type(x, weight, grad_out)
+    gp = _padded(grad_out, weight.shape, stride, dtype)
+    gw = _weight_grad_core(gp, x, weight.shape, stride, dtype)
+    gx = _forward_core(gp, weight, stride, x.shape[2:], dtype, x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 

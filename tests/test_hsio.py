@@ -1,6 +1,7 @@
 """Tests for the cube container, patch extraction, and synthetic data."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,35 @@ class TestContainer:
         """Only 3-d arrays can be written."""
         with pytest.raises(ShapeError):
             write_hsi(str(tmp_path / "c.hsi"), np.zeros((2, 2)))
+
+    def test_bad_magic_printed_as_bytes(self, tmp_path):
+        """The refused magic is named by its bytes, not by a view of them."""
+        path = str(tmp_path / "c.hsi")
+        open(path, "wb").write(b"BMP0" + b"\x00" * 40)
+        with pytest.raises(HsiError, match=r"^bad magic b'BMP0' at byte 0, expected b'HSI1'$"):
+            read_hsi(path)
+
+    def test_read_and_write_hold_few_copies(self, tmp_path):
+        """Under tracemalloc, reading a float32 64x64x31 cube peaks at most
+        2.1 times its bytes (the file's bytes and the returned array), and
+        writing it at most 0.1 times beyond them. Slicing the file's bytes
+        read 3.0 times, and writing a bytes copy 1.0 times beyond."""
+        cube = gen_synthetic(64, 64, 31, seed=3)
+        path = str(tmp_path / "c.hsi")
+        peaks = []
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for op in (lambda: write_hsi(path, cube), lambda: read_hsi(path)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                op()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 0.1 * cube.nbytes, f"write peak {peaks[0] / cube.nbytes:.2f} x cube"
+        assert peaks[1] <= 2.1 * cube.nbytes, f"read peak {peaks[1] / cube.nbytes:.2f} x cube"
+        assert np.array_equal(read_hsi(path), cube)
 
 
 class TestPatches:

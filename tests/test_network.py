@@ -210,6 +210,23 @@ class TestForwardWithoutTraces:
             tracemalloc.stop()
         assert peak <= 64 << 20, f"peak {peak / 2**20:.1f} MiB > 64 MiB"
 
+    def test_peak_memory_without_padded_grids(self):
+        """The standard net's forward without traces on 1x1x64x64x31 peaks
+        at 43.4 MiB under tracemalloc, at most 45: no convolution holds a
+        whole zero-padded grid, so pooling sets the peak. L10's transposed
+        map holding its padded grid beside the cropped copy read 52.6 MiB."""
+        model = build_network(standard_config(), seed=38)
+        x = np.random.default_rng(39).random((1, 1, 64, 64, 31)).astype(np.float32)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 << 20, f"peak {peak / 2**20:.1f} MiB > 45 MiB"
+
     def test_denoise_pads_only_when_needed(self, monkeypatch):
         """A desk model divides every extent, so denoise runs on the cube as
         it is: with np.pad patched to raise it returns the unpatched call's

@@ -349,24 +349,23 @@ def test_thin_kernels_match_im2col_oracle(name):
 
 @pytest.mark.parametrize("c1, c2", [(64, 1), (32, 16)], ids=["thin", "wide"])
 def test_forward_allocation_bound(c1, c2):
-    """conv3d_forward allocates at most its padded input, float64 weight
-    copy and accumulator, plus the larger of its output and its GEMM working
-    set: the stacked column (thin: one GEMM over all offsets) or one product
-    and one slab (wide: one GEMM per offset), which are freed before the
-    output is cast. 10% slack; keeping a group's product alive into the next
-    GEMM, or the column into the cast, exceeds it."""
+    """On float32 operands conv3d_forward allocates at most one window of
+    zero-padded input rows, its weight copy, its output and one block buffer
+    of at most the output's size (10% slack). The window spans the rows of a
+    block within _BLOCK_BYTES; the plane walk (thin: one band tap) pads the
+    whole grid bands-first. Keeping the column or product of every block, or
+    a float64 copy of any of them, exceeds it."""
     rng = np.random.default_rng(23)
     hwb, ksize = (16, 16, 9), (3, 3, 3)
     x = rng.standard_normal((1, c2) + hwb).astype(np.float32)
     kern = ConvKernel(rng.standard_normal((c1, c2) + ksize).astype(np.float32),
                       np.zeros(c1, np.float32))
     stride = (1, 1, 1)
-    m = int(np.prod(hwb))
-    padded = c2 * int(np.prod([e + 2 for e in hwb])) * 8
-    weight = c1 * c2 * 27 * 8
-    acc = c1 * m * 8
-    work = 27 * c2 * m * 8 if 27 * c2 <= c1 else acc + c2 * m * 8
-    bound = 1.1 * (padded + weight + acc + max(work, c1 * m * 4))
+    bands = tensors._band_taps(kern.weight.shape, stride)
+    row = (27 // bands * c2 + bands * c1) * 16 * (9 + bands - 1) * 4
+    window = c2 * min(18, tensors._BLOCK_BYTES // row + 2) * 18 * 11 * 4
+    out = c1 * int(np.prod(hwb)) * 4
+    bound = 1.1 * (window + c1 * c2 * 27 * 4 + 2 * out)
     assert not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -435,11 +434,13 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
 
 def test_forward_allocation_within_block_budget():
     """A wide layer whose column of all T offsets is far above the block
-    budget: on float32 operands conv3d_forward allocates at most its
-    float32 padded input, weight copy and output plus one block buffer of
-    at most _BLOCK_BYTES and the output's size (10% slack), so its working
-    set does not grow with T * c2 * M. A whole-output accumulator and
-    product, or a float64 padded input or block buffer, exceed it."""
+    budget: on float32 operands conv3d_forward allocates at most one window
+    of zero-padded input rows, its weight copy and output plus one block
+    buffer of at most _BLOCK_BYTES and the output's size (10% slack), so its
+    working set does not grow with T * c2 * M. The window spans the rows of
+    a block within _BLOCK_BYTES, 7 of the 66 grid rows. A whole padded
+    input, a whole-output accumulator and product, or a float64 block
+    buffer, exceed it."""
     rng = np.random.default_rng(25)
     c1, c2, hwb = 32, 16, (64, 32, 9)
     m = int(np.prod(hwb))
@@ -447,9 +448,10 @@ def test_forward_allocation_within_block_budget():
     x = rng.standard_normal((1, c2) + hwb).astype(np.float32)
     kern = ConvKernel(rng.standard_normal((c1, c2, 3, 3, 3)).astype(np.float32),
                       np.zeros(c1, np.float32))
-    padded = c2 * int(np.prod([e + 2 for e in hwb])) * 4
+    row = (9 * c2 + 3 * c1) * 32 * 11 * 4
+    window = c2 * (tensors._BLOCK_BYTES // row + 2) * 34 * 11 * 4
     block = min(tensors._BLOCK_BYTES, c1 * m * 4)
-    bound = 1.1 * (padded + c1 * c2 * 27 * 4 + c1 * m * 4 + block)
+    bound = 1.1 * (window + c1 * c2 * 27 * 4 + c1 * m * 4 + block)
     assert not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -459,6 +461,103 @@ def test_forward_allocation_within_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
+
+
+@pytest.mark.parametrize("stride", [(2, 2, 1), (1, 1, 1)])
+def test_tconv_forward_allocation_within_block_budget(stride):
+    """L10's float32 transposed map (32 -> 32 channels onto 64x64x31): it
+    allocates at most its output, weight copy, one block buffer of at most
+    _BLOCK_BYTES unless one row alone is larger, and one window of grid
+    rows, the span of a block within _BLOCK_BYTES (10% slack). A whole
+    padded grid beside the cropped output (33.2 MiB in all) exceeds it."""
+    rng = np.random.default_rng(31)
+    s = stride[0]
+    x = rng.standard_normal((1, 32, 64 // s, 64 // s, 31)).astype(np.float32)
+    kern = ConvKernel(rng.standard_normal((32, 32, 3, 3, 3)).astype(np.float32),
+                      np.zeros(32, np.float32))
+    out = 32 * 64 * 64 * 31 * 4
+    row = (9 * 32 + 3 * 32) * (64 // s) * 33 * 4
+    window = 32 * ((max(1, tensors._BLOCK_BYTES // row) - 1) * s + 3) * 66 * 33 * 4
+    bound = 1.1 * (out + 32 * 32 * 27 * 4 + max(row, tensors._BLOCK_BYTES) + window)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tconv3d_forward(x, kern, stride)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
+
+
+def grid_scatter(g, weight, stride, in_hwb):
+    """The transposed map without bias as a whole-grid core takes it: a
+    whole zero-padded grid, each block's GEMM added on tap by tap, block by
+    block, then the halo cropped. A grid row gets its taps' products in
+    block order, so its float32 bytes depend on the block split."""
+    bands = tensors._band_taps(weight.shape, stride)
+    wt = tensors._tap_major(weight, stride, g.dtype).transpose(2, 0, 1).reshape(27, -1)
+    grid = np.zeros(g.shape[:1] + weight.shape[1:2] + tuple(n + 2 for n in in_hwb), g.dtype)
+    for n, rs, taps, work in tensors._blocks(weight.shape, stride, g.shape[2:], len(g), g.dtype):
+        prod = (wt @ tensors._band_rows(g, n, rs, work, bands)).reshape(
+            len(taps), weight.shape[1], -1, g.shape[3], g.shape[4] + bands - 1)
+        view = grid[n, :, rs.start * stride[0]:]
+        for i, sl in enumerate(taps):
+            view[sl] += prod[i]
+    return grid[:, :, 1:-1, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("h", [1, 2, 5, 7])
+@pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 1)])
+def test_block_splits_keep_bytes(stride, h, monkeypatch):
+    """A K <= 27 kernel, 8 <- 3 channels: the column has T * c2 = 27 rows
+    and the transposed product sums bands * c1 = 24, so OpenBLAS's float32
+    sums do not depend on a block's column count (see PLANE_KERNELS). With
+    the block budget lowered to one, two or three output rows, the windows
+    of grid rows roll from block to block and run past the grid's top and
+    bottom. The forward and tconv's input gradient stay byte-equal to the
+    run in one block per sample; the transposed forward and conv's input
+    gradient to a whole grid's scatter of the same blocks."""
+    rng = np.random.default_rng(32)
+    wshape = (8, 3, 3, 3, 3)
+    w = rng.standard_normal(wshape).astype(np.float32)
+    kern, tkern = ConvKernel(w, np.zeros(8, np.float32)), ConvKernel(w, np.zeros(3, np.float32))
+    x = rng.standard_normal((8, 3, h, 3, 31)).astype(np.float32)
+    y = conv3d_forward(x, kern, stride)
+    t = tconv3d_forward(y, tkern, stride)
+    g, gt = (rng.standard_normal(a.shape).astype(np.float32) for a in (y, t))
+    ho, wo, bo = y.shape[2:]
+    assert [rs.stop - rs.start for _, rs, _, _ in
+            tensors._blocks(wshape, stride, (ho, wo, bo), 8, np.float32)] == [ho] * 8
+    forward = [conv3d_forward(x, kern, stride), tconv3d_backward(y, tkern, stride, gt)[0]]
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", rows * (27 + 24) * wo * (bo + 2) * 4)
+        got = [conv3d_forward(x, kern, stride), tconv3d_backward(y, tkern, stride, gt)[0],
+               tconv3d_forward(y, tkern, stride), conv3d_backward(x, kern, stride, g)[0]]
+        want = forward + [grid_scatter(y, w, stride, t.shape[2:]),
+                          grid_scatter(g, w, stride, x.shape[2:])]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("wshape, stride", [((4, 3, 1, 3, 3), (3, 1, 1)),
+                                           ((4, 3, 3, 3, 3), (3, 3, 1))])
+def test_rows_no_window_reaches_are_zero(wshape, stride, monkeypatch):
+    """A stride above half the kernel rows skips input rows that no tap
+    reaches, between windows or after the last. With blocks of one output
+    row, both transposed maps still agree with the im2col oracle to 1e-10
+    in float64: those rows of the input gradient are zero."""
+    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 4096)
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((2, 3, 18, 5, 4))
+    w = rng.standard_normal(wshape)
+    y = rng.standard_normal((2, 4) + tuple(-(-n // s) for n, s in zip(x.shape[2:], stride)))
+    gx_ref = conv3d_input_grad_im2col(y, w, stride, x.shape[2:])
+    assert not gx_ref[:, :, 17].any()
+    gx, _, _ = conv3d_backward(x, ConvKernel(w, np.zeros(4)), stride, y)
+    assert_rel(gx, gx_ref)
+    up = tconv3d_forward(y, ConvKernel(w, np.zeros(3)), stride)
+    assert_rel(up, conv3d_input_grad_im2col(y, w, stride, up.shape[2:]))
 
 
 # The precision contract on float32 operands: each result within 32
