@@ -80,13 +80,17 @@ input gradient's rows as they are cropped, the weight gradient at the end.
     float64 operands (Model.astype(np.float64), grad_check's shadow): every
     product and sum is float64, end to end.
 
-Both bounds are pinned in tests/test_tensors.py. A call holds its weight
-copy, its output, one block buffer of at most _BLOCK_BYTES and one window
-of zero-padded grid rows, the input's or the input gradient's, that spans
-a block within _BLOCK_BYTES; the plane walk pads its whole input (one
-channel in the shipped net). Block and window sizes follow from shapes and
-the compute dtype alone, and a core copies each row of its input into a
-window, or of the input gradient out of one, once.
+Both bounds are pinned in tests/test_tensors.py. Every map checks that its
+input has 5 axes, no zero extent and the channels its kernel consumes, and
+each walk pads its own input, so every core takes the map's raw arrays. A
+call holds its weight copy, its output, one block buffer of at most
+_BLOCK_BYTES and what its walk pads: the row walk (_windows) one window of
+zero-padded grid rows, the input's or the input gradient's, that spans a
+block within _BLOCK_BYTES; the plane walk (_plane_blocks) the whole grid,
+bands-first (one channel in the shipped net; tconv3d_backward's two cores
+pad grad_out one after the other). Block and window sizes follow from
+shapes and the compute dtype alone, and a core copies each row of its
+input into a window, or of the input gradient out of one, once.
 """
 
 import numpy as np
@@ -145,8 +149,8 @@ def he_init(rng, shape, fan_in, dtype=np.float32):
 
 
 def _check_input(x, weight, transposed=False):
-    """x as an array with 5 axes and the channels a map consumes: c1 of
-    the weight for a transposed map, else c2."""
+    """x as an array with 5 axes, no zero extent, and the channels a map
+    consumes: c1 of the weight for a transposed map, else c2."""
     x = np.asarray(x)
     if x.ndim != 5:
         raise ShapeError(
@@ -156,6 +160,8 @@ def _check_input(x, weight, transposed=False):
     if x.shape[1] != c:
         kind = "transposed kernel" if transposed else "kernel"
         raise ShapeError(f"input has {x.shape[1]} channels but {kind} consumes {c}")
+    if 0 in x.shape:
+        raise ShapeError(f"input extents must be positive, got {x.shape}")
     return x
 
 
@@ -178,76 +184,56 @@ def _tap_major(weight, stride, dtype):
     return np.ascontiguousarray(wt, dtype=dtype).reshape(bands, weight.shape[0], -1)
 
 
-def _padded(x, weight_shape, stride, dtype):
-    """x as the cores read it: x itself, padded a few rows at a time, or for
-    the plane walk (one band tap) a copy in dtype in its zero halo, bands-first."""
-    if _band_taps(weight_shape, stride) > 1:
-        return x
-    ksize, hwb = weight_shape[2:], x.shape[2:]
-    xp = _bands_first(x.shape[:2] + tuple(n + k - 1 for n, k in zip(hwb, ksize)), dtype, np.zeros)
-    xp[(...,) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(hwb, ksize))] = x
-    return xp
-
-
-def _blocks(weight_shape, stride, out_hwb, n_n, dtype):
-    """Yield (n, rs, taps, work) per block of output rows rs of sample n:
-    the slices each column tap reads of a padded (C, H, W, B) window from
-    the block's first grid row, over runs of Bo + bands - 1 bands, and one
-    reused buffer in dtype for the column or product on the c2 side (T * c2
-    rows) and the band-stacked product or grad rows on the c1 side (bands *
-    c1 rows), within _BLOCK_BYTES and the output's c1 side unless one row
-    alone is larger."""
+def _windows(a, weight_shape, stride, out_hwb, dtype, enter=None, leave=None):
+    """Yield (n, rs, taps, work, view) per block of output rows rs of sample
+    n: the slices each column tap reads of view, the block's rows of a
+    zero-padded, band-last (C, R, W + kw - 1, B + kb - 1) window on the grid
+    of sample n of a (N, C, H, W, B), over runs of Bo + bands - 1 bands; and
+    one reused buffer in dtype for the column or product on the c2 side
+    (T * c2 rows) and the band-stacked product or grad rows on the c1 side
+    (bands * c1 rows). A block holds the rows that fit _BLOCK_BYTES and the
+    output's c1 side, one at least; the window's R grid rows span the block
+    _BLOCK_BYTES alone would hold, several blocks where the output caps them.
+    The window moves on when a block runs past it or starts a sample:
+    leave(n, xs, rows) takes the rows no later block touches, those the
+    block shares move up, and the rest are zeroed for enter(n, xs, rows);
+    rows: the interior of a's rows xs. The window is all it pads and, with
+    work, all it holds; a's extents are positive (every map refuses zero)."""
     c1, c2, kh, kw, kb = weight_shape
     bands = _band_taps(weight_shape, stride)
-    (ho, wo, bo), (sh, sw, sb) = out_hwb, stride
+    (ho, wo, bo), (sh, sw, sb), (h, w, b) = out_hwb, stride, a.shape[2:]
+    ph, pw, pb = kh // 2, kw // 2, kb // 2
     run = bo + bands - 1
     row = (kh * kw * (kb // bands) * c2 + bands * c1) * wo * run
     items = _BLOCK_BYTES // np.dtype(dtype).itemsize
-    rows = max(1, min(items, c1 * n_n * ho * wo * bo) // row)
+    rows = max(1, min(items, c1 * len(a) * ho * wo * bo) // row)
     work = np.empty(min(rows, ho) * row, dtype)
+    win = np.empty((a.shape[1], min(h + 2 * ph, (max(1, items // row) - 1) * sh + kh),
+                    w + 2 * pw, b + 2 * pb), dtype)
+    r, held = len(win[0]), None
     wb = [(dh, slice(dw, dw + (wo - 1) * sw + 1, sw), slice(db, db + (run - 1) * sb + 1, sb))
           for dh, dw, db in np.ndindex(kh, kw, kb // bands)]
-    for n in range(n_n):
+
+    def interior(top, part):  # a's rows that grid rows top, top + 1, ... hold
+        lo, hi = (min(max(i - ph, 0), h) for i in (top, top + part.shape[1]))
+        return slice(lo, hi), part[:, lo + ph - top:hi + ph - top, pw:pw + w, pb:pb + b]
+
+    for n in range(len(a)):
         for i0 in range(0, ho, rows):
             i1 = min(i0 + rows, ho)
-            taps = [(slice(None), slice(dh, dh + (i1 - i0 - 1) * sh + 1, sh), w, b)
-                    for dh, w, b in wb]
-            yield n, slice(i0, i1), taps, work
-
-
-def _windows(a, weight_shape, stride, out_hwb, dtype, enter=None, leave=None):
-    """Yield (n, rs, taps, work, view) per block of _blocks, view the block's
-    rows of a zero-padded, band-last (C, R, W + kw - 1, B + kb - 1) window on
-    the grid of sample n of a (N, C, H, W, B): R rows span a block within
-    _BLOCK_BYTES alone, several blocks where the output caps them. It moves
-    on when a block runs past it or starts a sample: leave(n, xs, rows) takes
-    the rows no later block touches, those the block shares move up, and the
-    rest are zeroed for enter(n, xs, rows); rows: the interior of a's rows xs."""
-    kh, sh, (h, w, b) = weight_shape[2], stride[0], a.shape[2:]
-    ph, pw, pb = (k // 2 for k in weight_shape[2:])
-    win = held = None
-
-    def interior(top, rows):  # a's rows that grid rows top, top + 1, ... hold
-        lo, hi = (min(max(r - ph, 0), h) for r in (top, top + rows.shape[1]))
-        return slice(lo, hi), rows[:, lo + ph - top:hi + ph - top, pw:pw + w, pb:pb + b]
-
-    for n, rs, taps, work in _blocks(weight_shape, stride, out_hwb, len(a), dtype):
-        p0, p1 = rs.start * sh, (rs.stop - 1) * sh + kh
-        if win is None:
-            fit = max(1, _BLOCK_BYTES * (rs.stop - rs.start) // work.nbytes)
-            win = np.empty((a.shape[1], min(h + 2 * ph, (fit - 1) * sh + kh),
-                            w + 2 * pw, b + 2 * pb), dtype)
-        r = len(win[0])
-        if held is None or held[0] != n or p1 > held[1] + r:
-            keep = max(0, held[1] + r - p0) if held and held[0] == n else 0
-            if leave and held:
-                leave(held[0], *interior(held[1], win[:, :r - keep]))
-            win[:, :keep] = win[:, r - keep:]
-            win[:, keep:] = 0
-            if enter:
-                enter(n, *interior(p0 + keep, win[:, keep:]))
-            held = n, p0
-        yield n, rs, taps, work, win[:, p0 - held[1]:]
+            p0, p1 = i0 * sh, (i1 - 1) * sh + kh
+            if held is None or held[0] != n or p1 > held[1] + r:
+                keep = max(0, held[1] + r - p0) if held and held[0] == n else 0
+                if leave and held:
+                    leave(held[0], *interior(held[1], win[:, :r - keep]))
+                win[:, :keep] = win[:, r - keep:]
+                win[:, keep:] = 0
+                if enter:
+                    enter(n, *interior(p0 + keep, win[:, keep:]))
+                held = n, p0
+            taps = [(slice(None), slice(dh, dh + (i1 - i0 - 1) * sh + 1, sh), ws, bs)
+                    for dh, ws, bs in wb]
+            yield n, slice(i0, i1), taps, work, win[:, p0 - held[1]:]
     if leave and held:
         leave(held[0], *interior(held[1], win))
 
@@ -266,17 +252,23 @@ def _im2col_blocks(x, weight_shape, stride, out_hwb, dtype):
         yield n, rs, stacked.reshape(shape[0] * shape[1], -1), work[stacked.size:]
 
 
-def _plane_blocks(xp, weight_shape, stride, a):
+def _plane_blocks(x, weight_shape, stride, a, dtype):
     """Yield (rows, column) per block of a one-band-tap map within _BLOCK_BYTES,
     nb bands of all rows, else nr rows of one plane: a's c1 rows (views if a
-    is bands-first) and the column of a bands-first grid, in _tap_major's order."""
-    (ho, wo, bo), (sh, sw, sb) = a.shape[2:], stride
-    k, items = int(np.prod(weight_shape[1:])), _BLOCK_BYTES // xp.dtype.itemsize
+    is bands-first) and the column in dtype, in _tap_major's order, of x's
+    whole zero-padded grid, which it pads once, bands-first, and holds with
+    one block's column (one channel in the shipped net). Every map refuses
+    a zero extent, so nb's division by Ho * Wo holds."""
+    (h, w, b), (ho, wo, bo), (sh, sw, sb) = x.shape[2:], a.shape[2:], stride
+    ph, pw, pb = (k // 2 for k in weight_shape[2:])
+    k, items = int(np.prod(weight_shape[1:])), _BLOCK_BYTES // np.dtype(dtype).itemsize
     nb, nr = max(1, min(bo, items // (k * ho * wo))), min(ho, max(1, items // (k * wo)))
-    grid, a = np.moveaxis(xp, -1, 2), np.moveaxis(a, -1, 2)
-    work = np.empty(k * nb * nr * wo, xp.dtype)
-    for n, b, i in np.ndindex(len(xp), -(-bo // nb), -(-ho // nr)):
-        bs, rs = slice(b * nb, min(b * nb + nb, bo)), slice(i * nr, min(i * nr + nr, ho))
+    grid = np.zeros(x.shape[:2] + (b + 2 * pb, h + 2 * ph, w + 2 * pw), dtype)
+    grid[:, :, pb:pb + b, ph:ph + h, pw:pw + w] = np.moveaxis(x, -1, 2)
+    a = np.moveaxis(a, -1, 2)
+    work = np.empty(k * nb * nr * wo, dtype)
+    for n, i, j in np.ndindex(len(x), -(-bo // nb), -(-ho // nr)):
+        bs, rs = slice(i * nb, min(i * nb + nb, bo)), slice(j * nr, min(j * nr + nr, ho))
         rows = a[n, :, bs, rs]
         column = work[:k * rows[0].size].reshape(weight_shape[2:] + (-1,) + rows.shape[1:])
         for dh, dw, db in np.ndindex(weight_shape[2:]):
@@ -306,16 +298,16 @@ def _band_rows(a, n, rs, buf, bands):
 
 
 def _forward_core(x, weight, stride, out_hwb, dtype, out_dtype):
-    """Cross-correlation without bias of x (see _padded), in dtype: one GEMM
-    of the band-stacked weight, then block e of the product added onto block
-    0 from e columns on, as band tap e reads every band run e elements
-    further (kn2row). The last bands - 1 columns of each run: dropped."""
+    """Cross-correlation without bias of x, in dtype: one GEMM of the
+    band-stacked weight, then block e of the product added onto block 0
+    from e columns on, as band tap e reads every band run e elements further
+    (kn2row). The last bands - 1 columns of each run: dropped."""
     n_n, c1 = x.shape[0], weight.shape[0]
     wt = _tap_major(weight, stride, dtype)
     bands, (wo, bo) = len(wt), out_hwb[1:]
     y = _bands_first((n_n, c1) + out_hwb, out_dtype)
     if bands == 1:  # the GEMM writes each block into its run of y's planes
-        for out, column in _plane_blocks(x, weight.shape, stride, y):
+        for out, column in _plane_blocks(x, weight.shape, stride, y, dtype):
             np.matmul(wt[0], column, out=out)
         return y
     for n, rs, column, spare in _im2col_blocks(x, weight.shape, stride, out_hwb, dtype):
@@ -353,13 +345,13 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
 
 
 def _weight_grad_core(x, g, weight_shape, stride, dtype):
-    """Float64 weight grad from x (see _padded) and grad_out: each block's
-    product, band-stacked grad rows @ column.T, in dtype, their sum in float64."""
+    """Float64 weight grad from x and grad_out: each block's product,
+    band-stacked grad rows @ column.T, in dtype, their sum in float64."""
     c1, c2, kh, kw, kb = weight_shape
     bands = _band_taps(weight_shape, stride)
     gw = np.zeros((bands * c1, kh * kw * (kb // bands) * c2))
     part = np.empty(gw.shape, dtype)
-    blocks = _plane_blocks(x, weight_shape, stride, g) if bands == 1 else (
+    blocks = _plane_blocks(x, weight_shape, stride, g, dtype) if bands == 1 else (
         (_band_rows(g, n, rs, spare, bands), column)
         for n, rs, column, spare in _im2col_blocks(x, weight_shape, stride, g.shape[2:], dtype))
     for rows, column in blocks:  # g's planes are read in place where g is bands-first
@@ -381,8 +373,7 @@ def conv3d_forward(x, kernel, stride):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(_padded(x, weight.shape, stride, out_dtype), weight, stride,
-                      _strided_hwb(x.shape[2:], stride), out_dtype, out_dtype)
+    y = _forward_core(x, weight, stride, _strided_hwb(x.shape[2:], stride), out_dtype, out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -396,8 +387,7 @@ def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
     dtype = np.result_type(x, weight, grad_out)
-    gw = _weight_grad_core(_padded(x, weight.shape, stride, dtype), grad_out, weight.shape,
-                           stride, dtype)
+    gw = _weight_grad_core(x, grad_out, weight.shape, stride, dtype)
     gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
         if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
@@ -432,9 +422,9 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
     dtype = np.result_type(x, weight, grad_out)
-    gp = _padded(grad_out, weight.shape, stride, dtype)
-    gw = _weight_grad_core(gp, x, weight.shape, stride, dtype)
-    gx = _forward_core(gp, weight, stride, x.shape[2:], dtype, x.dtype) if input_grad else None
+    gw = _weight_grad_core(grad_out, x, weight.shape, stride, dtype)
+    gx = _forward_core(grad_out, weight, stride, x.shape[2:], dtype, x.dtype) \
+        if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
     return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
 

@@ -227,6 +227,8 @@ UNIT_CASES = [
     ("qru3d", FORWARD, True),
     ("qru2d", FORWARD, False),
     ("qru2d", BIDIRECTIONAL, False),
+    ("qru2d", FORWARD, True),
+    ("qru2d", BIDIRECTIONAL, True),
     ("c3d", FORWARD, False),
     ("c3d", FORWARD, True),
 ]

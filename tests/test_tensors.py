@@ -1,5 +1,6 @@
 """Tensor-core tests: conv/tconv against literal oracles and finite differences."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,17 @@ class TestConvForward:
         with pytest.raises(ConfigError, match="odd"):
             ConvKernel(np.zeros((1, 1, 2, 3, 3)), np.zeros(1))
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bias_length_checked(self, transposed):
+        """Each forward map adds one bias per channel it produces, c1 for
+        conv3d and c2 for tconv3d, and refuses any other length."""
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((3, 2, 3, 3, 3))
+        fwd, c_in, c_out = (tconv3d_forward, 3, 2) if transposed else (conv3d_forward, 2, 3)
+        x = rng.standard_normal((1, c_in, 4, 4, 3))
+        with pytest.raises(ShapeError, match=f"bias length {c_in} != output channels {c_out}"):
+            fwd(x, ConvKernel(w, np.zeros(c_in)), (1, 1, 1))
+
 
 class TestConvBackward:
     def test_zero_grad_out_gives_zero_grads(self):
@@ -179,6 +191,27 @@ class TestConvBackward:
         with pytest.raises(ShapeError, match="channels"):
             bwd(x[:, :1], kern, (1, 1, 1), grad_out)
 
+    @pytest.mark.parametrize("axis", [0, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["conv3d_forward", "conv3d_backward",
+                                      "tconv3d_forward", "tconv3d_backward"])
+    def test_zero_extents_refused(self, name, axis):
+        """Every map refuses an input with no samples, rows, columns or
+        bands, as read_hsi and the noise cases refuse an empty cube, before
+        any walk divides by an extent; the backward maps given a grad_out of
+        the shape that input would have."""
+        transposed = name.startswith("t")
+        c_in, c_out = (3, 2) if transposed else (2, 3)
+        shape = [2, c_in, 4, 4, 4]
+        shape[axis] = 0
+        x = np.zeros(shape)
+        kern = ConvKernel(np.zeros((3, 2, 3, 3, 3)), np.zeros(c_out))
+        args = (x, kern, (1, 1, 1))
+        if name.endswith("backward"):
+            args += (np.zeros(shape[:1] + [c_out] + shape[2:]),)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"input extents must be positive, got {tuple(shape)}")):
+            getattr(tensors, name)(*args)
+
 
 class TestTconv:
     def test_upsamples_spatial_extents(self):
@@ -226,6 +259,27 @@ class TestTconv:
         assert max_rel_err(gx, fx) <= 1e-3
         assert max_rel_err(gw, fw) <= 1e-3
         assert max_rel_err(gb, fb) <= 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("wshape", [(6, 4, 3, 3, 1), (6, 5, 3, 3, 3)], ids=["3x3x1", "3x3x3"])
+    def test_backward_shares_the_adjoint_cores(self, wshape, stride, dtype):
+        """tconv3d_backward(b, k, s, a) returns conv3d_forward(a, k, s) with
+        zero bias as its input gradient and conv3d_backward(a, k, s, b)'s
+        weight gradient, value for value: the 3x3x1 kernel walks planes, the
+        3x3x3 kernel rows (kn2row) unless the band axis is strided. a's
+        extents are multiples of the stride, so b is a's whole output."""
+        rng = np.random.default_rng(34)
+        c1, c2 = wshape[:2]
+        w = rng.standard_normal(wshape).astype(dtype)
+        a = rng.standard_normal((2, c2, 6, 4, 6)).astype(dtype)
+        b = rng.standard_normal(
+            (2, c1) + tuple(n // s for n, s in zip(a.shape[2:], stride))).astype(dtype)
+        tgx, tgw, _ = tconv3d_backward(b, ConvKernel(w, np.zeros(c2, dtype)), stride, a)
+        kern = ConvKernel(w, np.zeros(c1, dtype))
+        _, gw, _ = conv3d_backward(a, kern, stride, b)
+        assert np.array_equal(tgx, conv3d_forward(a, kern, stride))
+        assert np.array_equal(tgw, gw)
 
 
 # Stacked kernels (c1, c2, kh, kw, kb) and strides of the standard network,
@@ -412,8 +466,8 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
     bands = tensors._band_taps(wshape, stride)
     row = (int(np.prod(ksize)) // bands * c2 + bands * c1) * wo * (bo + bands - 1)
     monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * row * 8)
-    rows = [rs.stop - rs.start for _, rs, _, _ in
-            tensors._blocks(wshape, stride, (ho, wo, bo), 2, np.float64)]
+    rows = [rs.stop - rs.start for _, rs, _, _, _ in
+            tensors._windows(x, wshape, stride, (ho, wo, bo), np.float64)]
     assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
 
     assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
@@ -498,7 +552,8 @@ def grid_scatter(g, weight, stride, in_hwb):
     bands = tensors._band_taps(weight.shape, stride)
     wt = tensors._tap_major(weight, stride, g.dtype).transpose(2, 0, 1).reshape(27, -1)
     grid = np.zeros(g.shape[:1] + weight.shape[1:2] + tuple(n + 2 for n in in_hwb), g.dtype)
-    for n, rs, taps, work in tensors._blocks(weight.shape, stride, g.shape[2:], len(g), g.dtype):
+    gx = np.empty(g.shape[:1] + weight.shape[1:2] + in_hwb)
+    for n, rs, taps, work, _ in tensors._windows(gx, weight.shape, stride, g.shape[2:], g.dtype):
         prod = (wt @ tensors._band_rows(g, n, rs, work, bands)).reshape(
             len(taps), weight.shape[1], -1, g.shape[3], g.shape[4] + bands - 1)
         view = grid[n, :, rs.start * stride[0]:]
@@ -527,8 +582,8 @@ def test_block_splits_keep_bytes(stride, h, monkeypatch):
     t = tconv3d_forward(y, tkern, stride)
     g, gt = (rng.standard_normal(a.shape).astype(np.float32) for a in (y, t))
     ho, wo, bo = y.shape[2:]
-    assert [rs.stop - rs.start for _, rs, _, _ in
-            tensors._blocks(wshape, stride, (ho, wo, bo), 8, np.float32)] == [ho] * 8
+    assert [rs.stop - rs.start for _, rs, _, _, _ in
+            tensors._windows(x, wshape, stride, (ho, wo, bo), np.float32)] == [ho] * 8
     forward = [conv3d_forward(x, kern, stride), tconv3d_backward(y, tkern, stride, gt)[0]]
     for rows in (1, 2, 3):
         monkeypatch.setattr(tensors, "_BLOCK_BYTES", rows * (27 + 24) * wo * (bo + 2) * 4)
@@ -606,7 +661,7 @@ def test_weight_grad_sums_blocks_in_float64(monkeypatch):
     x = rng.uniform(0.5, 1.5, (8, 4) + hwb).astype(np.float32)
     y = rng.uniform(0.5, 1.5, (8, 8) + hwb).astype(np.float32)
     w = rng.standard_normal(wshape).astype(np.float32)
-    assert len(list(tensors._blocks(wshape, stride, hwb, 8, np.float32))) == 1024
+    assert len(list(tensors._windows(x, wshape, stride, hwb, np.float32))) == 1024
     gw_ref = conv3d_weight_grad_im2col(x, y, wshape[2:], stride, (1, 1, 1))
     _, gw, _ = conv3d_backward(x, ConvKernel(w, np.zeros(8, np.float32)), stride, y, False)
     _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(4, np.float32)), stride, x, False)
@@ -646,8 +701,7 @@ def test_plane_walk_splits_keep_forward_bytes(name, split, monkeypatch):
     whole = conv3d_forward(x, kern, stride)
     ho, wo, bo = whole.shape[2:]
     k = c2 * int(np.prod(ksize))
-    xp = tensors._padded(x, wshape, stride, np.float32)
-    assert len(list(tensors._plane_blocks(xp, wshape, stride, whole))) == 2
+    assert len(list(tensors._plane_blocks(x, wshape, stride, whole, np.float32))) == 2
 
     if split == "bands":
         monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * k * ho * wo * 4)
@@ -655,7 +709,8 @@ def test_plane_walk_splits_keep_forward_bytes(name, split, monkeypatch):
     else:
         monkeypatch.setattr(tensors, "_BLOCK_BYTES", 2 * k * wo * 4)
         expect = ([2 * wo] * (ho // 2) + [ho % 2 * wo]) * bo
-    cols = [column.shape[1] for _, column in tensors._plane_blocks(xp, wshape, stride, whole)]
+    cols = [column.shape[1] for _, column in
+            tensors._plane_blocks(x, wshape, stride, whole, np.float32)]
     assert cols == 2 * expect and expect[-1] < expect[0]
 
     y = conv3d_forward(x, kern, stride)
