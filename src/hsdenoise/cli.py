@@ -162,19 +162,18 @@ def cmd_add_noise(args):
     from .hsio import write_hsi
     from .noise import CorruptionReport, add_gaussian_iid, synthesize_case
     cube = _read_cube(args.input)
+    meta = {"input": args.input, "output": args.output, "seed": args.seed}
     if args.case is not None:
         noisy, report = synthesize_case(cube, args.case, args.seed)
-        regime = f"case {args.case}"
+        meta["case"], regime = args.case, f"case {args.case}"
     else:
         noisy = add_gaussian_iid(cube, args.iid_sigma, args.seed)
         report = CorruptionReport("iid-gaussian")
         report.sigma_per_band = [float(args.iid_sigma)] * cube.shape[2]
-        regime = f"iid sigma {args.iid_sigma:g}"
-    write_hsi(args.output, noisy.astype(cube.dtype))
+        meta["iid-sigma"], regime = args.iid_sigma, f"iid sigma {args.iid_sigma:g}"
+    write_hsi(args.output, noisy)
     report_path = args.report or args.output + ".report.txt"
-    _write_meta(report_path, "add-noise", {
-        "input": args.input, "output": args.output,
-        "case": args.case, "iid-sigma": args.iid_sigma, "seed": args.seed}, report.to_text())
+    _write_meta(report_path, "add-noise", meta, report.to_text())
     print(f"wrote {args.output} ({regime}); report in {report_path}")
     return 0
 
@@ -264,41 +263,39 @@ def cmd_gcs(args):
     return 0
 
 
+# The gradcheck suite's units: (name, kind, cin, cout, stride, direction,
+# transposed, input shape), the middle five VariantFactory.build's arguments.
+# Unit i draws its weights from [seed, i] and its input from [seed, 100 + i].
+_GRADCHECK_UNITS = (
+    ("conv3d unit", "c3d", 2, 3, (1, 1, 1), "forward", False, (1, 2, 4, 4, 3)),
+    ("conv3d stride-2 unit", "c3d", 2, 2, (2, 2, 1), "forward", False, (1, 2, 4, 4, 3)),
+    ("tconv3d unit", "c3d", 2, 2, (2, 2, 1), "forward", True, (1, 2, 2, 2, 3)),
+    ("qru3d forward unit", "qru3d", 1, 2, (1, 1, 1), "forward", False, (1, 1, 4, 4, 3)),
+    ("qru3d backward unit", "qru3d", 1, 2, (1, 1, 1), "backward", False, (1, 1, 4, 4, 3)),
+    ("qru3d bidirectional unit", "qru3d", 1, 2, (1, 1, 1), "bidirectional", False,
+     (1, 1, 4, 4, 3)),
+    ("qru2d forward unit", "qru2d", 1, 2, (1, 1, 1), "forward", False, (1, 1, 4, 4, 3)),
+)
+
+
 def _gradcheck_cases(seed):
     import numpy as np
     from .network import build_network, desk_config
     from .qru import make_variant
 
-    def sample(shape, tag):
-        rng = np.random.default_rng([seed, tag])
-        return (0.5 * rng.standard_normal(shape)).astype(np.float32)
-
     def rng(tag):
         return np.random.default_rng([seed, tag])
 
-    c3d = make_variant("c3d")
-    qru3d = make_variant("qru3d")
-    qru2d = make_variant("qru2d")
-    cases = [
-        ("conv3d unit", c3d.build(rng(0), 2, 3, (1, 1, 1), "forward"),
-         sample((1, 2, 4, 4, 3), 100)),
-        ("conv3d stride-2 unit", c3d.build(rng(1), 2, 2, (2, 2, 1), "forward"),
-         sample((1, 2, 4, 4, 3), 101)),
-        ("tconv3d unit", c3d.build(rng(2), 2, 2, (2, 2, 1), "forward", transposed=True),
-         sample((1, 2, 2, 2, 3), 102)),
-        ("qru3d forward unit", qru3d.build(rng(3), 1, 2, (1, 1, 1), "forward"),
-         sample((1, 1, 4, 4, 3), 103)),
-        ("qru3d backward unit", qru3d.build(rng(4), 1, 2, (1, 1, 1), "backward"),
-         sample((1, 1, 4, 4, 3), 104)),
-        ("qru3d bidirectional unit", qru3d.build(rng(5), 1, 2, (1, 1, 1), "bidirectional"),
-         sample((1, 1, 4, 4, 3), 105)),
-        ("qru2d forward unit", qru2d.build(rng(6), 1, 2, (1, 1, 1), "forward"),
-         sample((1, 1, 4, 4, 3), 106)),
-        ("reduced network", build_network(desk_config(width=3, n_layers=3), seed),
-         sample((1, 1, 5, 5, 4), 107)),
-        ("reduced c3d network", build_network(desk_config(width=3, n_layers=3, kind="c3d"), seed),
-         sample((1, 1, 5, 5, 4), 108)),
-    ]
+    def sample(shape, tag):
+        return (0.5 * rng(tag).standard_normal(shape)).astype(np.float32)
+
+    cases = []
+    for i, (name, kind, *build_args, shape) in enumerate(_GRADCHECK_UNITS):
+        unit = make_variant(kind).build(rng(i), *build_args)
+        cases.append((name, unit, sample(shape, 100 + i)))
+    for name, kind, tag in (("reduced network", "qru3d", 107), ("reduced c3d network", "c3d", 108)):
+        net = build_network(desk_config(width=3, n_layers=3, kind=kind), seed)
+        cases.append((name, net, sample((1, 1, 5, 5, 4), tag)))
     return cases
 
 
@@ -346,31 +343,31 @@ def cmd_train(args):
     from .network import build_network, desk_config, load_weights, save_weights, standard_config
     from .training import TrainOptions, load_optimizer_state, save_optimizer_state, train
     settings = resolve_settings(args)
-    stride = settings["patch-stride"] or settings["patch-size"]
-    patches = _load_patch_arrays(args.data, settings["patch-size"], stride, settings["augment"])
-    val_patches = None
-    if args.val:
-        val_patches = _load_patch_arrays(args.val, settings["patch-size"],
-                                         settings["patch-size"], "none")
+    meta = {}
+
+    def read(key):
+        """A setting the run uses: the log's header records each one read."""
+        meta[key] = settings[key]
+        return settings[key]
+
+    size = read("patch-size")
+    stride = settings["patch-stride"] or size
+    patches = _load_patch_arrays(args.data, size, stride, read("augment"))
+    val_patches = _load_patch_arrays(args.val, size, size, "none") if args.val else None
 
     if args.resume_weights:
-        model = load_weights(args.resume_weights, global_residual=settings["residual"])
+        model = load_weights(args.resume_weights, global_residual=read("residual"))
     else:
-        if settings["preset"] == "benchmark":
-            config = standard_config(kind=settings["kind"],
-                                     width_multiplier=settings["width-multiplier"],
-                                     schedule=settings["schedule"],
-                                     global_residual=settings["residual"])
+        shared = dict(kind=read("kind"), schedule=read("schedule"),
+                      global_residual=read("residual"))
+        if read("preset") == "benchmark":
+            config = standard_config(width_multiplier=read("width-multiplier"), **shared)
         else:
-            config = desk_config(width=settings["width"],
-                                 n_layers=settings["layers"],
-                                 kind=settings["kind"],
-                                 schedule=settings["schedule"],
-                                 global_residual=settings["residual"])
-        model = build_network(config, settings["seed"])
+            config = desk_config(width=read("width"), n_layers=read("layers"), **shared)
+        model = build_network(config, read("seed"))
     req = model.config.downsample_factor()
-    if settings["patch-size"] % req[0] or settings["patch-size"] % req[1]:
-        raise ValueError(f"--patch-size {settings['patch-size']} is not a multiple of "
+    if size % req[0] or size % req[1]:
+        raise ValueError(f"--patch-size {size} is not a multiple of "
                          f"{req[0]}x{req[1]}, the network's H x W downsampling factor")
 
     state = None
@@ -379,34 +376,23 @@ def cmd_train(args):
         state = load_optimizer_state(args.resume_state)
         state.check_params(model.param_arrays())
         start_epoch = state.epoch
+    policy = read("policy")
+    # The curriculum sets lr, batch and sigma, so only --policy fixed reads them.
+    fixed = read if policy == "fixed" else settings.get
     options = TrainOptions(
-        seed=settings["seed"], epochs=settings["epochs"], start_epoch=start_epoch,
-        policy=settings["policy"], lr=settings["lr"],
-        batch_size=settings["batch-size"], sigma=settings["sigma"],
-        val_patches=val_patches, checkpoint_dir=args.out_dir,
+        seed=read("seed"), epochs=read("epochs"), start_epoch=start_epoch,
+        policy=policy, lr=fixed("lr"), batch_size=fixed("batch-size"),
+        sigma=fixed("sigma"), val_patches=val_patches, checkpoint_dir=args.out_dir,
         max_steps_per_epoch=args.max_steps_per_epoch)
     os.makedirs(args.out_dir, exist_ok=True)
     state, log = train(model, patches, options, state=state, log_fn=print)
     save_weights(os.path.join(args.out_dir, "weights_final.q3dw"), model)
     save_optimizer_state(os.path.join(args.out_dir, "optim_final.q3da"), state)
-    # The log records only the settings this run read: the curriculum sets
-    # lr, batch and sigma, a preset reads only its own size keys, and
-    # resumed weights, not these settings, fix the network.
-    unread = {"lr", "batch-size", "sigma"} if settings["policy"] == "schedule" else set()
-    if args.resume_weights:
-        unread |= {"preset", "kind", "schedule", "width", "layers", "width-multiplier"}
-    else:
-        unread |= {"width-multiplier"} if settings["preset"] == "desk" else {"width", "layers"}
-    meta = {key: value for key, value in settings.items() if key not in unread}
-    meta.update({"patch-stride": stride, "data": " ".join(args.data)})
-    if args.val:
-        meta["val"] = " ".join(args.val)
-    if args.max_steps_per_epoch is not None:
-        meta["max-steps-per-epoch"] = args.max_steps_per_epoch
-    if args.resume_weights:
-        meta["resume-weights"] = args.resume_weights
-    if args.resume_state:
-        meta["resume-state"] = args.resume_state
+    meta["patch-stride"] = stride
+    for key in ("data", "val", "max-steps-per-epoch", "resume-weights", "resume-state"):
+        value = getattr(args, key.replace("-", "_"))
+        if value:
+            meta[key] = " ".join(value) if isinstance(value, list) else value
     log_path = os.path.join(args.out_dir, "trainlog.csv")
     _write_meta(log_path, "train", meta, log.to_csv())
     print(f"wrote {log_path} and final weights in {args.out_dir}")

@@ -31,7 +31,7 @@ SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
 
 
 class WeightsError(ValueError):
-    """Weights file is not a valid Q3DW container."""
+    """A weights (Q3DW) or optimizer-state (Q3DA) file is not a valid container."""
 
 
 class LayerSpec:

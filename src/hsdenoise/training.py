@@ -33,8 +33,7 @@ from .hsio import BlobReader
 from .metrics import psnr
 from .network import WeightsError, save_weights
 from .noise import add_gaussian_iid, synthesize_case
-from .qru import ConfigError
-from .tensors import ShapeError
+from .tensors import ConfigError, ShapeError
 
 
 def mse_loss(pred, target):

@@ -120,6 +120,22 @@ class TestAddNoise:
         report = open(out + ".report.txt").read()
         assert "iid-gaussian" in report
 
+    @pytest.mark.parametrize("flags, given, absent", [
+        (("--case", 2), "# case: 2\n", "# iid-sigma:"),
+        (("--iid-sigma", 30), "# iid-sigma: 30.0\n", "# case:"),
+    ], ids=["case", "iid"])
+    def test_report_records_only_given_regime(self, tmp_path, flags, given, absent):
+        """The report's header names the regime flag given and not the other
+        one, so no header line reads None."""
+        src, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=3)
+        out = str(tmp_path / "noisy.hsi")
+        assert run_cli("add-noise", src, out, *flags, "--seed", 4) == 0
+        report = open(out + ".report.txt").read()
+        header = [line for line in report.splitlines() if line.startswith("# ")]
+        assert not [line for line in header if line.endswith(": None")]
+        assert given in report
+        assert absent not in report
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_rejected(self, tmp_path, capsys, sigma):
         """A NaN or infinite sigma exits 2 and writes no cube."""
@@ -935,6 +951,23 @@ class TestTrainCommand:
                        "--out-dir", out_dir) == 0
         log = open(os.path.join(out_dir, "trainlog.csv")).read()
         assert "# policy: fixed" in log
+
+    def test_config_file_settings_logged_only_if_read(self, tmp_path):
+        """A curriculum desk run's log records a config file's width, which
+        the run read, and not its width multiplier, lr, batch size or sigma,
+        which it did not."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=13)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("width-multiplier = 0.5\nlr = 0.5\nbatch-size = 3\nsigma = 10\n"
+                       "width = 3\n")
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--data", src, "--out-dir", out_dir,
+                       "--preset", "desk", "--policy", "schedule", "--epochs", 1,
+                       "--patch-size", 8) == 0
+        log = open(out_dir / "trainlog.csv").read()
+        assert "# width: 3\n" in log
+        for key in ("width-multiplier", "lr", "batch-size", "sigma"):
+            assert f"# {key}: " not in log
 
     @pytest.mark.parametrize("line, message", [
         ("residual = maybe", "bad value for residual: expected on/off, got 'maybe'"),
