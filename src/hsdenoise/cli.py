@@ -132,11 +132,11 @@ def _write_meta(path, command, settings, body=""):
 
 def cmd_gen_synthetic(args):
     from .hsio import gen_synthetic, write_hsi
-    cube = gen_synthetic(args.height, args.width, args.bands, args.seed, rank=args.rank)
+    cube = gen_synthetic(args.height, args.width, args.bands, args.seed)
     write_hsi(args.out, cube)
     _write_meta(args.out + ".meta", "gen-synthetic", {
         "height": args.height, "width": args.width, "bands": args.bands,
-        "seed": args.seed, "rank": args.rank, "out": args.out})
+        "seed": args.seed, "out": args.out})
     print(f"wrote {args.out} ({args.height}x{args.width}x{args.bands})")
     return 0
 
@@ -355,7 +355,7 @@ def cmd_train(args):
     patches = _load_patch_arrays(args.data, size, stride, read("augment"))
     val_patches = _load_patch_arrays(args.val, size, size, "none") if args.val else None
 
-    if args.resume_weights:
+    if args.resume_weights is not None:
         model = load_weights(args.resume_weights, global_residual=read("residual"))
     else:
         shared = dict(kind=read("kind"), schedule=read("schedule"),
@@ -372,7 +372,7 @@ def cmd_train(args):
 
     state = None
     start_epoch = 0
-    if args.resume_state:
+    if args.resume_state is not None:
         state = load_optimizer_state(args.resume_state)
         state.check_params(model.param_arrays())
         start_epoch = state.epoch
@@ -391,7 +391,7 @@ def cmd_train(args):
     meta["patch-stride"] = stride
     for key in ("data", "val", "max-steps-per-epoch", "resume-weights", "resume-state"):
         value = getattr(args, key.replace("-", "_"))
-        if value:
+        if value is not None:
             meta[key] = " ".join(value) if isinstance(value, list) else value
     log_path = os.path.join(args.out_dir, "trainlog.csv")
     _write_meta(log_path, "train", meta, log.to_csv())
@@ -412,7 +412,6 @@ def build_parser():
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--bands", type=int, default=31)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--rank", type=int, default=4)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("add-noise", help="corrupt a cube and write a report")

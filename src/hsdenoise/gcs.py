@@ -24,6 +24,8 @@ each block and all earlier ones, and gate products carried by multiplication
 alone, on one float64 copy of the trace (the candidate rows) plus two blocks.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .qru import FORWARD, PoolingTrace, _in_order
@@ -35,6 +37,7 @@ from .tensors import ConfigError
 _BLOCK_BANDS = 24
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class GcsMatrix:
     """Band-contribution matrix for one directional trace.
 
@@ -43,14 +46,11 @@ class GcsMatrix:
     of band j+1 dropped by the epsilon guard, out of `h_numel` per band.
     """
 
-    __slots__ = ("values", "direction", "h_numel", "excluded", "eps")
-
-    def __init__(self, values, direction, h_numel, excluded, eps):
-        self.values = values
-        self.direction = direction
-        self.h_numel = h_numel
-        self.excluded = excluded
-        self.eps = eps
+    values: np.ndarray
+    direction: str
+    h_numel: int
+    excluded: np.ndarray
+    eps: float
 
     @property
     def n_bands(self):

@@ -23,6 +23,7 @@ the returned array, and writing one holds nothing beside the cube.
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,17 +114,15 @@ def read_hsi(path):
     return cube
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Patch:
     """One extracted patch plus enough provenance to re-extract it."""
 
-    __slots__ = ("data", "scale", "row", "col", "rotation")
-
-    def __init__(self, data, scale, row, col, rotation):
-        self.data = data
-        self.scale = scale
-        self.row = row
-        self.col = col
-        self.rotation = rotation
+    data: np.ndarray
+    scale: float
+    row: int
+    col: int
+    rotation: int
 
 
 def _rescaled(cube, scale):
@@ -133,7 +132,7 @@ def _rescaled(cube, scale):
     return ndimage.zoom(cube, (scale, scale, 1.0), order=3)
 
 
-def extract_patches(cube, spatial=64, stride=None, augment="none"):
+def extract_patches(cube, spatial, stride, augment="none"):
     """Grid crops of (spatial, spatial, B) with optional augmentation:
     "rotate" (all four right-angle turns), "rescale" (the RESCALE_FACTORS
     pyramid), both ("full") or neither ("none").
@@ -150,8 +149,6 @@ def extract_patches(cube, spatial=64, stride=None, augment="none"):
     if cube.shape[0] < spatial or cube.shape[1] < spatial:
         raise ShapeError(
             f"cube spatial extents {cube.shape[:2]} smaller than patch {spatial}")
-    if stride is None:
-        stride = spatial
     if stride < 1:
         raise ConfigError(f"stride must be positive, got {stride}")
     if augment not in AUGMENTS:
@@ -172,14 +169,12 @@ def extract_patches(cube, spatial=64, stride=None, augment="none"):
     return patches
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class NormalizationRecord:
     """Affine rescale parameters, enough to undo a normalize()."""
 
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
+    lo: float
+    hi: float
 
 
 def normalize(cube):
@@ -214,19 +209,18 @@ def _gaussian_blur(image, sigma):
     return image
 
 
-def gen_synthetic(height, width, bands, seed, rank=4):
-    """Seeded synthetic cube in [0, 1]: a sum of `rank` separable terms,
-    each a smooth random spatial texture times a smooth spectral bump.
+def gen_synthetic(height, width, bands, seed):
+    """Seeded synthetic cube in [0, 1]: a sum of four separable terms, each a
+    smooth random spatial texture times a smooth spectral bump (more terms
+    make a cube easier to denoise, not harder).
     Its Gaussian (radius int(4 sigma + 0.5), symmetric edges, centre tap then
     pairs outermost first) is byte-identical to scipy's gaussian_filter."""
     if min(height, width, bands) < 1:
         raise ConfigError(f"extents must be positive, got {(height, width, bands)}")
-    if rank < 1:
-        raise ConfigError(f"rank must be positive, got {rank}")
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, bands)
     cube = np.zeros((height, width, bands))
-    for _ in range(rank):
+    for _ in range(4):
         sigma = rng.uniform(1.5, 5.0)
         texture = _gaussian_blur(rng.normal(size=(height, width)), sigma)
         span = texture.max() - texture.min()

@@ -18,6 +18,7 @@ see save_weights for the byte layout.
 
 import math
 import struct
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,18 +35,16 @@ class WeightsError(ValueError):
     """A weights (Q3DW) or optimizer-state (Q3DA) file is not a valid container."""
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class LayerSpec:
     """One layer's wiring: channels, stride, direction, unit kind."""
 
-    __slots__ = ("cin", "cout", "stride", "transposed", "direction", "kind")
-
-    def __init__(self, cin, cout, stride, transposed, direction, kind):
-        self.cin = int(cin)
-        self.cout = int(cout)
-        self.stride = tuple(int(s) for s in stride)
-        self.transposed = bool(transposed)
-        self.direction = direction
-        self.kind = kind
+    cin: int
+    cout: int
+    stride: tuple
+    transposed: bool
+    direction: str
+    kind: str
 
 
 class NetworkConfig:

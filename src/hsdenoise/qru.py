@@ -19,6 +19,8 @@ The convolution returns z and f bands-first in memory (see tensors), so
 each step reads and writes whole H x W planes.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .tensors import (
@@ -42,16 +44,14 @@ _PASSES = {FORWARD: (FORWARD,), BACKWARD: (BACKWARD,), BIDIRECTIONAL: (FORWARD, 
 DIRECTIONS = tuple(_PASSES)
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class PoolingTrace:
     """Captured (z, f, h) of one directional pass, for backward and GCS."""
 
-    __slots__ = ("z", "f", "h", "direction")
-
-    def __init__(self, z, f, h, direction):
-        self.z = z
-        self.f = f
-        self.h = h
-        self.direction = direction
+    z: np.ndarray
+    f: np.ndarray
+    h: np.ndarray
+    direction: str
 
 
 def _in_order(direction, *arrays):

@@ -26,6 +26,7 @@ Optimizer state sidecar format (Q3DA), little-endian throughout:
 import os
 import struct
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,89 +124,82 @@ def load_optimizer_state(path):
     return state
 
 
+@dataclass(slots=True, frozen=True, eq=False, repr=False)
 class StageSpec:
     """Settings for one epoch: learning rate, batch size, noise regime."""
 
-    __slots__ = ("stage", "lr", "batch_size", "regime", "sigma", "sigma_range", "cases")
-
-    def __init__(self, stage, lr, batch_size, regime,
-                 sigma=None, sigma_range=None, cases=None):
-        self.stage = stage
-        self.lr = lr
-        self.batch_size = batch_size
-        self.regime = regime
-        self.sigma = sigma
-        self.sigma_range = sigma_range
-        self.cases = cases
+    stage: int
+    lr: float
+    batch_size: int
+    regime: str
+    sigma: float | None = None
+    sigma_range: tuple | None = None
+    cases: tuple | None = None
 
 
 SCHEDULE_EPOCHS = 100
 
-# Each row holds from its first epoch to the next row's: (first epoch, stage,
-# lr, batch, regime, (the regime's StageSpec field, its value)).
+# Each row holds from its first epoch to the next row's: (first epoch, its StageSpec).
 _CURRICULUM = (
-    (0, 1, 1e-3, 16, "fixed", ("sigma", 50.0)),
-    (20, 1, 1e-4, 16, "fixed", ("sigma", 50.0)),
-    (30, 2, 1e-3, 64, "blind", ("sigma_range", (30.0, 70.0))),
-    (35, 2, 1e-4, 64, "blind", ("sigma_range", (30.0, 70.0))),
-    (45, 2, 1e-5, 64, "blind", ("sigma_range", (30.0, 70.0))),
-    (50, 3, 1e-3, 64, "mixture", ("cases", (1, 2, 3, 4))),
-    (85, 3, 1e-4, 64, "mixture", ("cases", (1, 2, 3, 4))),
-    (95, 3, 1e-5, 64, "mixture", ("cases", (1, 2, 3, 4))),
+    (0, StageSpec(1, 1e-3, 16, "fixed", sigma=50.0)),
+    (20, StageSpec(1, 1e-4, 16, "fixed", sigma=50.0)),
+    (30, StageSpec(2, 1e-3, 64, "blind", sigma_range=(30.0, 70.0))),
+    (35, StageSpec(2, 1e-4, 64, "blind", sigma_range=(30.0, 70.0))),
+    (45, StageSpec(2, 1e-5, 64, "blind", sigma_range=(30.0, 70.0))),
+    (50, StageSpec(3, 1e-3, 64, "mixture", cases=(1, 2, 3, 4))),
+    (85, StageSpec(3, 1e-4, 64, "mixture", cases=(1, 2, 3, 4))),
+    (95, StageSpec(3, 1e-5, 64, "mixture", cases=(1, 2, 3, 4))),
 )
 CHECKPOINT_EPOCHS = (50, 100)  # ends of stage 2 and of the curriculum
 
 
 def schedule_for_epoch(epoch):
-    """Stage settings for a zero-based epoch of the 100-epoch curriculum: a
-    new StageSpec from the last `_CURRICULUM` row at or before `epoch`."""
+    """Stage settings for a zero-based epoch of the 100-epoch curriculum: the
+    StageSpec of the last `_CURRICULUM` row at or before `epoch`."""
     if not isinstance(epoch, (int, np.integer)) or isinstance(epoch, bool):
         raise ConfigError(f"epoch must be an integer, got {epoch!r}")
     if epoch < 0 or epoch >= SCHEDULE_EPOCHS:
         raise ConfigError(f"epoch {epoch} outside the schedule range [0, {SCHEDULE_EPOCHS})")
-    for first, stage, lr, batch_size, regime, (field, value) in reversed(_CURRICULUM):
+    for first, stage in reversed(_CURRICULUM):
         if epoch >= first:
-            return StageSpec(stage, lr, batch_size, regime, **{field: value})
+            return stage
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class TrainOptions:
     """Knobs for `train`.  policy "schedule" follows the staged curriculum;
     policy "fixed" uses a constant lr/batch/sigma (handy for small runs)."""
 
-    __slots__ = ("seed", "epochs", "start_epoch", "policy", "lr", "batch_size",
-                 "sigma", "val_patches", "checkpoint_dir", "max_steps_per_epoch")
+    seed: int = 0
+    epochs: int = 100
+    start_epoch: int = 0
+    policy: str = "schedule"
+    lr: float = 1e-3
+    batch_size: int = 16
+    sigma: float = 50.0
+    val_patches: list | None = None
+    checkpoint_dir: str | None = None
+    max_steps_per_epoch: int | None = None
 
-    def __init__(self, seed=0, epochs=100, start_epoch=0, policy="schedule",
-                 lr=1e-3, batch_size=16, sigma=50.0, val_patches=None,
-                 checkpoint_dir=None, max_steps_per_epoch=None):
-        if policy not in ("schedule", "fixed"):
-            raise ConfigError(f"unknown training policy {policy!r}")
-        if epochs <= 0:
+    def __post_init__(self):
+        if self.policy not in ("schedule", "fixed"):
+            raise ConfigError(f"unknown training policy {self.policy!r}")
+        if self.epochs <= 0:
             raise ConfigError("epochs must be positive")
-        if policy == "schedule" and epochs > SCHEDULE_EPOCHS:
-            raise ConfigError(f"{epochs} epochs run past the {SCHEDULE_EPOCHS}-epoch schedule; "
-                              f"use policy fixed for longer runs")
-        if start_epoch < 0 or start_epoch >= epochs:
-            raise ConfigError(f"start epoch {start_epoch} outside [0, {epochs})")
-        if batch_size < 1:
-            raise ConfigError(f"batch size must be at least 1, got {batch_size}")
-        if not 0 <= sigma < np.inf:
-            raise ConfigError(f"sigma must be finite and non-negative, got {sigma}")
-        if not 0 < lr < np.inf:
-            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-        if max_steps_per_epoch is not None and max_steps_per_epoch < 1:
+        if self.policy == "schedule" and self.epochs > SCHEDULE_EPOCHS:
+            raise ConfigError(f"{self.epochs} epochs run past the {SCHEDULE_EPOCHS}-epoch "
+                              f"schedule; use policy fixed for longer runs")
+        if self.start_epoch < 0 or self.start_epoch >= self.epochs:
+            raise ConfigError(f"start epoch {self.start_epoch} outside [0, {self.epochs})")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if self.max_steps_per_epoch is not None and self.max_steps_per_epoch < 1:
             raise ConfigError(
-                f"max steps per epoch must be at least 1, got {max_steps_per_epoch}")
-        self.seed = seed
-        self.epochs = epochs
-        self.start_epoch = start_epoch
-        self.policy = policy
-        self.lr = lr
-        self.batch_size = batch_size
-        self.sigma = sigma
-        self.val_patches = val_patches
-        self.checkpoint_dir = checkpoint_dir
-        self.max_steps_per_epoch = max_steps_per_epoch
+                f"max steps per epoch must be at least 1, got {self.max_steps_per_epoch}")
 
 
 class TrainLog:
@@ -316,14 +310,12 @@ def train(model, patches, options, state=None, log_fn=None):
     return state, log
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class GradCheckReport:
     """Per-parameter-group comparison of analytic vs numeric gradients."""
 
-    __slots__ = ("rows", "tolerance")
-
-    def __init__(self, rows, tolerance):
-        self.rows = rows
-        self.tolerance = tolerance
+    rows: list
+    tolerance: float
 
     @property
     def max_rel_err(self):

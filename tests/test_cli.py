@@ -776,6 +776,40 @@ class TestTrainCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flags, message", [
+        (["--patch-size", "0"], "patch size must be positive, got 0"),
+        (["--patch-size", "8", "--patch-stride", "-1"], "stride must be positive, got -1"),
+    ], ids=["size-0", "stride-minus-1"])
+    def test_bad_patch_grid_rejected(self, tmp_path, capsys, flags, message):
+        """A patch size or stride that tiles no grid exits 2 with the patch
+        extractor's message, before --out-dir is created."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir), *flags,
+                       "--policy", "fixed", "--epochs", 1, "--width", 2, "--batch-size", 2)
+        assert code == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--resume-weights", "--resume-state"])
+    def test_empty_resume_path_rejected(self, tmp_path, capsys, monkeypatch, flag):
+        """An empty resume path is a file that cannot be read, not a flag left
+        out: it exits 2 before any step, and before --out-dir is created."""
+        import hsdenoise.training as training
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(training, "train", no_train)
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir), flag, "",
+                       "--policy", "fixed", "--epochs", 1, "--width", 2,
+                       "--batch-size", 2, "--patch-size", 8)
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, message", [
         (["--preset", "benchmark", "--width-multiplier", "inf"],
          "width multiplier must be positive and finite, got inf"),
         (["--preset", "benchmark", "--width-multiplier", "nan"],

@@ -155,6 +155,14 @@ class TestPatches:
         assert scales == [1.0, 0.75, 0.5]
         assert len(patches) == 4 + 1 + 1
 
+    def test_rescale_skips_levels_below_patch(self):
+        """Levels that shrink the cube below the patch (20 -> 15 and 10
+        against 16) give no patches; the full-scale grid is kept."""
+        cube = np.random.default_rng(3).random((20, 20, 3)).astype(np.float32)
+        patches = extract_patches(cube, spatial=16, stride=4, augment="rescale")
+        assert [(p.scale, p.row, p.col) for p in patches] == [
+            (1.0, 0, 0), (1.0, 0, 4), (1.0, 4, 0), (1.0, 4, 4)]
+
     def test_full_spectrum_kept(self):
         """Every patch keeps the source band count."""
         cube = np.random.default_rng(4).random((96, 96, 7)).astype(np.float32)
@@ -184,13 +192,13 @@ class TestPatches:
     def test_small_cube_rejected(self):
         """A cube smaller than the patch is an error."""
         with pytest.raises(ShapeError):
-            extract_patches(np.zeros((16, 16, 3)), spatial=64)
+            extract_patches(np.zeros((16, 16, 3)), spatial=64, stride=64)
 
     def test_unknown_augment_tag_rejected(self):
         """Typo'd augmentation names, and the old boolean form, are refused."""
         for augment in ("mirror", True):
             with pytest.raises(ConfigError):
-                extract_patches(np.zeros((64, 64, 3)), spatial=32, augment=augment)
+                extract_patches(np.zeros((64, 64, 3)), spatial=32, stride=32, augment=augment)
 
 
 class TestNormalize:
@@ -258,8 +266,6 @@ class TestSynthetic:
         assert hashlib.sha256(cube.tobytes()).hexdigest() == digest
 
     def test_bad_extents_rejected(self):
-        """Non-positive extents or rank are errors."""
+        """Non-positive extents are errors."""
         with pytest.raises(ConfigError):
             gen_synthetic(0, 4, 4, seed=0)
-        with pytest.raises(ConfigError):
-            gen_synthetic(4, 4, 4, seed=0, rank=0)

@@ -452,6 +452,20 @@ class TestWeightsIO:
         with pytest.raises(WeightsError, match="layer 8"):
             load_weights(path)
 
+    @pytest.mark.parametrize("field", [0, 1], ids=["num", "den"])
+    def test_zero_stride_pair_rejected(self, tmp_path, field):
+        """A zero in a stride pair of a file is refused, naming the layer."""
+        path = tmp_path / "m.q3dw"
+        save_weights(path, build_network(desk_config(), seed=21))
+        raw = bytearray(path.read_bytes())
+        # Layer 1 header: after the layer count, tags (2) and extents (20).
+        h_pair = 8 + 2 + 20
+        assert struct.unpack_from("<II", raw, h_pair) == (1, 1)
+        struct.pack_into("<I", raw, h_pair + 4 * field, 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WeightsError, match="^invalid stride pair in layer 1$"):
+            load_weights(path)
+
     @pytest.mark.parametrize("layers,bad", [
         ([(1, 0, (3, 3, 3)), (0, 0, (3, 3, 3)), (0, 1, (3, 3, 3))], 1),
         ([(1, 2, (3, 3, 3)), (2, 2, (3, 2, 3)), (2, 1, (3, 3, 3))], 2),
@@ -534,6 +548,35 @@ class TestConfigValidation:
             LayerSpec(8, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
         ]
         with pytest.raises(ConfigError):
+            NetworkConfig(layers)
+
+    def test_skip_channels_checked(self):
+        """A skip that adds outputs of different channel counts is refused."""
+        layers = [
+            LayerSpec(1, 8, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+            LayerSpec(8, 4, (1, 1, 1), False, FORWARD, "qru3d"),
+            LayerSpec(4, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+        ]
+        with pytest.raises(ConfigError, match="^skip into layer 3 mixes 4 and 8 channels$"):
+            NetworkConfig(layers)
+
+    def test_skip_scales_checked(self):
+        """A skip that adds outputs of different spatial scales is refused,
+        although the network as a whole returns to the input's scale."""
+        layers = [
+            LayerSpec(1, 8, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+            LayerSpec(8, 8, (2, 2, 1), False, FORWARD, "qru3d"),
+            LayerSpec(8, 8, (1, 1, 1), False, BACKWARD, "qru3d"),
+            LayerSpec(8, 1, (2, 2, 1), True, BIDIRECTIONAL, "qru3d"),
+        ]
+        with pytest.raises(ConfigError,
+                           match="^skip into layer 4 mixes different spatial scales$"):
+            NetworkConfig(layers)
+
+    def test_too_few_layers(self):
+        layers = [LayerSpec(1, 8, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+                  LayerSpec(8, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d")]
+        with pytest.raises(ConfigError, match="^network needs at least 3 layers$"):
             NetworkConfig(layers)
 
     @pytest.mark.parametrize("j, cout", [(2, 0), (1, -2)])
