@@ -129,7 +129,8 @@ def _rescaled(cube, scale):
     if scale == 1.0:
         return cube
     from scipy import ndimage  # cubic spline over the spatial axes only
-    return ndimage.zoom(cube, (scale, scale, 1.0), order=3)
+    # mirror: a line whose coordinate rounds just past n - 1 reads the edge, not cval 0
+    return ndimage.zoom(cube, (scale, scale, 1.0), order=3, mode="mirror")
 
 
 def extract_patches(cube, spatial, stride, augment="none"):

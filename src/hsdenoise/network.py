@@ -215,7 +215,8 @@ class Model:
     def unit_input(self, x, layer):
         """The input forward() feeds unit `layer` (zero-based), its skip
         added, from a pass without traces over the layers before it; so a
-        traced unit.forward on it gives forward's trace of that layer."""
+        traced unit.forward on it gives forward's trace of that layer (at
+        layer 0 x itself, whose channels the caller's unit checks)."""
         if not 0 <= layer < len(self.units):
             raise ConfigError(f"layer {layer} outside 0..{len(self.units) - 1}")
         cur, outputs, _ = self._walk(x, layer, False)
@@ -227,10 +228,6 @@ class Model:
         x = np.asarray(x)
         if x.ndim != 5:
             raise ShapeError("input must have axes (batch, channel, height, width, band)")
-        if x.shape[1] != self.config.layers[0].cin:
-            raise ShapeError(
-                f"input has {x.shape[1]} channels, network expects {self.config.layers[0].cin}"
-            )
         req = self.config.downsample_factor()
         for ax, name in ((0, "H"), (1, "W"), (2, "B")):
             if x.shape[2 + ax] % req[ax] != 0:

@@ -63,14 +63,16 @@ output's planes, or reads the grad rows' planes in place.
 
 Precision contract. A map computes in the result dtype of its array
 operands, np.result_type(x, weight), with grad_out too in the backward
-maps; there is no option and no second path. The tap-major weight copy,
+maps; there is no option and no second path. Each core works that dtype
+out from the arrays it is handed and the dtype it returns. The tap-major weight copy,
 the padded window, the block buffer and every GEMM product take that
 dtype, and the forward's band-tap sums and the input gradient's window
 sum in it. The weight gradient takes each block's product in it too but sums
 the blocks in float64, so its float32 rounding spans one block, not the
 whole batch; the bias gradient sums grad_out in float64. Results are cast once to the
 output dtype: the forward product as it is written into the output, the
-input gradient's rows as they are cropped, the weight gradient at the end.
+input gradient's rows as they are cropped, the weight gradient at the end,
+in the kernel's dtype.
 
     float32 operands (every shipped model): each map and each gradient
     stays within 32 float32 epsilons (3.8e-6) of the largest magnitude of the
@@ -81,16 +83,16 @@ input gradient's rows as they are cropped, the weight gradient at the end.
     product and sum is float64, end to end.
 
 Both bounds are pinned in tests/test_tensors.py. Every map checks that its
-input has 5 axes, no zero extent and the channels its kernel consumes, and
-each walk pads its own input, so every core takes the map's raw arrays. A
-call holds its weight copy, its output, one block buffer of at most
-_BLOCK_BYTES and what its walk pads: the row walk (_windows) one window of
-zero-padded grid rows, the input's or the input gradient's, that spans a
-block within _BLOCK_BYTES; the plane walk (_plane_blocks) the whole grid,
-bands-first (one channel in the shipped net; tconv3d_backward's two cores
-pad grad_out one after the other). Block and window sizes follow from
-shapes and the compute dtype alone, and a core copies each row of its
-input into a window, or of the input gradient out of one, once.
+input has 5 axes, no zero extent and the channels its kernel consumes; each
+walk pads its own input and works out the output's extents, so every core
+takes the map's raw arrays. A call holds its weight copy, its output, one
+block buffer of at most _BLOCK_BYTES and what its walk pads: the row walk
+(_windows) one window of zero-padded grid rows, the input's or the input
+gradient's, that spans a block within _BLOCK_BYTES; the plane walk
+(_plane_blocks) the whole grid, bands-first (one channel in the shipped
+net; tconv3d_backward's two cores pad grad_out one after the other). Block
+and window sizes follow from shapes and the compute dtype alone, and a
+walk copies each input row into a window, or input-gradient row out, once.
 """
 
 import numpy as np
@@ -184,24 +186,30 @@ def _tap_major(weight, stride, dtype):
     return np.ascontiguousarray(wt, dtype=dtype).reshape(bands, weight.shape[0], -1)
 
 
-def _windows(a, weight_shape, stride, out_hwb, dtype, enter=None, leave=None):
-    """Yield (n, rs, taps, work, view) per block of output rows rs of sample
-    n: the slices each column tap reads of view, the block's rows of a
-    zero-padded, band-last (C, R, W + kw - 1, B + kb - 1) window on the grid
-    of sample n of a (N, C, H, W, B), over runs of Bo + bands - 1 bands; and
-    one reused buffer in dtype for the column or product on the c2 side
-    (T * c2 rows) and the band-stacked product or grad rows on the c1 side
-    (bands * c1 rows). A block holds the rows that fit _BLOCK_BYTES and the
-    output's c1 side, one at least; the window's R grid rows span the block
-    _BLOCK_BYTES alone would hold, several blocks where the output caps them.
-    The window moves on when a block runs past it or starts a sample:
-    leave(n, xs, rows) takes the rows no later block touches, those the
-    block shares move up, and the rest are zeroed for enter(n, xs, rows);
-    rows: the interior of a's rows xs. The window is all it pads and, with
-    work, all it holds; a's extents are positive (every map refuses zero)."""
+def _strided_hwb(in_hwb, stride):
+    """Output extents of the forward map: ceil(n / s) per axis."""
+    return tuple(-(-n // s) for n, s in zip(in_hwb, stride))
+
+
+def _windows(a, weight_shape, stride, dtype, gather=True):
+    """Yield (n, rs, taps, work, view) per block of rows rs of sample n of
+    the output, ceil(n / s) per axis of a's (N, C, H, W, B): the slices each
+    column tap reads of view, the block's rows of a zero-padded, band-last
+    (C, R, W + kw - 1, B + kb - 1) window on the grid of sample n of a, over
+    runs of Bo + bands - 1 bands; and one reused buffer in dtype for the
+    column or product on the c2 side (T * c2 rows) and the band-stacked
+    product or grad rows on the c1 side (bands * c1 rows). A block holds the
+    rows that fit _BLOCK_BYTES and the output's c1 side, one at least; the
+    window's R grid rows span the block _BLOCK_BYTES alone would hold,
+    several blocks where the output caps them. The window moves on when a
+    block runs past it or starts a sample: rows no later block touches
+    leave it (into a's rows, unless gather), those the block shares move up,
+    and the rest are zeroed (and, if gather, filled from a's rows). The
+    window is all it pads and, with work, all it holds; a's extents are
+    positive (every map refuses zero)."""
     c1, c2, kh, kw, kb = weight_shape
     bands = _band_taps(weight_shape, stride)
-    (ho, wo, bo), (sh, sw, sb), (h, w, b) = out_hwb, stride, a.shape[2:]
+    (ho, wo, bo), (sh, sw, sb), (h, w, b) = _strided_hwb(a.shape[2:], stride), stride, a.shape[2:]
     ph, pw, pb = kh // 2, kw // 2, kb // 2
     run = bo + bands - 1
     row = (kh * kw * (kb // bands) * c2 + bands * c1) * wo * run
@@ -214,9 +222,10 @@ def _windows(a, weight_shape, stride, out_hwb, dtype, enter=None, leave=None):
     wb = [(dh, slice(dw, dw + (wo - 1) * sw + 1, sw), slice(db, db + (run - 1) * sb + 1, sb))
           for dh, dw, db in np.ndindex(kh, kw, kb // bands)]
 
-    def interior(top, part):  # a's rows that grid rows top, top + 1, ... hold
+    def copy(n, top, part):  # a's rows to or from part, grid rows top, top + 1, ...
         lo, hi = (min(max(i - ph, 0), h) for i in (top, top + part.shape[1]))
-        return slice(lo, hi), part[:, lo + ph - top:hi + ph - top, pw:pw + w, pb:pb + b]
+        pair = part[:, lo + ph - top:hi + ph - top, pw:pw + w, pb:pb + b], a[n, :, lo:hi]
+        np.copyto(*(pair if gather else pair[::-1]))
 
     for n in range(len(a)):
         for i0 in range(0, ho, rows):
@@ -224,27 +233,25 @@ def _windows(a, weight_shape, stride, out_hwb, dtype, enter=None, leave=None):
             p0, p1 = i0 * sh, (i1 - 1) * sh + kh
             if held is None or held[0] != n or p1 > held[1] + r:
                 keep = max(0, held[1] + r - p0) if held and held[0] == n else 0
-                if leave and held:
-                    leave(held[0], *interior(held[1], win[:, :r - keep]))
+                if held and not gather:
+                    copy(*held, win[:, :r - keep])
                 win[:, :keep] = win[:, r - keep:]
                 win[:, keep:] = 0
-                if enter:
-                    enter(n, *interior(p0 + keep, win[:, keep:]))
+                if gather:
+                    copy(n, p0 + keep, win[:, keep:])
                 held = n, p0
             taps = [(slice(None), slice(dh, dh + (i1 - i0 - 1) * sh + 1, sh), ws, bs)
                     for dh, ws, bs in wb]
             yield n, slice(i0, i1), taps, work, win[:, p0 - held[1]:]
-    if leave and held:
-        leave(held[0], *interior(held[1], win))
+    if not gather:
+        copy(*held, win)
 
 
-def _im2col_blocks(x, weight_shape, stride, out_hwb, dtype):
+def _im2col_blocks(x, weight_shape, stride, dtype):
     """Yield (n, rs, column, spare) per block: the block's T tap slices of
     x's zero-padded rows in dtype as a (T * c2, len(rs) * Wo * run) column in
     its work buffer, and the rest. Each row of x enters a window once."""
-    windows = _windows(x, weight_shape, stride, out_hwb, dtype,
-                       enter=lambda n, xs, rows: np.copyto(rows, x[n, :, xs]))
-    for n, rs, taps, work, view in windows:
+    for n, rs, taps, work, view in _windows(x, weight_shape, stride, dtype):
         shape = (len(taps),) + view[taps[0]].shape
         stacked = work[:int(np.prod(shape))].reshape(shape)
         for i, sl in enumerate(taps):
@@ -297,20 +304,20 @@ def _band_rows(a, n, rs, buf, bands):
     return rows.reshape(bands * c, -1)
 
 
-def _forward_core(x, weight, stride, out_hwb, dtype, out_dtype):
-    """Cross-correlation without bias of x, in dtype: one GEMM of the
-    band-stacked weight, then block e of the product added onto block 0
-    from e columns on, as band tap e reads every band run e elements further
-    (kn2row). The last bands - 1 columns of each run: dropped."""
-    n_n, c1 = x.shape[0], weight.shape[0]
+def _forward_core(x, weight, stride, out_dtype):
+    """Cross-correlation without bias of x, in the result dtype of x, weight
+    and the output: one GEMM of the band-stacked weight, then block e of the
+    product added onto block 0 from e columns on, as band tap e reads every
+    band run e elements further (kn2row); each run's last bands - 1 dropped."""
+    c1, dtype = weight.shape[0], np.result_type(x, weight, out_dtype)
     wt = _tap_major(weight, stride, dtype)
-    bands, (wo, bo) = len(wt), out_hwb[1:]
-    y = _bands_first((n_n, c1) + out_hwb, out_dtype)
+    bands, (ho, wo, bo) = len(wt), _strided_hwb(x.shape[2:], stride)
+    y = _bands_first((len(x), c1, ho, wo, bo), out_dtype)
     if bands == 1:  # the GEMM writes each block into its run of y's planes
         for out, column in _plane_blocks(x, weight.shape, stride, y, dtype):
             np.matmul(wt[0], column, out=out)
         return y
-    for n, rs, column, spare in _im2col_blocks(x, weight.shape, stride, out_hwb, dtype):
+    for n, rs, column, spare in _im2col_blocks(x, weight.shape, stride, dtype):
         m = column.shape[1]
         prod = np.matmul(wt.reshape(-1, len(column)), column,
                          out=spare[:bands * c1 * m].reshape(-1, m)).reshape(bands, -1)
@@ -326,15 +333,12 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
     one GEMM of the transposed band-stacked weight with the band-stacked
     grad rows; a row no later block touches is cropped into the result."""
     (n_n, c1), c2 = g.shape[:2], weight.shape[1]
-    dtype = np.result_type(g, weight, out_dtype)
-    bands = _band_taps(weight.shape, stride)
+    bands, dtype = _band_taps(weight.shape, stride), np.result_type(g, weight, out_dtype)
     wt = _tap_major(weight, stride, dtype).transpose(2, 0, 1).reshape(-1, bands * c1)
     # A row stride above half the kernel leaves rows that no window reaches: zeros.
     gx = _bands_first((n_n, c2) + in_hwb, out_dtype,
                       np.zeros if 2 * stride[0] > weight.shape[2] + 1 else np.empty)
-    windows = _windows(gx, weight.shape, stride, g.shape[2:], dtype,
-                       leave=lambda n, xs, rows: np.copyto(gx[n, :, xs], rows))
-    for n, rs, taps, work, view in windows:
+    for n, rs, taps, work, view in _windows(gx, weight.shape, stride, dtype, gather=False):
         rows = _band_rows(g, n, rs, work, bands)
         size = len(wt) * rows.shape[1]
         prod = np.matmul(wt, rows, out=work[rows.size:rows.size + size].reshape(len(wt), -1))
@@ -344,25 +348,21 @@ def _input_grad_core(g, weight, stride, in_hwb, out_dtype):
     return gx
 
 
-def _weight_grad_core(x, g, weight_shape, stride, dtype):
-    """Float64 weight grad from x and grad_out: each block's product,
-    band-stacked grad rows @ column.T, in dtype, their sum in float64."""
-    c1, c2, kh, kw, kb = weight_shape
-    bands = _band_taps(weight_shape, stride)
+def _weight_grad_core(x, g, weight, stride):
+    """Weight grad from x and grad_out in weight's dtype: each block's
+    product, band-stacked grad rows @ column.T, in the result dtype of x, g
+    and weight, their sum in float64."""
+    c1, c2, kh, kw, kb = weight.shape
+    bands, dtype = _band_taps(weight.shape, stride), np.result_type(x, g, weight)
     gw = np.zeros((bands * c1, kh * kw * (kb // bands) * c2))
     part = np.empty(gw.shape, dtype)
-    blocks = _plane_blocks(x, weight_shape, stride, g, dtype) if bands == 1 else (
+    blocks = _plane_blocks(x, weight.shape, stride, g, dtype) if bands == 1 else (
         (_band_rows(g, n, rs, spare, bands), column)
-        for n, rs, column, spare in _im2col_blocks(x, weight_shape, stride, g.shape[2:], dtype))
+        for n, rs, column, spare in _im2col_blocks(x, weight.shape, stride, dtype))
     for rows, column in blocks:  # g's planes are read in place where g is bands-first
         gw += np.matmul(rows.astype(dtype, copy=False), column.T, out=part)
     gw = gw.reshape(bands, c1, kh, kw, kb // bands, c2).transpose(1, 5, 2, 3, 0, 4)
-    return np.ascontiguousarray(gw).reshape(weight_shape)
-
-
-def _strided_hwb(in_hwb, stride):
-    """Output extents of the forward map: ceil(n / s) per axis."""
-    return tuple(-(-n // s) for n, s in zip(in_hwb, stride))
+    return np.ascontiguousarray(gw, weight.dtype).reshape(weight.shape)
 
 
 def conv3d_forward(x, kernel, stride):
@@ -373,7 +373,7 @@ def conv3d_forward(x, kernel, stride):
     if bias.shape[0] != c1:
         raise ShapeError(f"bias length {bias.shape[0]} != output channels {c1}")
     out_dtype = np.result_type(x.dtype, weight.dtype)
-    y = _forward_core(x, weight, stride, _strided_hwb(x.shape[2:], stride), out_dtype, out_dtype)
+    y = _forward_core(x, weight, stride, out_dtype)
     y += bias.reshape(1, c1, 1, 1, 1).astype(out_dtype, copy=False)
     return y
 
@@ -386,12 +386,10 @@ def conv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     expect = (x.shape[0], weight.shape[0]) + _strided_hwb(x.shape[2:], stride)
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    dtype = np.result_type(x, weight, grad_out)
-    gw = _weight_grad_core(x, grad_out, weight.shape, stride, dtype)
-    gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) \
-        if input_grad else None
+    gw = _weight_grad_core(x, grad_out, weight, stride)
+    gx = _input_grad_core(grad_out, weight, stride, x.shape[2:], x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
-    return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
+    return gx, gw, gb.astype(kernel.bias.dtype, copy=False)
 
 
 def tconv3d_forward(x, kernel, stride):
@@ -421,12 +419,10 @@ def tconv3d_backward(x, kernel, stride, grad_out, input_grad=True):
     expect = (x.shape[0], weight.shape[1]) + tuple(s * n for n, s in zip(x.shape[2:], stride))
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape}, expected {expect}")
-    dtype = np.result_type(x, weight, grad_out)
-    gw = _weight_grad_core(grad_out, x, weight.shape, stride, dtype)
-    gx = _forward_core(grad_out, weight, stride, x.shape[2:], dtype, x.dtype) \
-        if input_grad else None
+    gw = _weight_grad_core(grad_out, x, weight, stride)
+    gx = _forward_core(grad_out, weight, stride, x.dtype) if input_grad else None
     gb = grad_out.sum(axis=(0, 2, 3, 4), dtype=np.float64)
-    return gx, gw.astype(weight.dtype, copy=False), gb.astype(kernel.bias.dtype, copy=False)
+    return gx, gw, gb.astype(kernel.bias.dtype, copy=False)
 
 
 def activate(x, kind, out=None):

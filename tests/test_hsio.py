@@ -10,6 +10,7 @@ from scipy import ndimage
 from hsdenoise.hsio import (
     HsiError,
     _gaussian_blur,
+    _rescaled,
     denormalize,
     extract_patches,
     gen_synthetic,
@@ -162,6 +163,38 @@ class TestPatches:
         patches = extract_patches(cube, spatial=16, stride=4, augment="rescale")
         assert [(p.scale, p.row, p.col) for p in patches] == [
             (1.0, 0, 0), (1.0, 0, 4), (1.0, 4, 0), (1.0, 4, 4)]
+
+    def test_rescale_fills_the_last_row(self):
+        """On 48x38x11 at 0.5, output row 23's coordinate rounds just past
+        47: ndimage.zoom's default constant mode zeroes the row, the
+        mirrored edge fills it."""
+        cube = np.random.default_rng(7).uniform(0.5, 1.5, (48, 38, 11))
+        assert not ndimage.zoom(cube, (0.5, 0.5, 1.0), order=3)[23].any()
+        assert _rescaled(cube, 0.5)[23].all()
+
+    @pytest.mark.parametrize("side, spatial", [(32, 16), (56, 14)])
+    def test_rescaled_patches_have_no_zero_line(self, side, spatial):
+        """Extents whose rescale levels had a zeroed last line (4 of 56
+        patches on 32x32, 20 of 332 on 56x56): no patch keeps one."""
+        cube = gen_synthetic(side, side, 4, 0)
+        for p in extract_patches(cube, spatial=spatial, stride=spatial // 2, augment="full"):
+            assert p.data.any(axis=(1, 2)).all() and p.data.any(axis=(0, 2)).all()
+
+    def test_rescale_matches_scipy_outside_zeroed_lines(self):
+        """Seeded sweep over float32 and float64, 1, 2 and 4 bands and
+        extents that hit the zero line: every line ndimage.zoom's constant
+        mode leaves non-zero keeps its bytes."""
+        rng, zeroed = np.random.default_rng(8), 0
+        for i, (h, w) in enumerate([(48, 38), (28, 30), (56, 220), (100, 17), (9, 64), (33, 8)]):
+            for scale in (0.5, 0.75):
+                dtype, bands = (np.float32, np.float64)[i % 2], (1, 2, 4)[i % 3]
+                cube = rng.uniform(0.5, 1.5, (h, w, bands)).astype(dtype)
+                want, got = ndimage.zoom(cube, (scale, scale, 1.0), order=3), _rescaled(cube, scale)
+                rows, cols = want.any(axis=(1, 2)), want.any(axis=(0, 2))
+                zeroed += (~rows).sum() + (~cols).sum()
+                assert got.dtype == want.dtype
+                assert got[rows][:, cols].tobytes() == want[rows][:, cols].tobytes()
+        assert zeroed > 0
 
     def test_full_spectrum_kept(self):
         """Every patch keeps the source band count."""

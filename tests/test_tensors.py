@@ -467,7 +467,7 @@ def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
     row = (int(np.prod(ksize)) // bands * c2 + bands * c1) * wo * (bo + bands - 1)
     monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * row * 8)
     rows = [rs.stop - rs.start for _, rs, _, _, _ in
-            tensors._windows(x, wshape, stride, (ho, wo, bo), np.float64)]
+            tensors._windows(x, wshape, stride, np.float64)]
     assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
 
     assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
@@ -553,7 +553,7 @@ def grid_scatter(g, weight, stride, in_hwb):
     wt = tensors._tap_major(weight, stride, g.dtype).transpose(2, 0, 1).reshape(27, -1)
     grid = np.zeros(g.shape[:1] + weight.shape[1:2] + tuple(n + 2 for n in in_hwb), g.dtype)
     gx = np.empty(g.shape[:1] + weight.shape[1:2] + in_hwb)
-    for n, rs, taps, work, _ in tensors._windows(gx, weight.shape, stride, g.shape[2:], g.dtype):
+    for n, rs, taps, work, _ in tensors._windows(gx, weight.shape, stride, g.dtype, gather=False):
         prod = (wt @ tensors._band_rows(g, n, rs, work, bands)).reshape(
             len(taps), weight.shape[1], -1, g.shape[3], g.shape[4] + bands - 1)
         view = grid[n, :, rs.start * stride[0]:]
@@ -583,7 +583,7 @@ def test_block_splits_keep_bytes(stride, h, monkeypatch):
     g, gt = (rng.standard_normal(a.shape).astype(np.float32) for a in (y, t))
     ho, wo, bo = y.shape[2:]
     assert [rs.stop - rs.start for _, rs, _, _, _ in
-            tensors._windows(x, wshape, stride, (ho, wo, bo), np.float32)] == [ho] * 8
+            tensors._windows(x, wshape, stride, np.float32)] == [ho] * 8
     forward = [conv3d_forward(x, kern, stride), tconv3d_backward(y, tkern, stride, gt)[0]]
     for rows in (1, 2, 3):
         monkeypatch.setattr(tensors, "_BLOCK_BYTES", rows * (27 + 24) * wo * (bo + 2) * 4)
@@ -649,6 +649,36 @@ def test_float32_cores_within_contract_of_im2col_oracle(name):
         assert_rel(actual, expected, RTOL_FLOAT32)
 
 
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float64), (np.float64, np.float32)],
+                         ids=["f32-x", "f32-kernel"])
+@pytest.mark.parametrize("name", sorted(NET_KERNELS))
+def test_mixed_dtypes_follow_contract(name, x_dtype, w_dtype):
+    """Inputs of one dtype and a kernel of the other: each map computes in
+    their result dtype (float64), so every result is the all-float64 run's
+    bytes cast to its documented dtype: the operands' result dtype for the
+    forward maps, the input's for input gradients, and the kernel's for
+    weight and bias gradients."""
+    wshape, stride = NET_KERNELS[name]
+    c1, c2 = wshape[:2]
+    rng = np.random.default_rng(28)
+    x, w = (rng.standard_normal(s).astype(np.float32) for s in ((2, c2, 8, 6, 5), wshape))
+    t, b, tb = (rng.standard_normal(s).astype(np.float32) for s in ((2, c1, 4, 3, 5), c1, c2))
+
+    def run(in_dtype, k_dtype):
+        kern, tkern = ConvKernel(w, b).astype(k_dtype), ConvKernel(w, tb).astype(k_dtype)
+        xa, ta = x.astype(in_dtype), t.astype(in_dtype)
+        y, up = conv3d_forward(xa, kern, stride), tconv3d_forward(ta, tkern, stride)
+        g = np.ones_like(y) + y
+        return ([y, up] + list(conv3d_backward(xa, kern, stride, g))
+                + list(tconv3d_backward(ta, tkern, stride, up - 1)))
+
+    got, want = run(x_dtype, w_dtype), run(np.float64, np.float64)
+    dtypes = [np.float64, np.float64] + 2 * [x_dtype, w_dtype, w_dtype]
+    for actual, expected, dtype in zip(got, want, dtypes):
+        assert actual.dtype == dtype
+        assert actual.tobytes() == expected.astype(dtype).tobytes()
+
+
 def test_weight_grad_sums_blocks_in_float64(monkeypatch):
     """Float32 operands walked in 1,024 one-row blocks: each block's
     product is float32, but the blocks sum in float64, so both weight
@@ -661,7 +691,7 @@ def test_weight_grad_sums_blocks_in_float64(monkeypatch):
     x = rng.uniform(0.5, 1.5, (8, 4) + hwb).astype(np.float32)
     y = rng.uniform(0.5, 1.5, (8, 8) + hwb).astype(np.float32)
     w = rng.standard_normal(wshape).astype(np.float32)
-    assert len(list(tensors._windows(x, wshape, stride, hwb, np.float32))) == 1024
+    assert len(list(tensors._windows(x, wshape, stride, np.float32))) == 1024
     gw_ref = conv3d_weight_grad_im2col(x, y, wshape[2:], stride, (1, 1, 1))
     _, gw, _ = conv3d_backward(x, ConvKernel(w, np.zeros(8, np.float32)), stride, y, False)
     _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(4, np.float32)), stride, x, False)
