@@ -7,33 +7,15 @@ comment lines, binary artifacts via a .meta sidecar) and never carry
 timestamps.  `_write_meta` writes every text artifact and sidecar, so that
 header is written in one place; only the gcs heat map, a binary PGM, opens
 its own file.
-
-The HSDENOISE_THREADS environment variable sets a default thread count for
-the underlying math libraries; it is applied before numpy is first imported,
-which is why this module defers all numeric imports into the commands.
 """
 
 import argparse
 import os
 import sys
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+import numpy as np
 
-
-def _apply_thread_env():
-    value = os.environ.get("HSDENOISE_THREADS")
-    if not value:
-        return
-    if not value.isdigit() or int(value) < 1:
-        raise ValueError(
-            f"HSDENOISE_THREADS must be a positive integer, got {value!r}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, value)
+from . import gcs, hsio, metrics, network, noise, qru, thread_setting, training
 
 
 class _BadValue(ValueError, argparse.ArgumentTypeError):
@@ -68,8 +50,8 @@ def _non_negative_int(text):
 # override file keys; file keys override these defaults.
 CONFIG_KEYS = {
     "preset": (_choice_key("desk", "benchmark"), "desk"),
-    "kind": (_choice_key("qru3d", "qru2d", "c3d"), "qru3d"),
-    "schedule": (_choice_key("alternating", "forward", "bidirectional"), "alternating"),
+    "kind": (_choice_key(*qru.VARIANT_KINDS), "qru3d"),
+    "schedule": (_choice_key(*network.SCHEDULE_MODES), "alternating"),
     "width-multiplier": (float, 1.0),
     "width": (int, 8),
     "layers": (int, 3),
@@ -82,7 +64,7 @@ CONFIG_KEYS = {
     "sigma": (float, 50.0),
     "patch-size": (int, 64),
     "patch-stride": (int, 0),
-    "augment": (_choice_key("none", "rotate", "rescale", "full"), "none"),
+    "augment": (_choice_key(*hsio.AUGMENTS), "none"),
 }
 
 
@@ -131,9 +113,8 @@ def _write_meta(path, command, settings, body=""):
 
 
 def cmd_gen_synthetic(args):
-    from .hsio import gen_synthetic, write_hsi
-    cube = gen_synthetic(args.height, args.width, args.bands, args.seed)
-    write_hsi(args.out, cube)
+    cube = hsio.gen_synthetic(args.height, args.width, args.bands, args.seed)
+    hsio.write_hsi(args.out, cube)
     _write_meta(args.out + ".meta", "gen-synthetic", {
         "height": args.height, "width": args.width, "bands": args.bands,
         "seed": args.seed, "out": args.out})
@@ -145,9 +126,7 @@ def _read_cube(path):
     """The cube at path, refused if it holds NaN or Inf: one such sample
     would spread through every layer to the whole output, or into every
     metric, or hide under the noise that add-noise lays over it."""
-    import numpy as np
-    from .hsio import read_hsi
-    cube = read_hsi(path)
+    cube = hsio.read_hsi(path)
     bad = ~np.isfinite(cube)
     if bad.any():
         bands = [str(j + 1) for j in np.flatnonzero(bad.any(axis=(0, 1)))]
@@ -159,19 +138,17 @@ def _read_cube(path):
 
 
 def cmd_add_noise(args):
-    from .hsio import write_hsi
-    from .noise import CorruptionReport, add_gaussian_iid, synthesize_case
     cube = _read_cube(args.input)
     meta = {"input": args.input, "output": args.output, "seed": args.seed}
     if args.case is not None:
-        noisy, report = synthesize_case(cube, args.case, args.seed)
+        noisy, report = noise.synthesize_case(cube, args.case, args.seed)
         meta["case"], regime = args.case, f"case {args.case}"
     else:
-        noisy = add_gaussian_iid(cube, args.iid_sigma, args.seed)
-        report = CorruptionReport("iid-gaussian")
+        noisy = noise.add_gaussian_iid(cube, args.iid_sigma, args.seed)
+        report = noise.CorruptionReport("iid-gaussian")
         report.sigma_per_band = [float(args.iid_sigma)] * cube.shape[2]
         meta["iid-sigma"], regime = args.iid_sigma, f"iid sigma {args.iid_sigma:g}"
-    write_hsi(args.output, noisy)
+    hsio.write_hsi(args.output, noisy)
     report_path = args.report or args.output + ".report.txt"
     _write_meta(report_path, "add-noise", meta, report.to_text())
     print(f"wrote {args.output} ({regime}); report in {report_path}")
@@ -179,11 +156,9 @@ def cmd_add_noise(args):
 
 
 def cmd_denoise(args):
-    from .hsio import write_hsi
-    from .network import load_weights
-    model = load_weights(args.weights, global_residual=args.residual)
+    model = network.load_weights(args.weights, global_residual=args.residual)
     cube = _read_cube(args.input)
-    write_hsi(args.output, model.denoise(cube))
+    hsio.write_hsi(args.output, model.denoise(cube))
     _write_meta(args.output + ".meta", "denoise", {
         "weights": args.weights, "input": args.input, "output": args.output,
         "residual": args.residual})
@@ -192,7 +167,6 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    from .metrics import SSIM_WINDOW, psnr_per_band, sam, ssim
     clean = _read_cube(args.clean).astype("float64")
     cubes = []
     for path in args.inputs:
@@ -202,17 +176,17 @@ def cmd_eval(args):
                 f"{path} shape {cube.shape} does not match clean {clean.shape}")
         cubes.append((path, cube))
     height, width = clean.shape[:2]
-    if min(height, width) < SSIM_WINDOW:
-        raise ValueError(
-            f"{args.clean}: spatial extent {height}x{width} is below the "
-            f"{SSIM_WINDOW}x{SSIM_WINDOW} minimum of the SSIM window")
+    window = metrics.SSIM_WINDOW
+    if min(height, width) < window:
+        raise ValueError(f"{args.clean}: spatial extent {height}x{width} is below the "
+                         f"{window}x{window} minimum of the SSIM window")
     header = ["file", "mpsnr", "mssim", "sam"]
     header += [f"psnr_b{j + 1}" for j in range(clean.shape[2])]
     lines = [",".join(header)]
     for path, cube in cubes:
-        per_band = psnr_per_band(cube, clean)
-        row = [path, f"{per_band.mean():.6f}", f"{ssim(cube, clean):.6f}",
-               f"{sam(cube, clean):.6f}"] + [f"{v:.6f}" for v in per_band]
+        per_band = metrics.psnr_per_band(cube, clean)
+        row = [path, f"{per_band.mean():.6f}", f"{metrics.ssim(cube, clean):.6f}",
+               f"{metrics.sam(cube, clean):.6f}"] + [f"{v:.6f}" for v in per_band]
         lines.append(",".join(row))
         print(f"{path}: mpsnr {row[1]} mssim {row[2]} sam {row[3]}")
     _write_meta(args.out, "eval", {"clean": args.clean}, "\n".join(lines) + "\n")
@@ -235,14 +209,11 @@ def _layer_index(text, n_layers):
 
 
 def cmd_gcs(args):
-    import numpy as np
-    from .gcs import gcs_to_csv, layer_matrices, relative_bands, values_to_pgm
-    from .network import load_weights
     if os.path.basename(args.out_prefix) in ("", os.curdir, os.pardir):
         raise ValueError(f"--out-prefix {args.out_prefix!r} names a directory, not a file prefix")
-    model = load_weights(args.weights)
+    model = network.load_weights(args.weights)
     layer = _layer_index(args.layer, len(model.units))
-    matrices = layer_matrices(model, _read_cube(args.input), layer, args.eps)
+    matrices = gcs.layer_matrices(model, _read_cube(args.input), layer, args.eps)
     parent = os.path.dirname(args.out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -250,15 +221,15 @@ def cmd_gcs(args):
             "layer": args.layer, "eps": args.eps}
     # One dense view of the direction matrices: each cell's larger defined value.
     overlay = np.fmax.reduce([m.values for m in matrices])
-    counts = relative_bands(overlay, matrices[0].h_numel)
-    bodies = {f"{m.direction}.csv": gcs_to_csv(m) for m in matrices}
+    counts = gcs.relative_bands(overlay, matrices[0].h_numel)
+    bodies = {f"{m.direction}.csv": gcs.gcs_to_csv(m) for m in matrices}
     bodies["relative.csv"] = "band,total,forward,backward\n" + "".join(
         f"{j},{total},{fwd},{bwd}\n" for j, (total, fwd, bwd) in enumerate(zip(*counts), 1))
     bodies["meta"] = ""
     for suffix, body in bodies.items():
         _write_meta(f"{args.out_prefix}.{suffix}", "gcs", meta, body)
     with open(f"{args.out_prefix}.pgm", "wb") as fh:
-        fh.write(values_to_pgm(overlay))
+        fh.write(gcs.values_to_pgm(overlay))
     print("wrote " + " ".join(f"{args.out_prefix}.{suffix}" for suffix in [*bodies, "pgm"]))
     return 0
 
@@ -279,10 +250,6 @@ _GRADCHECK_UNITS = (
 
 
 def _gradcheck_cases(seed):
-    import numpy as np
-    from .network import build_network, desk_config
-    from .qru import make_variant
-
     def rng(tag):
         return np.random.default_rng([seed, tag])
 
@@ -291,19 +258,18 @@ def _gradcheck_cases(seed):
 
     cases = []
     for i, (name, kind, *build_args, shape) in enumerate(_GRADCHECK_UNITS):
-        unit = make_variant(kind).build(rng(i), *build_args)
+        unit = qru.make_variant(kind).build(rng(i), *build_args)
         cases.append((name, unit, sample(shape, 100 + i)))
     for name, kind, tag in (("reduced network", "qru3d", 107), ("reduced c3d network", "c3d", 108)):
-        net = build_network(desk_config(width=3, n_layers=3, kind=kind), seed)
+        net = network.build_network(network.desk_config(width=3, n_layers=3, kind=kind), seed)
         cases.append((name, net, sample((1, 1, 5, 5, 4), tag)))
     return cases
 
 
 def cmd_gradcheck(args):
-    from .training import grad_check
     failures = 0
     for name, target, x in _gradcheck_cases(args.seed):
-        report = grad_check(target, x, tolerance=args.tolerance, eps=args.eps)
+        report = training.grad_check(target, x, tolerance=args.tolerance, eps=args.eps)
         status = "PASS" if report.passed else "FAIL"
         print(f"== {name}: {status} (max rel err {report.max_rel_err:.3e})")
         if args.verbose or not report.passed:
@@ -318,8 +284,6 @@ def cmd_gradcheck(args):
 
 
 def _load_patch_arrays(paths, size, stride, augment):
-    import numpy as np
-    from .hsio import extract_patches
     arrays = []
     bands = None
     for path in paths:
@@ -332,16 +296,13 @@ def _load_patch_arrays(paths, size, stride, augment):
         if min(cube.shape[:2]) < size:
             raise ValueError(f"{path} is {cube.shape[0]}x{cube.shape[1]}, smaller than "
                              f"--patch-size {size}")
-        for patch in extract_patches(cube, spatial=size, stride=stride,
-                                     augment=augment):
+        for patch in hsio.extract_patches(cube, spatial=size, stride=stride, augment=augment):
             arrays.append(np.ascontiguousarray(patch.data[np.newaxis],
                                                dtype=np.float32))
     return arrays
 
 
 def cmd_train(args):
-    from .network import build_network, desk_config, load_weights, save_weights, standard_config
-    from .training import TrainOptions, load_optimizer_state, save_optimizer_state, train
     settings = resolve_settings(args)
     meta = {}
 
@@ -356,15 +317,15 @@ def cmd_train(args):
     val_patches = _load_patch_arrays(args.val, size, size, "none") if args.val else None
 
     if args.resume_weights is not None:
-        model = load_weights(args.resume_weights, global_residual=read("residual"))
+        model = network.load_weights(args.resume_weights, global_residual=read("residual"))
     else:
         shared = dict(kind=read("kind"), schedule=read("schedule"),
                       global_residual=read("residual"))
         if read("preset") == "benchmark":
-            config = standard_config(width_multiplier=read("width-multiplier"), **shared)
+            config = network.standard_config(width_multiplier=read("width-multiplier"), **shared)
         else:
-            config = desk_config(width=read("width"), n_layers=read("layers"), **shared)
-        model = build_network(config, read("seed"))
+            config = network.desk_config(width=read("width"), n_layers=read("layers"), **shared)
+        model = network.build_network(config, read("seed"))
     req = model.config.downsample_factor()
     if size % req[0] or size % req[1]:
         raise ValueError(f"--patch-size {size} is not a multiple of "
@@ -373,21 +334,21 @@ def cmd_train(args):
     state = None
     start_epoch = 0
     if args.resume_state is not None:
-        state = load_optimizer_state(args.resume_state)
+        state = training.load_optimizer_state(args.resume_state)
         state.check_params(model.param_arrays())
         start_epoch = state.epoch
     policy = read("policy")
     # The curriculum sets lr, batch and sigma, so only --policy fixed reads them.
     fixed = read if policy == "fixed" else settings.get
-    options = TrainOptions(
+    options = training.TrainOptions(
         seed=read("seed"), epochs=read("epochs"), start_epoch=start_epoch,
         policy=policy, lr=fixed("lr"), batch_size=fixed("batch-size"),
         sigma=fixed("sigma"), val_patches=val_patches, checkpoint_dir=args.out_dir,
         max_steps_per_epoch=args.max_steps_per_epoch)
     os.makedirs(args.out_dir, exist_ok=True)
-    state, log = train(model, patches, options, state=state, log_fn=print)
-    save_weights(os.path.join(args.out_dir, "weights_final.q3dw"), model)
-    save_optimizer_state(os.path.join(args.out_dir, "optim_final.q3da"), state)
+    state, log = training.train(model, patches, options, state=state, log_fn=print)
+    network.save_weights(os.path.join(args.out_dir, "weights_final.q3dw"), model)
+    training.save_optimizer_state(os.path.join(args.out_dir, "optim_final.q3da"), state)
     meta["patch-stride"] = stride
     for key in ("data", "val", "max-steps-per-epoch", "resume-weights", "resume-state"):
         value = getattr(args, key.replace("-", "_"))
@@ -418,7 +379,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--case", type=int, choices=(1, 2, 3, 4, 5))
+    group.add_argument("--case", type=int, choices=noise.CASES)
     group.add_argument("--iid-sigma", type=float)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--report")
@@ -471,7 +432,7 @@ def build_parser():
 
 def main(argv=None):
     try:
-        _apply_thread_env()
+        thread_setting()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -26,17 +26,16 @@ def _pair(x, ref):
 
 
 def psnr_per_band(x, ref):
-    """10 log10(1 / MSE_b) per band; +inf where a band is identical."""
+    """10 log10(1 / MSE_b) per band; +inf where a band is identical, NaN
+    where it holds a NaN."""
     x, ref = _pair(x, ref)
     mse = np.mean((x - ref) ** 2, axis=(0, 1))
-    out = np.full(mse.shape, np.inf)
-    nz = mse > 0
-    out[nz] = 10.0 * np.log10(1.0 / mse[nz])
-    return out
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(1.0 / mse)
 
 
 def psnr(x, ref):
-    """Band-averaged PSNR in dB (+inf if every band is identical)."""
+    """Band-averaged PSNR in dB (+inf if every band is identical, NaN if any holds NaN)."""
     return float(np.mean(psnr_per_band(x, ref)))
 
 
@@ -86,8 +85,8 @@ def ssim(x, ref):
 
 
 def sam(x, ref):
-    """Mean spectral angle in radians over pixels where both spectra are
-    nonzero; errors out if no pixel qualifies.
+    """Mean spectral angle in radians over pixels where neither spectrum is
+    zero (NaN is not zero, so NaN input gives NaN); errors out if none qualifies.
 
     Computed through the chord between unit spectra, 2 asin(|u - v| / 2),
     which equals acos of the clamped cosine but stays exact for colinear
@@ -96,7 +95,7 @@ def sam(x, ref):
     x, ref = _pair(x, ref)
     nx = np.sqrt(np.sum(x * x, axis=2))
     nr = np.sqrt(np.sum(ref * ref, axis=2))
-    valid = (nx > 0) & (nr > 0)
+    valid = (nx != 0) & (nr != 0)
     if not valid.any():
         raise MetricError("spectral angle undefined: every pixel has a zero spectrum")
     u = x[valid] / nx[valid][:, None]

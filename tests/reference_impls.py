@@ -342,3 +342,15 @@ def heat_map_pixels(forward, backward):
               for j in range(n)] for i in range(n)]
     top = max(v for row in cells for v in row if v == v)
     return [[0 if v != v else round(255.0 * (v / top)) for v in row] for row in cells]
+
+
+def spectral_projection(noisy, rank):
+    """The non-learned reference line: the noisy cube's (H*W, B) unfolding,
+    mean-centred in float64, projected onto its top `rank` right-singular
+    vectors, the mean added back, clipped to [0, 1]."""
+    h, w, b = noisy.shape
+    rows = np.asarray(noisy, dtype=np.float64).reshape(h * w, b)
+    mean = rows.mean(axis=0)
+    _, _, vt = np.linalg.svd(rows - mean, full_matrices=False)
+    basis = vt[:rank]
+    return np.clip((rows - mean) @ basis.T @ basis + mean, 0.0, 1.0).reshape(h, w, b)

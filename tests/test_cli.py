@@ -1132,11 +1132,28 @@ class TestDeterminism:
                             env_extra={"HSDENOISE_THREADS": "1"})
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_cli_import_leaves_numpy_unloaded(self):
-        """HSDENOISE_THREADS reaches the math libraries only if numpy loads
-        after the CLI applies it, so importing the CLI must not load numpy."""
-        proc = self.run_python("-c", "import sys, hsdenoise.cli; sys.exit('numpy' in sys.modules)")
-        assert proc.returncode == 0, proc.stderr or "numpy was imported"
+    def test_package_import_applies_thread_env(self):
+        """HSDENOISE_THREADS reaches the math libraries only if it is set
+        before numpy loads. Importing the package, which loads no numpy,
+        copies a positive count into every library's variable that is not
+        already set, and copies any other value nowhere."""
+        names = ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"]
+        code = ("import os, sys, hsdenoise\n"
+                "loaded = 'numpy' in sys.modules\n"
+                "import hsdenoise.cli\n"
+                f"print(loaded, [os.environ.get(n) for n in {names!r}])")
+        env = {n: v for n, v in os.environ.items() if n not in names}
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env.setdefault("PYTHONPATH", os.path.join(root, "src"))
+        cases = [({"HSDENOISE_THREADS": "3"}, ["3", "3", "3", "3"]),
+                 ({"HSDENOISE_THREADS": "3", "OPENBLAS_NUM_THREADS": "1"}, ["3", "1", "3", "3"]),
+                 ({"HSDENOISE_THREADS": "lots"}, [None] * 4)]
+        for extra, want in cases:
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**env, **extra})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == f"False {want}", extra
 
     def test_commands_run_without_scipy(self, tmp_path):
         """scipy serves only rescale augmentation: with every scipy import

@@ -44,6 +44,16 @@ class TestPsnr:
         with pytest.raises(ShapeError):
             psnr(np.zeros((4, 4, 2)), np.zeros((4, 4, 3)))
 
+    def test_nan_band_scores_nan(self):
+        """A band holding a NaN scores NaN, not +inf, and so does the cube;
+        the identical bands beside it still score +inf."""
+        ref = rand_cube(seed=3)
+        x = ref.copy()
+        x[2, 5, 1] = np.nan
+        per = psnr_per_band(x, ref)
+        assert np.isnan(per[1]) and per[0] == per[2] == np.inf
+        assert np.isnan(psnr(x, ref)) and np.isnan(psnr(ref, x))
+
 
 class TestSsim:
     def test_self_similarity_is_one(self):
@@ -129,3 +139,22 @@ class TestSam:
     def test_all_zero_rejected(self):
         with pytest.raises(MetricError):
             sam(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
+
+    def test_zero_cube_against_nonzero_rejected(self):
+        """A pixel needs both spectra non-zero, whichever cube is zero."""
+        ref = rand_cube((4, 4, 2), seed=13) + 0.1
+        for pair in ((np.zeros_like(ref), ref), (ref, np.zeros_like(ref))):
+            with pytest.raises(MetricError):
+                sam(*pair)
+
+    def test_nan_pixel_gives_nan(self):
+        """A NaN spectrum is not a zero one: its pixel counts, so one NaN
+        sample, in either cube, makes the mean angle NaN, even when every
+        other pixel is NaN and the one finite pixel matches exactly."""
+        x = rand_cube((4, 4, 3), seed=12) + 0.1
+        r = x.copy()
+        x[1, 2, 0] = np.nan
+        assert np.isnan(sam(x, r)) and np.isnan(sam(r, x))
+        mostly_nan = np.full_like(r, np.nan)
+        mostly_nan[0, 0] = r[0, 0]
+        assert np.isnan(sam(mostly_nan, r))

@@ -378,6 +378,36 @@ _PUBLISHED_CONFIGS = {
 }
 
 
+def band_reach(model, x):
+    """M[i, j], the sum over space of |d output band i / d input band j| at
+    one (1, 1, H, W, B) input: one backward through B stacked copies of it,
+    copy i's output gradient one-hot on band i."""
+    bands = x.shape[-1]
+    y, traces = model.forward(np.repeat(x, bands, axis=0), keep_traces=True)
+    grad_y = np.zeros_like(y)
+    grad_y[np.arange(bands), ..., np.arange(bands)] = 1.0
+    gx, _ = model.backward(traces, grad_y)
+    return np.abs(gx).sum(axis=(1, 2, 3))
+
+
+class TestSpectralReach:
+    """The band reach of a whole untrained x0.25 standard net: 12 layers of
+    3 band taps reach 12 bands each way, a forward recurrence reaches every
+    earlier band and one later band per layer, and alternating directions
+    reach every band."""
+
+    def reach(self, **config):
+        model = build_network(standard_config(width_multiplier=0.25, **config), seed=3)
+        x = np.random.default_rng(5).standard_normal((1, 1, 8, 8, 31)).astype(np.float32)
+        return band_reach(model, x)
+
+    def test_zero_cells_are_exactly_the_unreachable_ones(self):
+        i, j = np.indices((31, 31))
+        assert np.array_equal(self.reach(kind="c3d") == 0, abs(i - j) > 12)
+        assert np.array_equal(self.reach(schedule="forward") == 0, j > i + 12)
+        assert np.all(self.reach(schedule="alternating") != 0)
+
+
 def _header_offsets(model):
     """Byte offset of each layer's 46-byte header in the model's Q3DW file."""
     offsets = [8]  # magic, version, layer count

@@ -4,6 +4,8 @@ finite-difference gradient checker."""
 import numpy as np
 import pytest
 
+from reference_impls import spectral_projection
+from hsdenoise.hsio import gen_synthetic
 from hsdenoise.metrics import psnr
 from hsdenoise.network import (
     WeightsError,
@@ -41,6 +43,28 @@ def smooth_patches(n, h, w, b, seed=0):
         cube = 0.5 + 0.35 * np.sin(2 * np.pi * (u[0] * yy + u[1] * xx + u[2] * bb))
         out.append(cube[np.newaxis].astype(np.float32))
     return out
+
+
+class TestProjectionReference:
+    """The rank-r spectral projection, the line a learned net must clear:
+    its gain over the noisy input on the three held-out cubes
+    gen_synthetic(64, 64, 31, [300, i]) at sigma 50, noise seed [400, i]."""
+
+    # Per cube: noisy PSNR, the best gain over r in 1..16 (an oracle bound:
+    # r is picked with the clean cube in hand; r = 1 on every cube), and the
+    # gain at r = 4, the generator's term count, fixed ahead of time.
+    FIGURES = ((14.143, 12.996, 9.005), (14.172, 11.974, 9.059), (14.154, 11.576, 9.022))
+
+    def test_gain_over_noisy_input(self):
+        for i, (noisy_db, best_gain, fixed_gain) in enumerate(self.FIGURES):
+            clean = gen_synthetic(64, 64, 31, [300, i])
+            noisy = add_gaussian_iid(clean, 50, [400, i])
+            base = psnr(noisy, clean)
+            gains = [psnr(spectral_projection(noisy, r), clean) - base for r in range(1, 17)]
+            assert abs(base - noisy_db) <= 0.01
+            assert int(np.argmax(gains)) == 0
+            assert abs(gains[0] - best_gain) <= 0.01
+            assert abs(gains[3] - fixed_gain) <= 0.01
 
 
 class TestMseLoss:
