@@ -336,6 +336,8 @@ def cmd_train(args):
     if args.resume_state is not None:
         state = training.load_optimizer_state(args.resume_state)
         state.check_params(model.param_arrays())
+        if args.resume_weights is None:
+            raise ValueError("--resume-state needs --resume-weights, the weights it trained")
         start_epoch = state.epoch
     policy = read("policy")
     # The curriculum sets lr, batch and sigma, so only --policy fixed reads them.

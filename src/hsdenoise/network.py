@@ -18,14 +18,13 @@ see save_weights for the byte layout.
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .hsio import BlobReader
-from .qru import (BACKWARD, BIDIRECTIONAL, DIRECTIONS, FORWARD, VARIANT_KINDS, QruUnit,
-                  bank_count, make_variant)
+from .qru import (BACKWARD, BIDIRECTIONAL, DIRECTIONS, FORWARD, VARIANT_KINDS, LayerSpec,
+                  QruUnit, bank_count, make_variant)
 from .tensors import ConfigError, ConvKernel, ShapeError
 
 SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
@@ -33,18 +32,6 @@ SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
 
 class WeightsError(ValueError):
     """A weights (Q3DW) or optimizer-state (Q3DA) file is not a valid container."""
-
-
-@dataclass(slots=True, eq=False, repr=False)
-class LayerSpec:
-    """One layer's wiring: channels, stride, direction, unit kind."""
-
-    cin: int
-    cout: int
-    stride: tuple
-    transposed: bool
-    direction: str
-    kind: str
 
 
 class NetworkConfig:
@@ -159,11 +146,11 @@ def desk_config(width=8, n_layers=3, kind="qru3d", schedule="alternating",
 
 
 class Model:
-    """A NetworkConfig with one built unit per layer."""
+    """The NetworkConfig of its built units: each layer is a QruUnit."""
 
-    def __init__(self, config, units):
+    def __init__(self, config):
         self.config = config
-        self.units = units
+        self.units = config.layers
 
     def param_arrays(self):
         return [a for u in self.units for a in u.param_arrays()]
@@ -178,7 +165,8 @@ class Model:
     def astype(self, dtype):
         """Copy of the model with all parameters cast (float64 shadow for
         gradient checking)."""
-        return Model(self.config, [u.astype(dtype) for u in self.units])
+        return Model(NetworkConfig([u.astype(dtype) for u in self.units],
+                                   self.config.global_residual))
 
     def forward(self, x, keep_traces=False):
         """Run the network; returns (output, traces or None).
@@ -276,9 +264,9 @@ class Model:
 def build_network(config, seed, dtype=np.float32):
     """Instantiate every layer with He-style init, deterministic by seed."""
     rng = np.random.default_rng(seed)
-    return Model(config, [make_variant(s.kind).build(rng, s.cin, s.cout, s.stride, s.direction,
-                                                     s.transposed, dtype)
-                          for s in config.layers])
+    units = [make_variant(s.kind).build(rng, s.cin, s.cout, s.stride, s.direction,
+                                        s.transposed, dtype) for s in config.layers]
+    return Model(NetworkConfig(units, config.global_residual))
 
 
 # --- Q3DW weights container -------------------------------------------------
@@ -308,10 +296,10 @@ _LAYER = "<BB5I6I"
 
 def save_weights(path, model):
     buf = bytearray(MAGIC + struct.pack("<HH", VERSION, len(model.units)))
-    for spec, unit in zip(model.config.layers, model.units):
-        pairs = [n for s in spec.stride for n in ((1, s) if spec.transposed else (s, 1))]
-        buf += struct.pack(_LAYER, VARIANT_KINDS.index(spec.kind),
-                           DIRECTIONS.index(spec.direction), spec.cout, spec.cin,
+    for unit in model.units:
+        pairs = [n for s in unit.stride for n in ((1, s) if unit.transposed else (s, 1))]
+        buf += struct.pack(_LAYER, VARIANT_KINDS.index(unit.kind),
+                           DIRECTIONS.index(unit.direction), unit.cout, unit.cin,
                            *unit.banks[0].ksize, *pairs)
         for kern in unit.banks:
             buf += np.ascontiguousarray(kern.weight, dtype="<f4").tobytes()
@@ -323,7 +311,6 @@ def save_weights(path, model):
 def load_weights(path, global_residual=True):
     reader = BlobReader.open(path, WeightsError, MAGIC, VERSION)
     (n_layers,) = reader.unpack("<H", "layer count")
-    layer_specs = []
     units = []
     for j in range(n_layers):
         vtag, dtag, cout, cin, kh, kw, kb, *pairs = reader.unpack(_LAYER, f"layer {j + 1} header")
@@ -353,7 +340,6 @@ def load_weights(path, global_residual=True):
                 if bad:
                     raise WeightsError(f"layer {j + 1} {part}: {bad} non-finite values "
                                        f"(NaN or Inf); weights must be finite")
-        units.append(QruUnit(banks, stride, direction, transposed))
-        layer_specs.append(LayerSpec(cin, cout, stride, transposed, direction, kind))
+        units.append(QruUnit(cin, cout, stride, transposed, direction, kind, banks))
     reader.finish()
-    return Model(NetworkConfig(layer_specs, global_residual), units)
+    return Model(NetworkConfig(units, global_residual))

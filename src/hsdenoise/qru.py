@@ -19,7 +19,7 @@ The convolution returns z and f bands-first in memory (see tensors), so
 each step reads and writes whole H x W planes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ BIDIRECTIONAL = "bidirectional"
 # The recurrence passes of each direction, in bank order.
 _PASSES = {FORWARD: (FORWARD,), BACKWARD: (BACKWARD,), BIDIRECTIONAL: (FORWARD, BACKWARD)}
 DIRECTIONS = tuple(_PASSES)
+VARIANT_KINDS = ("qru3d", "qru2d", "c3d")
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -115,8 +116,21 @@ def bank_count(kind, direction):
 _TAGS = {FORWARD: "fwd", BACKWARD: "bwd"}
 
 
-class QruUnit:
-    """One convolution that produces every bank of the unit, plus a mixer.
+@dataclass(slots=True, eq=False, repr=False)
+class LayerSpec:
+    """One layer's wiring: channels, stride, direction, unit kind."""
+
+    cin: int
+    cout: int
+    stride: tuple
+    transposed: bool
+    direction: str
+    kind: str
+
+
+@dataclass(eq=False, repr=False)
+class QruUnit(LayerSpec):
+    """A LayerSpec plus its kernel banks, run as one convolution and a mixer.
 
     `banks` lists ConvKernels in Q3DW declaration order: [w] for c3d,
     [wz, wf] for a forward or backward unit, [wz_fwd, wf_fwd, wz_bwd,
@@ -129,24 +143,25 @@ class QruUnit:
     The convolution pads by half the kernel extent, so the unit keeps only
     its stride triple. `transposed` selects the upsampling (adjoint)
     convolution, in which case the stride is read as the fractional
-    stride 1/s.
+    stride 1/s. Not slotted, so a profiler can wrap an instance's methods.
     """
 
-    def __init__(self, banks, stride, direction, transposed=False):
-        if direction not in _PASSES:
-            raise ConfigError(f"unknown direction {direction!r}")
-        need = 2 * len(_PASSES[direction])
-        if len(banks) not in (1, need):
-            raise ConfigError(f"{direction} unit needs 1 or {need} kernel banks, got {len(banks)}")
-        if any(k.weight.shape != banks[0].weight.shape for k in banks):
+    banks: list
+
+    def __post_init__(self):
+        if self.direction not in _PASSES:
+            raise ConfigError(f"unknown direction {self.direction!r}")
+        if self.kind not in VARIANT_KINDS:
+            raise ConfigError(f"unknown unit kind {self.kind!r}; expected one of {VARIANT_KINDS}")
+        need = bank_count(self.kind, self.direction)
+        if len(self.banks) != need:
+            raise ConfigError(f"{self.kind} {self.direction} unit needs {need} kernel banks, "
+                              f"got {len(self.banks)}")
+        if any(k.weight.shape != self.banks[0].weight.shape for k in self.banks):
             raise ShapeError("the kernel banks of one unit must share one shape")
-        stride = tuple(int(s) for s in stride)
-        if len(stride) != 3 or any(s < 1 for s in stride):
-            raise ConfigError(f"stride must be three positive ints, got {stride}")
-        self.banks = list(banks)
-        self.stride = stride
-        self.direction = direction
-        self.transposed = transposed
+        self.stride = tuple(int(s) for s in self.stride)
+        if len(self.stride) != 3 or any(s < 1 for s in self.stride):
+            raise ConfigError(f"stride must be three positive ints, got {self.stride}")
 
     @property
     def gated(self):
@@ -238,11 +253,7 @@ class QruUnit:
         return [f"{b}.{part}" for b in banks for part in ("weight", "bias")]
 
     def astype(self, dtype):
-        return QruUnit([k.astype(dtype) for k in self.banks], self.stride,
-                       self.direction, self.transposed)
-
-
-VARIANT_KINDS = ("qru3d", "qru2d", "c3d")
+        return replace(self, banks=[k.astype(dtype) for k in self.banks])
 
 
 class VariantFactory:
@@ -259,7 +270,7 @@ class VariantFactory:
         fan_in = cin * int(np.prod(ksize))
         banks = [ConvKernel(he_init(rng, shape, fan_in, dtype), np.zeros(cout, dtype=dtype))
                  for _ in range(bank_count(self.kind, direction))]
-        return QruUnit(banks, stride, direction, transposed)
+        return QruUnit(cin, cout, stride, transposed, direction, self.kind, banks)
 
 
 def make_variant(kind):

@@ -108,18 +108,28 @@ def save_optimizer_state(path, state):
 
 
 def load_optimizer_state(path):
-    """Read an Adam state sidecar back into an AdamState, betas and eps too."""
+    """Read an Adam state sidecar back into an AdamState, betas and eps too;
+    a state no Adam step can run from (see the checks) is refused."""
     reader = BlobReader.open(path, WeightsError, b"Q3DA", 1)
     step, epoch, n_arrays = reader.unpack("<QII", "header")
     beta1, beta2, eps = reader.unpack("<ddd", "hyperparameters")
+    for name, value, ok in (("beta1", beta1, 0 <= beta1 < 1), ("beta2", beta2, 0 <= beta2 < 1),
+                            ("eps", eps, 0 < eps < np.inf)):
+        if not ok:
+            raise WeightsError(f"{name} is {value}: betas must be in [0, 1), eps finite and > 0")
     state = AdamState([])
     state.step, state.epoch = step, epoch
     state.beta1, state.beta2, state.eps = beta1, beta2, eps
     for idx in range(n_arrays):
         (ndim,) = reader.unpack("<I", f"array {idx} ndim")
         dims = reader.unpack(f"<{ndim}I", f"array {idx} dims")
-        state.m.append(reader.array("<f8", dims, f"array {idx} m"))
-        state.v.append(reader.array("<f8", dims, f"array {idx} v"))
+        m, v = (reader.array("<f8", dims, f"array {idx} {part}") for part in "mv")
+        for part, bad, rule in (("m", ~np.isfinite(m), "finite"),
+                                ("v", ~(v >= 0) | np.isinf(v), "finite and non-negative")):
+            if bad.any():
+                raise WeightsError(f"array {idx} {part}: {bad.sum()} values not {rule}")
+        state.m.append(m)
+        state.v.append(v)
     reader.finish()
     return state
 

@@ -925,6 +925,46 @@ class TestTrainCommand:
         assert err.count("error:") == 1 and "optimizer state does not match this model" in err
         assert not out_dir.exists()
 
+    def test_state_without_weights_refused(self, tmp_path, capsys):
+        """A state that matches a fresh model's shapes still belongs to the
+        weights it trained: --resume-state alone exits 2 naming both flags,
+        before --out-dir is created, instead of running the optimizer's
+        epoch and moments on new weights."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
+        common = ["--data", src, "--policy", "fixed", "--width", 4,
+                  "--batch-size", 2, "--patch-size", 8]
+        first = tmp_path / "first"
+        assert run_cli("train", *common, "--epochs", 1, "--out-dir", first) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        code = run_cli("train", *common, "--epochs", 2, "--out-dir", out_dir,
+                       "--resume-state", first / "optim_final.q3da")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --resume-state needs --resume-weights, the weights it trained\n"
+        assert not out_dir.exists()
+
+    def test_nan_moment_state_fails_before_out_dir(self, tmp_path, capsys):
+        """A state file holding a NaN first moment, given with its weights,
+        exits 2 with one error line naming the array, before --out-dir is
+        created, instead of training on NaN losses."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
+        common = ["--data", src, "--policy", "fixed", "--width", 4,
+                  "--batch-size", 2, "--patch-size", 8]
+        first = tmp_path / "first"
+        assert run_cli("train", *common, "--epochs", 1, "--out-dir", first) == 0
+        capsys.readouterr()
+        state = load_optimizer_state(str(first / "optim_final.q3da"))
+        state.m[0].flat[0] = np.nan
+        bad = tmp_path / "nan.q3da"
+        save_optimizer_state(bad, state)
+        out_dir = tmp_path / "run"
+        code = run_cli("train", *common, "--epochs", 2, "--out-dir", out_dir,
+                       "--resume-weights", first / "weights_final.q3dw", "--resume-state", bad)
+        assert code == 2
+        assert capsys.readouterr().err == "error: array 0 m: 1 values not finite\n"
+        assert not out_dir.exists()
+
     def test_resumed_log_names_weights_not_architecture(self, tmp_path):
         """A run resumed from weights trains the network those weights hold,
         so its log records the weights and state files, not the architecture

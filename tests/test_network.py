@@ -273,7 +273,7 @@ class TestBackward:
         cfg_on = desk_config(width=4, global_residual=True)
         cfg_off = desk_config(width=4, global_residual=False)
         m_on = build_network(cfg_on, seed=9, dtype=np.float64)
-        m_off = Model(cfg_off, m_on.units)
+        m_off = Model(NetworkConfig(m_on.units, cfg_off.global_residual))
         rng = np.random.default_rng(10)
         x = rng.standard_normal((1, 1, 6, 6, 3))
         y, tr_on = m_on.forward(x, keep_traces=True)
@@ -559,6 +559,46 @@ class TestWeightsIO:
         p.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(WeightsError, match="offset"):
             load_weights(p)
+
+
+def _record(unit):
+    """The LayerSpec fields a unit carries, which its Q3DW header records."""
+    return (unit.cin, unit.cout, unit.stride, unit.transposed, unit.direction, unit.kind)
+
+
+class TestOneRecordPerLayer:
+    """A unit is its own LayerSpec and a model is the NetworkConfig of its
+    units, so no second list of layer facts can disagree with the units."""
+
+    def test_units_are_the_config_layers(self, tmp_path):
+        """Built, loaded and cast models hold one list: their units are
+        their config's layers, each carrying the built unit's record."""
+        model = build_network(standard_config(kind="qru2d", width_multiplier=0.25), seed=23)
+        path = tmp_path / "m.q3dw"
+        save_weights(path, model)
+        for m in (model, load_weights(path), model.astype(np.float64)):
+            assert m.units is m.config.layers
+            assert [_record(u) for u in m.units] == [_record(u) for u in model.units]
+
+    @pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
+    @pytest.mark.parametrize("schedule", ["alternating", "forward", "bidirectional"])
+    @pytest.mark.parametrize("kind", ["qru3d", "qru2d", "c3d"])
+    def test_headers_round_trip_to_the_units_that_ran(self, tmp_path, kind, schedule,
+                                                      residual):
+        """Save, load and save again write the same bytes, and each loaded
+        unit carries the record of the unit that was saved and computes what
+        it computed."""
+        model = build_network(standard_config(kind=kind, width_multiplier=0.25,
+                                              schedule=schedule, global_residual=residual),
+                              seed=25)
+        first, second = tmp_path / "a.q3dw", tmp_path / "b.q3dw"
+        save_weights(first, model)
+        loaded = load_weights(first, global_residual=residual)
+        save_weights(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+        assert [_record(u) for u in loaded.units] == [_record(u) for u in model.units]
+        x = np.random.default_rng(26).standard_normal((1, 1, 8, 8, 3)).astype(np.float32)
+        np.testing.assert_array_equal(loaded.forward(x)[0], model.forward(x)[0])
 
 
 class TestConfigValidation:

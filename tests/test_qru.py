@@ -53,7 +53,8 @@ def rand_banks(rng, cin=2, cout=3, k=(3, 3, 3), dtype=np.float64):
 
 def gated(banks, direction=FORWARD):
     """A stride-1 gated unit over explicit banks."""
-    return QruUnit(banks, (1, 1, 1), direction)
+    cout, cin = banks[0].weight.shape[:2]
+    return QruUnit(cin, cout, (1, 1, 1), False, direction, "qru3d", banks)
 
 
 def gates_of(unit, x):
@@ -683,7 +684,25 @@ class TestVariants:
     def test_bad_stride_rejected(self, stride):
         banks = rand_banks(np.random.default_rng(19))
         with pytest.raises(ConfigError, match="stride"):
-            QruUnit(banks, stride, FORWARD)
+            QruUnit(2, 3, stride, False, FORWARD, "qru3d", banks)
+
+    @pytest.mark.parametrize("kind, direction, n_banks", [
+        ("qru3d", BIDIRECTIONAL, 2),
+        ("qru3d", FORWARD, 1),
+        ("qru2d", BACKWARD, 4),
+        ("c3d", FORWARD, 2),
+    ])
+    def test_bank_count_must_match_kind_and_direction(self, kind, direction, n_banks):
+        """A unit takes exactly bank_count(kind, direction) banks: one bank is
+        no gated unit, and c3d has no gate bank."""
+        banks = (rand_banks(np.random.default_rng(20)) * 2)[:n_banks]
+        with pytest.raises(ConfigError, match=f"{kind} {direction} unit needs"):
+            QruUnit(2, 3, (1, 1, 1), False, direction, kind, banks)
+
+    def test_unknown_unit_kind_rejected(self):
+        banks = rand_banks(np.random.default_rng(21))
+        with pytest.raises(ConfigError, match="unknown unit kind 'lstm'"):
+            QruUnit(2, 3, (1, 1, 1), False, FORWARD, "lstm", banks)
 
     def test_c3d_is_tanh_of_conv(self):
         rng = np.random.default_rng(17)

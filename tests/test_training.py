@@ -442,6 +442,54 @@ class TestOptimizerStateIO:
         with pytest.raises(WeightsError, match="magic"):
             load_optimizer_state(path)
 
+    @staticmethod
+    def saved_state(tmp_path, edit):
+        """Path of a two-array state file, after edit(state) on a valid one."""
+        state = AdamState([np.zeros((2, 2), dtype=np.float32), np.zeros(3, dtype=np.float32)])
+        state.m[1][:] = 0.5
+        state.v[1][:] = 0.25
+        edit(state)
+        path = str(tmp_path / "s.q3da")
+        save_optimizer_state(path, state)
+        return path
+
+    @pytest.mark.parametrize("part, idx, value, rule", [
+        ("m", 1, np.nan, "finite"),
+        ("m", 0, -np.inf, "finite"),
+        ("v", 1, np.nan, "finite and non-negative"),
+        ("v", 0, -1e-12, "finite and non-negative"),
+    ], ids=["m-nan", "m-inf", "v-nan", "v-negative"])
+    def test_unusable_moment_rejected(self, tmp_path, part, idx, value, rule):
+        """A moment that is not finite, or a negative second moment, would
+        make every later loss NaN: the reader refuses it, naming the array
+        and the part."""
+        def poison(state):
+            getattr(state, part)[idx].flat[1] = value
+
+        path = self.saved_state(tmp_path, poison)
+        with pytest.raises(WeightsError, match=f"^array {idx} {part}: 1 values not {rule}$"):
+            load_optimizer_state(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta1", 1.0), ("beta1", -0.5), ("beta2", np.nan), ("eps", 0.0), ("eps", np.inf),
+    ])
+    def test_unusable_hyperparameter_rejected(self, tmp_path, name, value):
+        """A beta outside [0, 1) or an eps that is not positive and finite
+        is refused, naming the hyperparameter and its value."""
+        path = self.saved_state(tmp_path, lambda s: setattr(s, name, value))
+        with pytest.raises(WeightsError, match=f"^{name} is {value}: betas must be in "
+                                               r"\[0, 1\), eps finite and > 0$"):
+            load_optimizer_state(path)
+
+    def test_boundary_hyperparameters_accepted(self, tmp_path):
+        """beta = 0 (no averaging) and a zero second moment can run."""
+        state = AdamState([np.zeros(3, dtype=np.float32)])
+        state.beta1, state.beta2, state.eps = 0.0, 0.0, 1e-300
+        path = str(tmp_path / "s.q3da")
+        save_optimizer_state(path, state)
+        back = load_optimizer_state(path)
+        assert (back.beta1, back.beta2, back.eps) == (0.0, 0.0, 1e-300)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         """Extra bytes after the last array are an error."""
         p = [np.zeros(3, dtype=np.float32)]
