@@ -150,7 +150,11 @@ def cmd_add_noise(args):
         meta["iid-sigma"], regime = args.iid_sigma, f"iid sigma {args.iid_sigma:g}"
     hsio.write_hsi(args.output, noisy)
     report_path = args.report or args.output + ".report.txt"
-    _write_meta(report_path, "add-noise", meta, report.to_text())
+    try:
+        _write_meta(report_path, "add-noise", meta, report.to_text())
+    except OSError:
+        os.remove(args.output)  # a cube without its report is no result
+        raise
     print(f"wrote {args.output} ({regime}); report in {report_path}")
     return 0
 

@@ -209,8 +209,10 @@ def pooling_traces(net_traces, layer):
 
 def gcs_to_csv(gcs):
     """CSV rendering: comment lines carry the metadata, then one header row
-    and one row per contributing band; absent cells are empty. One run of
-    defined cells takes one "%.8g" format (f"{v:.8g}"'s), others one each."""
+    and one row per contributing band; absent cells are empty. A row takes
+    one "%.8g" format (f"{v:.8g}"'s) over its cells from the first defined
+    to the last (all of them if none is), and an absent cell inside that
+    span, which prints "nan", is emptied."""
     n, fmt = gcs.n_bands, ",".join(["%.8g"] * gcs.n_bands)
     lines = [
         f"# direction: {gcs.direction}",
@@ -220,13 +222,9 @@ def gcs_to_csv(gcs):
         ",".join(["band"] + [str(j + 1) for j in range(gcs.n_bands)]),
     ]
     for i, (row, cols) in enumerate(zip(gcs.values.tolist(), map(np.flatnonzero, gcs.defined()))):
-        m = len(cols)
-        if m and cols[-1] - cols[0] + 1 == m:
-            lo = int(cols[0])
-            cells = "," * lo + fmt[:5 * m - 1] % tuple(row[lo:lo + m]) + "," * (n - lo - m)
-        else:
-            cells = ",".join(["" if v != v else f"{v:.8g}" for v in row])
-        lines.append(f"{i + 1},{cells}")
+        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, n)
+        cells = (fmt[:5 * (hi - lo) - 1] % tuple(row[lo:hi])).replace("nan", "")
+        lines.append(f"{i + 1}," + "," * lo + cells + "," * (n - hi))
     return "\n".join(lines) + "\n"
 
 

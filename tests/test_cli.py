@@ -22,9 +22,22 @@ from hsdenoise.network import (WeightsError, build_network, desk_config, load_we
 from hsdenoise.noise import synthesize_case
 from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_python(*args, cwd=None, env=None):
+    """A fresh interpreter on this checkout's package, with `env` (default:
+    this process's environment) and this checkout's absolute src/ put first
+    on PYTHONPATH, so neither an inherited PYTHONPATH nor the working
+    directory picks the package."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
 
 
 def make_cube(tmp_path, name, shape=(16, 16, 4), seed=0, lo=0.2, hi=0.8):
@@ -120,13 +133,13 @@ class TestAddNoise:
         report = open(out + ".report.txt").read()
         assert "iid-gaussian" in report
 
-    @pytest.mark.parametrize("flags, given, absent", [
-        (("--case", 2), "# case: 2\n", "# iid-sigma:"),
-        (("--iid-sigma", 30), "# iid-sigma: 30.0\n", "# case:"),
+    @pytest.mark.parametrize("flags, given, absent, regime", [
+        (("--case", 5), "# case: 5\n", "# iid-sigma:", "regime: case-5"),
+        (("--iid-sigma", 30), "# iid-sigma: 30.0\n", "# case:", "regime: iid-gaussian"),
     ], ids=["case", "iid"])
-    def test_report_records_only_given_regime(self, tmp_path, flags, given, absent):
+    def test_report_records_only_given_regime(self, tmp_path, flags, given, absent, regime):
         """The report's header names the regime flag given and not the other
-        one, so no header line reads None."""
+        one, so no header line reads None; its body names the regime."""
         src, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=3)
         out = str(tmp_path / "noisy.hsi")
         assert run_cli("add-noise", src, out, *flags, "--seed", 4) == 0
@@ -135,6 +148,18 @@ class TestAddNoise:
         assert not [line for line in header if line.endswith(": None")]
         assert given in report
         assert absent not in report
+        assert regime in report.splitlines()
+
+    def test_unwritable_report_leaves_no_cube(self, tmp_path, capsys):
+        """A --report that cannot be written fails the command, and the noisy
+        cube goes with it: exit 2, one error line, neither file on disk."""
+        src, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=3)
+        out = tmp_path / "noisy.hsi"
+        report = tmp_path / "missing" / "r.txt"
+        assert run_cli("add-noise", src, out, "--case", 2, "--report", report) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(report)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["clean.hsi"]
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_rejected(self, tmp_path, capsys, sigma):
@@ -399,7 +424,8 @@ class TestGcsCommand:
         """Benchmark-shaped weights: a 66-pixel extent is reflect-padded to
         68 and each trace cropped back to the cube's own positions, so
         h_numel counts only those: 66x64 at layer 1, ceil(66 * 34 / 68) x 32
-        at the stride-2 layer 3."""
+        at the stride-2 layer 3. Each of its files is written, with one
+        relative row per band."""
         import hsdenoise.network as network
         model = build_network(network.standard_config(), seed=0)
         weights = str(tmp_path / "bench.q3dw")
@@ -411,6 +437,10 @@ class TestGcsCommand:
         directions = ["forward", "backward"] if layer == "first" else ["backward"]
         for d in directions:
             assert f"# h_numel: {h_numel}\n" in open(f"{prefix}.{d}.csv").read()
+        for suffix in [f"{d}.csv" for d in directions] + ["relative.csv", "pgm", "meta"]:
+            assert os.path.getsize(f"{prefix}.{suffix}") > 0
+        rows = open(prefix + ".relative.csv").read().splitlines()
+        assert [row.split(",")[0] for row in rows if row[0].isdigit()] == ["1", "2", "3", "4"]
         assert open(prefix + ".pgm", "rb").read().startswith(b"P5\n4 4\n255\n")
 
     @pytest.mark.parametrize("shape", [(8, 8, 16), (10, 7, 16)], ids=["dividing", "padded"])
@@ -616,6 +646,18 @@ class TestGradcheckCommand:
         assert out.err.splitlines() == [
             f"error: tolerance must be positive and finite, got {float(tolerance)!r}"]
         assert out.out == ""
+
+    def test_every_case_passes(self):
+        """In a fresh process on two threads, every case passes: nine
+        `== <case>: PASS` lines, then the verdict line, exit 0, no stderr."""
+        proc = run_python("-m", "hsdenoise", "gradcheck",
+                          env={**os.environ, "HSDENOISE_THREADS": "2"})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 10
+        assert all(re.fullmatch(r"== .+: PASS \(max rel err \S+\)", line) for line in lines[:9])
+        assert lines[9] == "all gradient checks passed"
+        assert proc.stderr == ""
 
     def test_failed_case_reported(self, capsys, monkeypatch):
         """With one case failing, gradcheck prints that case's table (and no
@@ -826,7 +868,8 @@ class TestTrainCommand:
                        "--policy", "fixed", "--epochs", 1, "--batch-size", 2,
                        "--patch-size", 8)
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out_dir.exists()
 
     def test_epochs_past_schedule_rejected(self, tmp_path, capsys):
@@ -1001,7 +1044,8 @@ class TestTrainCommand:
     def test_log_records_only_settings_read(self, tmp_path, policy, preset, kept, dropped):
         """The log's header holds the settings the run read: lr, batch size
         and sigma only under --policy fixed, only its own preset's size keys,
-        and the patch stride it used. The other flags are still accepted."""
+        the patch stride it used and its --data cube. The other flags are
+        still accepted."""
         src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=12)
         out_dir = tmp_path / "run"
         assert run_cli("train", "--data", src, "--out-dir", out_dir, "--epochs", 1,
@@ -1009,7 +1053,7 @@ class TestTrainCommand:
                        "--lr", 0.002, "--batch-size", 2, "--sigma", 10, "--width", 3,
                        "--layers", 4, "--width-multiplier", 0.25) == 0
         log = open(out_dir / "trainlog.csv").read()
-        for key, value in dict(kept, **{"patch-stride": 8}).items():
+        for key, value in dict(kept, **{"patch-stride": 8, "data": src}).items():
             assert f"# {key}: {value}\n" in log
         for key in dropped:
             assert f"# {key}: " not in log
@@ -1121,56 +1165,79 @@ class TestTruncatedFiles:
                                        "--patch-size", 4, "--resume-state", p))
 
 
+# Each rerun case reads its inputs from one shared directory, by absolute
+# path, and writes under the directory it runs in.
+RERUN_CASES = [
+    pytest.param(["gen-synthetic", "--out", "c.hsi", "--height", 12, "--width", 12,
+                  "--bands", 4, "--seed", 2], None, id="gen-synthetic"),
+    pytest.param(["add-noise", "{d}/cube.hsi", "noisy.hsi", "--case", 5, "--seed", 7,
+                  "--report", "report.txt"], None, id="add-noise"),
+    pytest.param(["denoise", "{d}/odd.hsi", "out.hsi", "--weights", "{d}/net.q3dw"],
+                 "wrote out.hsi (18x14x8)", id="denoise"),
+    pytest.param(["gcs", "{d}/bands8.hsi", "--weights", "{d}/net.q3dw", "--layer", "last",
+                  "--out-prefix", "gcs/last"], None, id="gcs-last"),
+    *[pytest.param(["train", "--data", "{d}/cube.hsi", "--out-dir", "run", "--policy", policy,
+                    "--epochs", 1, "--width", 4, "--batch-size", 2, "--patch-size", 8],
+                   None, id=f"train-{policy}") for policy in ("fixed", "schedule")],
+    *[pytest.param(["train", "--data", "{d}/cube.hsi", "--out-dir", "run", "--preset",
+                    "benchmark", "--kind", kind, "--width-multiplier", 0.25, "--policy", "fixed",
+                    "--epochs", 1, "--batch-size", 2, "--patch-size", 8,
+                    "--max-steps-per-epoch", 1], None, id=f"benchmark-{kind}")
+      for kind in ("qru3d", "qru2d")],
+    pytest.param(["train", "--data", "{d}/big.hsi", "--out-dir", "run", "--policy", "fixed",
+                  "--epochs", 1, "--width", 4, "--batch-size", 4, "--patch-size", 16,
+                  "--patch-stride", 8, "--augment", "full", "--max-steps-per-epoch", 2],
+                 None, id="augment-full"),
+]
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(tmp_path_factory):
+    """Seeded cubes and the standard net's weights for the rerun cases."""
+    d = tmp_path_factory.mktemp("inputs")
+    for name, shape in (("cube", (16, 16, 4)), ("bands8", (16, 16, 8)), ("odd", (18, 14, 8)),
+                        ("big", (32, 32, 4))):
+        write_hsi(str(d / f"{name}.hsi"), gen_synthetic(*shape, 0))
+    save_weights(str(d / "net.q3dw"), build_network(standard_config(), seed=0))
+    return d
+
+
 class TestDeterminism:
-    def run_python(self, *args, env_extra=None):
-        env = dict(os.environ)
-        if env_extra:
-            env.update(env_extra)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env.setdefault("PYTHONPATH", os.path.join(root, "src"))
-        return subprocess.run([sys.executable] + [str(a) for a in args],
-                              capture_output=True, text=True, env=env)
-
-    def run_subprocess(self, *argv, env_extra=None):
-        proc = self.run_python("-m", "hsdenoise", *argv, env_extra=env_extra)
-        assert proc.returncode == 0, proc.stderr
-        return proc
-
-    def test_add_noise_bit_identical(self, tmp_path):
-        """Two real runs of add-noise --case 5 --seed 7 agree byte for byte."""
-        src, _ = make_cube(tmp_path, "clean.hsi", shape=(10, 10, 6), seed=13)
-        outs = []
-        for tag in ("a", "b"):
-            out = str(tmp_path / f"noisy_{tag}.hsi")
-            self.run_subprocess("add-noise", src, out, "--case", 5, "--seed", 7)
-            outs.append((open(out, "rb").read(),
-                         open(out + ".report.txt").read()))
-        assert outs[0][0] == outs[1][0]
-        report_a = "\n".join(ln for ln in outs[0][1].splitlines()
-                             if "output" not in ln)
-        report_b = "\n".join(ln for ln in outs[1][1].splitlines()
-                             if "output" not in ln)
-        assert report_a == report_b
-
-    def test_gen_synthetic_bit_identical(self, tmp_path):
-        """Synthetic cubes depend only on the seed."""
-        blobs = []
-        for tag in ("a", "b"):
-            out = str(tmp_path / f"c_{tag}.hsi")
-            self.run_subprocess("gen-synthetic", "--out", out, "--height", 12,
-                                "--width", 12, "--bands", 4, "--seed", 2)
-            blobs.append(open(out, "rb").read())
-        assert blobs[0] == blobs[1]
+    @pytest.mark.parametrize("argv, says", RERUN_CASES)
+    def test_rerun_writes_same_bytes(self, tmp_path, rerun_inputs, argv, says):
+        """One command, run twice in fresh processes from sibling directories,
+        writes the same files byte for byte, header lines included. The two
+        runs get different string-hash salts, so an artifact written in set
+        order fails here. Stdout is not compared: train prints timings."""
+        argv = [str(a).format(d=rerun_inputs) for a in argv]
+        runs = []
+        for run, salt in (("a", "1"), ("b", "2")):
+            cwd = tmp_path / run
+            cwd.mkdir()
+            proc = run_python("-m", "hsdenoise", *argv, cwd=cwd,
+                              env={**os.environ, "PYTHONHASHSEED": salt})
+            assert proc.returncode == 0, proc.stderr
+            if says is not None:
+                assert says in proc.stdout.splitlines()
+            runs.append({str(f.relative_to(cwd)): f.read_bytes()
+                         for f in sorted(cwd.rglob("*")) if f.is_file()})
+        a, b = runs
+        assert a and list(a) == list(b)
+        for name in a:
+            assert a[name], f"{name} is empty"
+            assert a[name] == b[name], f"{name} differs between runs"
 
     def test_thread_env_accepted(self, tmp_path):
         """HSDENOISE_THREADS=1 runs fine and changes nothing numerically."""
         src, _ = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 3), seed=14)
-        out1 = str(tmp_path / "n1.hsi")
-        out2 = str(tmp_path / "n2.hsi")
-        self.run_subprocess("add-noise", src, out1, "--case", 1, "--seed", 3)
-        self.run_subprocess("add-noise", src, out2, "--case", 1, "--seed", 3,
-                            env_extra={"HSDENOISE_THREADS": "1"})
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        outs = []
+        for threads in ("", "1"):
+            out = tmp_path / f"n{threads}.hsi"
+            proc = run_python("-m", "hsdenoise", "add-noise", src, out, "--case", 1,
+                              "--seed", 3, env={**os.environ, "HSDENOISE_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_package_import_applies_thread_env(self):
         """HSDENOISE_THREADS reaches the math libraries only if it is set
@@ -1184,14 +1251,11 @@ class TestDeterminism:
                 "import hsdenoise.cli\n"
                 f"print(loaded, [os.environ.get(n) for n in {names!r}])")
         env = {n: v for n, v in os.environ.items() if n not in names}
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env.setdefault("PYTHONPATH", os.path.join(root, "src"))
         cases = [({"HSDENOISE_THREADS": "3"}, ["3", "3", "3", "3"]),
                  ({"HSDENOISE_THREADS": "3", "OPENBLAS_NUM_THREADS": "1"}, ["3", "1", "3", "3"]),
                  ({"HSDENOISE_THREADS": "lots"}, [None] * 4)]
         for extra, want in cases:
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env={**env, **extra})
+            proc = run_python("-c", code, env={**env, **extra})
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == f"False {want}", extra
 
@@ -1224,7 +1288,7 @@ class TestDeterminism:
             "for argv in runs:\n"
             "    if main(argv) != 0:\n"
             "        sys.exit(f'{argv[0]} failed')\n")
-        proc = self.run_python("-c", code, tmp_path)
+        proc = run_python("-c", code, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert os.path.getsize(tmp_path / "g.pgm") > 0
 
@@ -1234,12 +1298,17 @@ class TestDeterminism:
                 "for mod in pkgutil.iter_modules(hsdenoise.__path__):\n"
                 "    importlib.import_module('hsdenoise.' + mod.name)\n"
                 "sys.exit('scipy' in sys.modules)")
-        proc = self.run_python("-c", code)
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
     def test_bad_thread_env_rejected(self, tmp_path):
-        """A malformed thread count aborts with a diagnostic."""
-        proc = self.run_python("-m", "hsdenoise", "gradcheck",
-                               env_extra={"HSDENOISE_THREADS": "lots"})
+        """A HSDENOISE_THREADS that is not a positive integer exits 2 with one
+        error line naming the variable and no traceback, and writes nothing."""
+        proc = run_python("-m", "hsdenoise", "gen-synthetic", "--out", "lots.hsi",
+                          "--height", 8, "--width", 8, "--bands", 4, cwd=tmp_path,
+                          env={**os.environ, "HSDENOISE_THREADS": "lots"})
         assert proc.returncode == 2
-        assert "HSDENOISE_THREADS" in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "HSDENOISE_THREADS" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == []
