@@ -160,12 +160,11 @@ def cmd_add_noise(args):
 
 
 def cmd_denoise(args):
-    model = network.load_weights(args.weights, global_residual=args.residual)
+    model = network.load_weights(args.weights)
     cube = _read_cube(args.input)
     hsio.write_hsi(args.output, model.denoise(cube))
     _write_meta(args.output + ".meta", "denoise", {
-        "weights": args.weights, "input": args.input, "output": args.output,
-        "residual": args.residual})
+        "weights": args.weights, "input": args.input, "output": args.output})
     print(f"wrote {args.output} ({'x'.join(map(str, cube.shape))})")
     return 0
 
@@ -307,6 +306,8 @@ def _load_patch_arrays(paths, size, stride, augment):
 
 
 def cmd_train(args):
+    if args.resume_state is not None and args.resume_weights is None:
+        raise ValueError("--resume-state needs --resume-weights, the weights it trained")
     settings = resolve_settings(args)
     meta = {}
 
@@ -321,7 +322,7 @@ def cmd_train(args):
     val_patches = _load_patch_arrays(args.val, size, size, "none") if args.val else None
 
     if args.resume_weights is not None:
-        model = network.load_weights(args.resume_weights, global_residual=read("residual"))
+        model = network.load_weights(args.resume_weights)
     else:
         shared = dict(kind=read("kind"), schedule=read("schedule"),
                       global_residual=read("residual"))
@@ -340,8 +341,6 @@ def cmd_train(args):
     if args.resume_state is not None:
         state = training.load_optimizer_state(args.resume_state)
         state.check_params(model.param_arrays())
-        if args.resume_weights is None:
-            raise ValueError("--resume-state needs --resume-weights, the weights it trained")
         start_epoch = state.epoch
     policy = read("policy")
     # The curriculum sets lr, batch and sigma, so only --policy fixed reads them.
@@ -395,8 +394,6 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--weights", required=True)
-    p.add_argument("--residual", type=_bool_key, default=True,
-                   help="global residual on/off (must match training)")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("eval", help="metrics of cubes against a clean cube")

@@ -50,16 +50,17 @@ class BlobReader:
         self.offset = 0
 
     @classmethod
-    def open(cls, path, error, magic, version):
-        """Read `path`, then check its magic and u16 version."""
+    def open(cls, path, error, magic, *versions):
+        """Read `path`, then check its magic and that its u16 version is one
+        of `versions`; the reader keeps that value as `version`."""
         with open(path, "rb") as fh:
             reader = cls(fh.read(), error)
         got = reader.take(4, "magic")
         if got != magic:
             raise error(f"bad magic {bytes(got)!r} at byte 0, expected {magic!r}")
-        (found,) = reader.unpack("<H", "version")
-        if found != version:
-            raise error(f"unsupported version {found} at byte 4")
+        (reader.version,) = reader.unpack("<H", "version")
+        if reader.version not in versions:
+            raise error(f"unsupported version {reader.version} at byte 4")
         return reader
 
     def take(self, count, what):

@@ -272,7 +272,7 @@ def build_network(config, seed, dtype=np.float32):
 # --- Q3DW weights container -------------------------------------------------
 #
 #   magic   4 bytes  "Q3DW"
-#   version u16 LE   currently 1
+#   version u16 LE   the global residual: 1 = on (input added to the output), 2 = off
 #   layers  u16 LE
 #   then per layer, the 46-byte _LAYER header and the kernel banks:
 #     variant   u8   index in qru.VARIANT_KINDS: 0 = qru3d, 1 = qru2d, 2 = c3d
@@ -286,16 +286,16 @@ def build_network(config, seed, dtype=np.float32):
 #     float32 LE, C-contiguous
 #
 # Bank declarations: forward/backward carry [wz, wf]; bidirectional
-# [wz_fwd, wf_fwd, wz_bwd, wf_bwd]; c3d a single [w]. The global-residual
-# flag is a runtime option, not part of the container.
+# [wz_fwd, wf_fwd, wz_bwd, wf_bwd]; c3d a single [w].
 
 MAGIC = b"Q3DW"
-VERSION = 1
+RESIDUAL_ON, RESIDUAL_OFF = 1, 2
 _LAYER = "<BB5I6I"
 
 
 def save_weights(path, model):
-    buf = bytearray(MAGIC + struct.pack("<HH", VERSION, len(model.units)))
+    version = RESIDUAL_ON if model.config.global_residual else RESIDUAL_OFF
+    buf = bytearray(MAGIC + struct.pack("<HH", version, len(model.units)))
     for unit in model.units:
         pairs = [n for s in unit.stride for n in ((1, s) if unit.transposed else (s, 1))]
         buf += struct.pack(_LAYER, VARIANT_KINDS.index(unit.kind),
@@ -308,8 +308,9 @@ def save_weights(path, model):
         fh.write(bytes(buf))
 
 
-def load_weights(path, global_residual=True):
-    reader = BlobReader.open(path, WeightsError, MAGIC, VERSION)
+def load_weights(path):
+    """The model the file states, its global residual included."""
+    reader = BlobReader.open(path, WeightsError, MAGIC, RESIDUAL_ON, RESIDUAL_OFF)
     (n_layers,) = reader.unpack("<H", "layer count")
     units = []
     for j in range(n_layers):
@@ -342,4 +343,4 @@ def load_weights(path, global_residual=True):
                                        f"(NaN or Inf); weights must be finite")
         units.append(QruUnit(cin, cout, stride, transposed, direction, kind, banks))
     reader.finish()
-    return Model(NetworkConfig(units, global_residual))
+    return Model(NetworkConfig(units, reader.version == RESIDUAL_ON))

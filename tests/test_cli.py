@@ -17,8 +17,8 @@ from reference_impls import heat_map_pixels, relative_counts
 from hsdenoise.cli import main, parse_config_file, resolve_settings
 from hsdenoise.gcs import gcs_matrix, gcs_to_csv, pooling_traces
 from hsdenoise.hsio import HsiError, gen_synthetic, read_hsi, write_hsi
-from hsdenoise.network import (WeightsError, build_network, desk_config, load_weights,
-                               save_weights, standard_config)
+from hsdenoise.network import (Model, NetworkConfig, WeightsError, build_network, desk_config,
+                               load_weights, save_weights, standard_config)
 from hsdenoise.noise import synthesize_case
 from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
 
@@ -233,17 +233,32 @@ class TestDenoise:
         assert restored.shape == cube.shape and restored.dtype == np.float32
         assert restored.tobytes() == read_hsi(out).tobytes()
 
-    def test_residual_flag_switches_output(self, tmp_path):
-        """--residual off runs the same weights without the global residual,
-        so it writes other bytes than --residual on."""
-        weights = make_weights(tmp_path)
-        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=6)
+    def test_residual_flag_switches_output(self, tmp_path, capsys):
+        """The residual flag is byte 4 of the weights file (1 on, 2 off), so
+        denoise, with no flag of its own, runs each model as it was saved:
+        the same banks write other bytes with the residual off, and the
+        bytes of that model's own Model.denoise. A --residual flag is
+        refused."""
+        src, cube = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=6)
+        units = build_network(desk_config(width=4), seed=1).units
         blobs = {}
-        for flag in ("on", "off"):
-            out = str(tmp_path / f"out-{flag}.hsi")
-            assert run_cli("denoise", src, out, "--weights", weights, "--residual", flag) == 0
-            blobs[flag] = read_hsi(out).tobytes()
-        assert blobs["on"] != blobs["off"]
+        for residual, version in ((True, 1), (False, 2)):
+            model = Model(NetworkConfig(units, residual))
+            weights = tmp_path / f"w{version}.q3dw"
+            save_weights(weights, model)
+            assert weights.read_bytes()[4:6] == bytes([version, 0])
+            out = str(tmp_path / f"out{version}.hsi")
+            assert run_cli("denoise", src, out, "--weights", weights) == 0
+            blobs[residual] = read_hsi(out).tobytes()
+            assert blobs[residual] == model.denoise(cube).tobytes()
+            assert "# residual: " not in open(out + ".meta").read()
+        assert blobs[True] != blobs[False]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("denoise", src, tmp_path / "flag.hsi", "--weights", weights,
+                    "--residual", "off")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --residual off" in capsys.readouterr().err
+        assert not (tmp_path / "flag.hsi").exists()
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         """A NaN or Inf sample fails with its count and bands, no output."""
@@ -835,7 +850,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag", ["--resume-weights", "--resume-state"])
     def test_empty_resume_path_rejected(self, tmp_path, capsys, monkeypatch, flag):
         """An empty resume path is a file that cannot be read, not a flag left
-        out: it exits 2 before any step, and before --out-dir is created."""
+        out: it exits 2 before any step, and before --out-dir is created. An
+        empty --resume-state comes with the weights it needs."""
         import hsdenoise.training as training
 
         def no_train(*args, **kwargs):
@@ -843,8 +859,10 @@ class TestTrainCommand:
 
         monkeypatch.setattr(training, "train", no_train)
         src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        weights = [] if flag == "--resume-weights" else ["--resume-weights",
+                                                         make_weights(tmp_path, width=2)]
         out_dir = tmp_path / "run"
-        code = run_cli("train", "--data", src, "--out-dir", str(out_dir), flag, "",
+        code = run_cli("train", "--data", src, "--out-dir", str(out_dir), *weights, flag, "",
                        "--policy", "fixed", "--epochs", 1, "--width", 2,
                        "--batch-size", 2, "--patch-size", 8)
         assert code == 2
@@ -952,7 +970,7 @@ class TestTrainCommand:
         assert blob_a == blob_c
 
     def test_mismatched_state_fails_before_out_dir(self, tmp_path, capsys):
-        """Resuming a width-3 run's optimizer state into a width-4 model
+        """Resuming a width-3 run's optimizer state with width-4 weights
         exits 2 with one error line, before --out-dir is created."""
         src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
         common = ["--data", src, "--policy", "fixed", "--epochs", 1,
@@ -961,7 +979,8 @@ class TestTrainCommand:
         assert run_cli("train", *common, "--width", 3, "--out-dir", first) == 0
         capsys.readouterr()
         out_dir = tmp_path / "run"
-        code = run_cli("train", *common, "--width", 4, "--out-dir", out_dir,
+        code = run_cli("train", *common, "--out-dir", out_dir,
+                       "--resume-weights", make_weights(tmp_path, width=4),
                        "--resume-state", first / "optim_final.q3da")
         assert code == 2
         err = capsys.readouterr().err
@@ -969,23 +988,25 @@ class TestTrainCommand:
         assert not out_dir.exists()
 
     def test_state_without_weights_refused(self, tmp_path, capsys):
-        """A state that matches a fresh model's shapes still belongs to the
-        weights it trained: --resume-state alone exits 2 naming both flags,
-        before --out-dir is created, instead of running the optimizer's
-        epoch and moments on new weights."""
+        """A state belongs to the weights it trained, whether or not it
+        matches a fresh model's shapes: --resume-state alone exits 2 naming
+        both flags, before --out-dir is created, instead of running the
+        optimizer's epoch and moments on new weights. For a width-2 model
+        the flags, not the shapes, are named."""
         src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
-        common = ["--data", src, "--policy", "fixed", "--width", 4,
+        common = ["--data", src, "--policy", "fixed",
                   "--batch-size", 2, "--patch-size", 8]
         first = tmp_path / "first"
-        assert run_cli("train", *common, "--epochs", 1, "--out-dir", first) == 0
+        assert run_cli("train", *common, "--width", 4, "--epochs", 1, "--out-dir", first) == 0
         capsys.readouterr()
         out_dir = tmp_path / "run"
-        code = run_cli("train", *common, "--epochs", 2, "--out-dir", out_dir,
-                       "--resume-state", first / "optim_final.q3da")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: --resume-state needs --resume-weights, the weights it trained\n"
-        assert not out_dir.exists()
+        for width in (4, 2):
+            code = run_cli("train", *common, "--width", width, "--epochs", 2,
+                           "--out-dir", out_dir, "--resume-state", first / "optim_final.q3da")
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == "error: --resume-state needs --resume-weights, the weights it trained\n"
+            assert not out_dir.exists()
 
     def test_nan_moment_state_fails_before_out_dir(self, tmp_path, capsys):
         """A state file holding a NaN first moment, given with its weights,
@@ -1032,6 +1053,27 @@ class TestTrainCommand:
         assert f"# resume-state: {state}\n" in log
         model = load_weights(str(out_dir / "weights_final.q3dw"))
         assert {spec.kind for spec in model.config.layers} == {"qru3d"}
+
+    def test_resume_keeps_the_files_residual(self, tmp_path):
+        """A run resumed from residual-off weights trains and saves a
+        residual-off model, whatever --residual says, and its log leaves
+        out the residual setting, which the weights file states."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
+        common = ["--data", src, "--policy", "fixed", "--width", 4,
+                  "--batch-size", 2, "--patch-size", 8]
+        first = tmp_path / "first"
+        assert run_cli("train", *common, "--epochs", 1, "--out-dir", first,
+                       "--residual", "off") == 0
+        assert "# residual: False\n" in open(first / "trainlog.csv").read()
+        out_dir = tmp_path / "run"
+        assert run_cli("train", *common, "--epochs", 2, "--out-dir", out_dir,
+                       "--residual", "on",
+                       "--resume-weights", first / "weights_final.q3dw",
+                       "--resume-state", first / "optim_final.q3da") == 0
+        final = out_dir / "weights_final.q3dw"
+        assert final.read_bytes()[4:6] == bytes([2, 0])
+        assert load_weights(str(final)).config.global_residual is False
+        assert "# residual: " not in open(out_dir / "trainlog.csv").read()
 
     @pytest.mark.parametrize("policy, preset, kept, dropped", [
         ("schedule", "desk", {"width": 3, "layers": 4},
@@ -1157,13 +1199,21 @@ class TestTruncatedFiles:
 
     def test_q3da_prefixes(self, tmp_path):
         src, _ = make_cube(tmp_path, "c.hsi", shape=(4, 4, 2), seed=15)
+        weights = make_weights(tmp_path, width=1)
         path = tmp_path / "s.q3da"
         save_optimizer_state(path, AdamState([np.zeros((2, 2), dtype=np.float32)]))
         out_dir = tmp_path / "run"
         self.check_prefixes(tmp_path, path.read_bytes(), load_optimizer_state, WeightsError,
                             lambda p: ("train", "--data", src, "--out-dir", out_dir,
-                                       "--patch-size", 4, "--resume-state", p))
+                                       "--patch-size", 4, "--resume-weights", weights,
+                                       "--resume-state", p))
 
+
+# A residual-off desk train: a rerun case itself, and run once by the
+# rerun_inputs fixture so that the flagless denoise case reads a weights file
+# whose byte 4 is 2.
+RESIDUAL_OFF_TRAIN = ["train", "--data", "{d}/cube.hsi", "--policy", "fixed", "--epochs", 1,
+                      "--width", 4, "--batch-size", 2, "--patch-size", 8, "--residual", "off"]
 
 # Each rerun case reads its inputs from one shared directory, by absolute
 # path, and writes under the directory it runs in.
@@ -1174,6 +1224,8 @@ RERUN_CASES = [
                   "--report", "report.txt"], None, id="add-noise"),
     pytest.param(["denoise", "{d}/odd.hsi", "out.hsi", "--weights", "{d}/net.q3dw"],
                  "wrote out.hsi (18x14x8)", id="denoise"),
+    pytest.param(["denoise", "{d}/odd.hsi", "out.hsi", "--weights", "{d}/off/weights_final.q3dw"],
+                 "wrote out.hsi (18x14x8)", id="denoise-residual-off"),
     pytest.param(["gcs", "{d}/bands8.hsi", "--weights", "{d}/net.q3dw", "--layer", "last",
                   "--out-prefix", "gcs/last"], None, id="gcs-last"),
     *[pytest.param(["train", "--data", "{d}/cube.hsi", "--out-dir", "run", "--policy", policy,
@@ -1188,17 +1240,22 @@ RERUN_CASES = [
                   "--epochs", 1, "--width", 4, "--batch-size", 4, "--patch-size", 16,
                   "--patch-stride", 8, "--augment", "full", "--max-steps-per-epoch", 2],
                  None, id="augment-full"),
+    pytest.param([*RESIDUAL_OFF_TRAIN, "--out-dir", "run"], None, id="train-residual-off"),
 ]
 
 
 @pytest.fixture(scope="module")
 def rerun_inputs(tmp_path_factory):
-    """Seeded cubes and the standard net's weights for the rerun cases."""
+    """Seeded cubes, the standard net's weights and the residual-off train's
+    run directory for the rerun cases."""
     d = tmp_path_factory.mktemp("inputs")
     for name, shape in (("cube", (16, 16, 4)), ("bands8", (16, 16, 8)), ("odd", (18, 14, 8)),
                         ("big", (32, 32, 4))):
         write_hsi(str(d / f"{name}.hsi"), gen_synthetic(*shape, 0))
     save_weights(str(d / "net.q3dw"), build_network(standard_config(), seed=0))
+    argv = [str(a).format(d=d) for a in RESIDUAL_OFF_TRAIN]
+    assert run_cli(*argv, "--out-dir", d / "off") == 0
+    assert (d / "off" / "weights_final.q3dw").read_bytes()[4:6] == bytes([2, 0])
     return d
 
 

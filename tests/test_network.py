@@ -1,5 +1,6 @@
 """Network tests: wiring, parameter counts, shapes, gradients, weights IO."""
 
+import hashlib
 import struct
 import tracemalloc
 
@@ -396,8 +397,15 @@ class TestSpectralReach:
     earlier band and one later band per layer, and alternating directions
     reach every band."""
 
-    def reach(self, **config):
+    def reach(self, ablate_gates=False, **config):
+        """With ablate_gates, every gate bank gets zero weights and bias
+        -1000, so f is exactly 0 and each unit passes z_b alone."""
         model = build_network(standard_config(width_multiplier=0.25, **config), seed=3)
+        if ablate_gates:
+            for unit in model.units:
+                for gate in unit.banks[1::2]:
+                    gate.weight[...] = 0.0
+                    gate.bias[...] = -1000.0
         x = np.random.default_rng(5).standard_normal((1, 1, 8, 8, 31)).astype(np.float32)
         return band_reach(model, x)
 
@@ -406,6 +414,7 @@ class TestSpectralReach:
         assert np.array_equal(self.reach(kind="c3d") == 0, abs(i - j) > 12)
         assert np.array_equal(self.reach(schedule="forward") == 0, j > i + 12)
         assert np.all(self.reach(schedule="alternating") != 0)
+        assert np.array_equal(self.reach(ablate_gates=True) == 0, abs(i - j) > 12)
 
 
 def _header_offsets(model):
@@ -535,6 +544,20 @@ class TestWeightsIO:
         yb, _ = loaded.forward(x)
         np.testing.assert_array_equal(ya, yb)
 
+    @pytest.mark.parametrize("config, seed, digest", [
+        (lambda: desk_config(), 31,
+         "3beeba7c9d195baea8e6df94955995d16a32b7a0342824588002db4ef5eab24a"),
+        (lambda: standard_config(width_multiplier=0.25), 32,
+         "46b63e61c149888d4dd9f17e622cb1f8c52edd4bae4f498fdb309084a88a1268"),
+    ], ids=["desk", "standard-x0.25"])
+    def test_residual_on_bytes_pinned(self, tmp_path, config, seed, digest):
+        """A residual-on file keeps the bytes the format wrote before byte 4
+        stated the residual (version 1), the layout readers outside this
+        package parse."""
+        path = tmp_path / "m.q3dw"
+        save_weights(path, build_network(config(), seed=seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.q3dw"
         p.write_bytes(b"NOPE" + bytes(10))
@@ -593,9 +616,10 @@ class TestOneRecordPerLayer:
                               seed=25)
         first, second = tmp_path / "a.q3dw", tmp_path / "b.q3dw"
         save_weights(first, model)
-        loaded = load_weights(first, global_residual=residual)
+        loaded = load_weights(first)
         save_weights(second, loaded)
         assert second.read_bytes() == first.read_bytes()
+        assert loaded.config.global_residual == residual
         assert [_record(u) for u in loaded.units] == [_record(u) for u in model.units]
         x = np.random.default_rng(26).standard_normal((1, 1, 8, 8, 3)).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x)[0], model.forward(x)[0])
