@@ -4,9 +4,8 @@ One executable with subcommands: train, denoise, add-noise, eval, gcs,
 gradcheck, gen-synthetic.  Every command is deterministic given its flags
 and seeds; artifacts embed the resolved settings (text artifacts as leading
 comment lines, binary artifacts via a .meta sidecar) and never carry
-timestamps.  `_write_meta` writes every text artifact and sidecar, so that
-header is written in one place; only the gcs heat map, a binary PGM, opens
-its own file.
+timestamps.  `_write_outputs` writes every file a command makes, so that
+header is written in one place, and removes them all when one fails.
 """
 
 import argparse
@@ -104,20 +103,33 @@ def resolve_settings(args):
     return settings
 
 
-def _write_meta(path, command, settings, body=""):
-    """Write a text artifact: `# command:` and the settings as sorted
-    `# key: value` lines, then body."""
+def _write_outputs(command, settings, files):
+    """Write a command's files in order, path -> content: a cube through
+    hsio.write_hsi, bytes as they are, text after `# command:` and the
+    settings as sorted `# key: value` lines. If one cannot be written, the
+    files written before it are removed: a command leaves all or none."""
     lines = [f"# command: {command}"] + [f"# {key}: {settings[key]}" for key in sorted(settings)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n" + body)
+    header = "\n".join(lines) + "\n"
+    written = []
+    try:
+        for path, content in files.items():
+            if isinstance(content, np.ndarray):
+                hsio.write_hsi(path, content)
+            else:
+                with open(path, "wb" if isinstance(content, bytes) else "w") as fh:
+                    fh.write(content if isinstance(content, bytes) else header + content)
+            written.append(path)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
 
 
 def cmd_gen_synthetic(args):
     cube = hsio.gen_synthetic(args.height, args.width, args.bands, args.seed)
-    hsio.write_hsi(args.out, cube)
-    _write_meta(args.out + ".meta", "gen-synthetic", {
+    _write_outputs("gen-synthetic", {
         "height": args.height, "width": args.width, "bands": args.bands,
-        "seed": args.seed, "out": args.out})
+        "seed": args.seed, "out": args.out}, {args.out: cube, args.out + ".meta": ""})
     print(f"wrote {args.out} ({args.height}x{args.width}x{args.bands})")
     return 0
 
@@ -148,13 +160,8 @@ def cmd_add_noise(args):
         report = noise.CorruptionReport("iid-gaussian")
         report.sigma_per_band = [float(args.iid_sigma)] * cube.shape[2]
         meta["iid-sigma"], regime = args.iid_sigma, f"iid sigma {args.iid_sigma:g}"
-    hsio.write_hsi(args.output, noisy)
     report_path = args.report or args.output + ".report.txt"
-    try:
-        _write_meta(report_path, "add-noise", meta, report.to_text())
-    except OSError:
-        os.remove(args.output)  # a cube without its report is no result
-        raise
+    _write_outputs("add-noise", meta, {args.output: noisy, report_path: report.to_text()})
     print(f"wrote {args.output} ({regime}); report in {report_path}")
     return 0
 
@@ -162,9 +169,9 @@ def cmd_add_noise(args):
 def cmd_denoise(args):
     model = network.load_weights(args.weights)
     cube = _read_cube(args.input)
-    hsio.write_hsi(args.output, model.denoise(cube))
-    _write_meta(args.output + ".meta", "denoise", {
-        "weights": args.weights, "input": args.input, "output": args.output})
+    _write_outputs("denoise", {
+        "weights": args.weights, "input": args.input, "output": args.output},
+        {args.output: model.denoise(cube), args.output + ".meta": ""})
     print(f"wrote {args.output} ({'x'.join(map(str, cube.shape))})")
     return 0
 
@@ -192,7 +199,7 @@ def cmd_eval(args):
                f"{metrics.sam(cube, clean):.6f}"] + [f"{v:.6f}" for v in per_band]
         lines.append(",".join(row))
         print(f"{path}: mpsnr {row[1]} mssim {row[2]} sam {row[3]}")
-    _write_meta(args.out, "eval", {"clean": args.clean}, "\n".join(lines) + "\n")
+    _write_outputs("eval", {"clean": args.clean}, {args.out: "\n".join(lines) + "\n"})
     print(f"wrote {args.out}")
     return 0
 
@@ -229,11 +236,10 @@ def cmd_gcs(args):
     bodies["relative.csv"] = "band,total,forward,backward\n" + "".join(
         f"{j},{total},{fwd},{bwd}\n" for j, (total, fwd, bwd) in enumerate(zip(*counts), 1))
     bodies["meta"] = ""
-    for suffix, body in bodies.items():
-        _write_meta(f"{args.out_prefix}.{suffix}", "gcs", meta, body)
-    with open(f"{args.out_prefix}.pgm", "wb") as fh:
-        fh.write(gcs.values_to_pgm(overlay))
-    print("wrote " + " ".join(f"{args.out_prefix}.{suffix}" for suffix in [*bodies, "pgm"]))
+    bodies["pgm"] = gcs.values_to_pgm(overlay)
+    _write_outputs("gcs", meta, {f"{args.out_prefix}.{suffix}": body
+                                 for suffix, body in bodies.items()})
+    print("wrote " + " ".join(f"{args.out_prefix}.{suffix}" for suffix in bodies))
     return 0
 
 
@@ -360,7 +366,7 @@ def cmd_train(args):
         if value is not None:
             meta[key] = " ".join(value) if isinstance(value, list) else value
     log_path = os.path.join(args.out_dir, "trainlog.csv")
-    _write_meta(log_path, "train", meta, log.to_csv())
+    _write_outputs("train", meta, {log_path: log.to_csv()})
     print(f"wrote {log_path} and final weights in {args.out_dir}")
     return 0
 

@@ -75,6 +75,9 @@ class NetworkConfig:
             scales.append(scale)
         if scale != (1, 1, 1):
             raise ConfigError("network output extents do not match the input extents")
+        if self.layers[-1].cout != self.layers[0].cin:
+            raise ConfigError(f"network outputs {self.layers[-1].cout} channels but its "
+                              f"input has {self.layers[0].cin}")
 
     def downsample_factor(self):
         """Required divisibility of (H, W, B) at the network input."""

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hsdenoise.hsio import HsiError, gen_synthetic, read_hsi, write_hsi
 from hsdenoise.network import (Model, NetworkConfig, WeightsError, build_network, desk_config,
                                load_weights, save_weights, standard_config)
 from hsdenoise.noise import synthesize_case
+from hsdenoise.qru import make_variant
+from hsdenoise.tensors import ConfigError
 from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -288,6 +291,29 @@ class TestDenoise:
         out = tmp_path / "out.hsi"
         assert run_cli("denoise", src, str(out), "--weights", weights) == 2
         assert f"layer 6 {part}: 1 non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_output_channels_must_match_input(self, tmp_path, capsys, residual):
+        """A weights file may state a 1 -> 4 -> 4 -> 3 network, as
+        save_weights writes whatever units it is given; load_weights refuses
+        it, naming both channel counts, and denoise and gcs exit 2 on it with
+        one error line each and no output."""
+        rng = np.random.default_rng(5)
+        units = [make_variant("qru3d").build(rng, cin, cout, (1, 1, 1), direction)
+                 for cin, cout, direction in ((1, 4, "bidirectional"), (4, 4, "forward"),
+                                              (4, 3, "bidirectional"))]
+        weights = str(tmp_path / "w.q3dw")
+        save_weights(weights, SimpleNamespace(
+            units=units, config=SimpleNamespace(global_residual=residual)))
+        message = "network outputs 3 channels but its input has 1"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_weights(weights)
+        src, _ = make_cube(tmp_path, "in.hsi", shape=(8, 8, 3), seed=5)
+        out = tmp_path / "out"
+        assert run_cli("denoise", src, out / "d.hsi", "--weights", weights) == 2
+        assert run_cli("gcs", src, "--weights", weights, "--out-prefix", out / "g") == 2
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
         assert not out.exists()
 
 
@@ -1168,6 +1194,29 @@ class TestTrainCommand:
                        "--out-dir", str(tmp_path / "run"))
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+class TestFailedWrite:
+    """A command whose last file cannot be written, as a directory stands at
+    its path, exits 2 with one error line and leaves none of its files."""
+
+    @pytest.mark.parametrize("argv, last", [
+        (["gen-synthetic", "--out", "{o}/c.hsi", "--height", 8, "--width", 8, "--bands", 3],
+         "c.hsi.meta"),
+        (["add-noise", "{i}/clean.hsi", "{o}/n.hsi", "--case", 2], "n.hsi.report.txt"),
+        (["denoise", "{i}/clean.hsi", "{o}/d.hsi", "--weights", "{i}/w.q3dw"], "d.hsi.meta"),
+        (["gcs", "{i}/clean.hsi", "--weights", "{i}/w.q3dw", "--out-prefix", "{o}/g"], "g.pgm"),
+    ], ids=["gen-synthetic", "add-noise", "denoise", "gcs"])
+    def test_leaves_no_files(self, tmp_path, capsys, argv, last):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        (out / last).mkdir(parents=True)
+        make_cube(inputs, "clean.hsi", shape=(8, 8, 3), seed=6)
+        make_weights(inputs)
+        assert run_cli(*(str(a).format(i=inputs, o=out) for a in argv)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert os.listdir(out) == [last]
 
 
 class TestTruncatedFiles:

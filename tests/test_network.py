@@ -667,6 +667,18 @@ class TestConfigValidation:
                            match="^skip into layer 4 mixes different spatial scales$"):
             NetworkConfig(layers)
 
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_output_channels_checked(self, residual):
+        """A network whose output has other channels than its input is
+        refused, naming both, with the residual on or off."""
+        layers = [
+            LayerSpec(1, 4, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+            LayerSpec(4, 4, (1, 1, 1), False, FORWARD, "qru3d"),
+            LayerSpec(4, 3, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+        ]
+        with pytest.raises(ConfigError, match="^network outputs 3 channels but its input has 1$"):
+            NetworkConfig(layers, residual)
+
     def test_too_few_layers(self):
         layers = [LayerSpec(1, 8, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
                   LayerSpec(8, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d")]

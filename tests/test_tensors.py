@@ -812,6 +812,12 @@ class TestActivations:
         s = activate(x, "sigmoid") + activate(-x, "sigmoid")
         np.testing.assert_allclose(s, 1.0, atol=1e-6)
 
+    def test_runtime_warning_fails_a_test(self):
+        """pyproject's filterwarnings turns a numpy RuntimeWarning into an
+        error, so an overflow at the exp edges below fails its test."""
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            np.log(np.zeros(1))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_matches_masked_oracle(self, dtype):
         """Bit-identical to the sign-split masked formula, specials included
