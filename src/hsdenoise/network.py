@@ -24,7 +24,7 @@ import numpy as np
 
 from .hsio import BlobReader
 from .qru import (BACKWARD, BIDIRECTIONAL, DIRECTIONS, FORWARD, VARIANT_KINDS, LayerSpec,
-                  QruUnit, bank_count, make_variant)
+                  QruUnit, bank_count, bank_shape, make_variant)
 from .tensors import ConfigError, ConvKernel, ShapeError
 
 SCHEDULE_MODES = ("alternating", "forward", "bidirectional")
@@ -264,11 +264,11 @@ class Model:
         return grad_input, [g for grads_j in param_grads for g in grads_j]
 
 
-def build_network(config, seed, dtype=np.float32):
-    """Instantiate every layer with He-style init, deterministic by seed."""
+def build_network(config, seed):
+    """Instantiate every layer as a float32 unit with He init, deterministic by seed."""
     rng = np.random.default_rng(seed)
     units = [make_variant(s.kind).build(rng, s.cin, s.cout, s.stride, s.direction,
-                                        s.transposed, dtype) for s in config.layers]
+                                        s.transposed) for s in config.layers]
     return Model(NetworkConfig(units, config.global_residual))
 
 
@@ -332,12 +332,10 @@ def load_weights(path):
         if transposed and any(n > 1 for n in nums):
             raise WeightsError(f"layer {j + 1} mixes a stride num > 1 with a den > 1")
         stride = tuple(d if transposed else n for n, d in zip(nums, dens))
-        wshape = ((cin, cout) if transposed else (cout, cin)) + (kh, kw, kb)
-        banks = [
-            ConvKernel(reader.array("<f4", wshape, f"layer {j + 1} weights"),
-                       reader.array("<f4", (cout,), f"layer {j + 1} bias"))
-            for _ in range(bank_count(kind, direction))
-        ]
+        wshape = bank_shape(cin, cout, transposed, (kh, kw, kb))
+        banks = [ConvKernel(reader.array("<f4", wshape, f"layer {j + 1} weights"),
+                            reader.array("<f4", (cout,), f"layer {j + 1} bias"))
+                 for _ in range(bank_count(kind, direction))]
         for bank in banks:
             for part, a in (("weights", bank.weight), ("bias", bank.bias)):
                 bad = int(np.count_nonzero(~np.isfinite(a)))

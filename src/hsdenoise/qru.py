@@ -31,7 +31,6 @@ from .tensors import (
     activate_grad,
     conv3d_backward,
     conv3d_forward,
-    he_init,
     tconv3d_backward,
     tconv3d_forward,
 )
@@ -113,6 +112,11 @@ def bank_count(kind, direction):
     return 1 if kind == "c3d" else 2 * len(_PASSES.get(direction, ()))
 
 
+def bank_shape(cin, cout, transposed, ksize):
+    """A bank's weight shape (c1, c2) + ksize; a map consumes c2, or c1 if transposed."""
+    return ((cin, cout) if transposed else (cout, cin)) + tuple(ksize)
+
+
 _TAGS = {FORWARD: "fwd", BACKWARD: "bwd"}
 
 
@@ -132,18 +136,18 @@ class LayerSpec:
 class QruUnit(LayerSpec):
     """A LayerSpec plus its kernel banks, run as one convolution and a mixer.
 
-    `banks` lists ConvKernels in Q3DW declaration order: [w] for c3d,
-    [wz, wf] for a forward or backward unit, [wz_fwd, wf_fwd, wz_bwd,
-    wf_bwd] for a bidirectional one. Each call stacks them along the output
-    channels and runs one convolution (and one convolution backward).
-    Gated units split the result into (tanh z, sigmoid f) pairs, pool each
-    pair along the bands and add the directions. The one-bank c3d unit only
-    applies tanh.
+    `banks` lists ConvKernels of weight bank_shape(cin, cout, transposed,
+    ksize) and bias (cout,) in Q3DW declaration order: [w] for c3d, [wz, wf]
+    for a forward or backward unit, [wz_fwd, wf_fwd, wz_bwd, wf_bwd] for a
+    bidirectional one. Each call stacks them along the output channels and
+    runs one convolution (and one convolution backward). Gated units split
+    the result into (tanh z, sigmoid f) pairs, pool each pair along the
+    bands and add the directions. The one-bank c3d unit only applies tanh.
 
     The convolution pads by half the kernel extent, so the unit keeps only
     its stride triple. `transposed` selects the upsampling (adjoint)
-    convolution, in which case the stride is read as the fractional
-    stride 1/s. Not slotted, so a profiler can wrap an instance's methods.
+    convolution, whose stride, above 1 on some axis, is read as the
+    fractional stride 1/s. Not slotted, so a profiler can wrap its methods.
     """
 
     banks: list
@@ -157,11 +161,15 @@ class QruUnit(LayerSpec):
         if len(self.banks) != need:
             raise ConfigError(f"{self.kind} {self.direction} unit needs {need} kernel banks, "
                               f"got {len(self.banks)}")
-        if any(k.weight.shape != self.banks[0].weight.shape for k in self.banks):
-            raise ShapeError("the kernel banks of one unit must share one shape")
         self.stride = tuple(int(s) for s in self.stride)
         if len(self.stride) != 3 or any(s < 1 for s in self.stride):
             raise ConfigError(f"stride must be three positive ints, got {self.stride}")
+        if self.transposed and self.stride == (1, 1, 1):
+            raise ConfigError("a transposed unit must upsample, by a stride above 1 on some axis")
+        shape = bank_shape(self.cin, self.cout, self.transposed, self.banks[0].ksize)
+        if any(k.weight.shape != shape or k.bias.shape != (self.cout,) for k in self.banks):
+            raise ShapeError(f"a {self.cin} -> {self.cout} unit needs bank weights {shape} and "
+                             f"biases ({self.cout},)")
 
     @property
     def gated(self):
@@ -264,11 +272,13 @@ class VariantFactory:
             raise ConfigError(f"unknown unit kind {kind!r}; expected one of {VARIANT_KINDS}")
         self.kind = kind
 
-    def build(self, rng, cin, cout, stride, direction, transposed=False, dtype=np.float32):
+    def build(self, rng, cin, cout, stride, direction, transposed=False):
+        """A float32 unit with zero biases, each bank's weight drawn from rng in
+        turn as N(0, 2 / fan_in), fan_in = cin x kernel volume (He et al. 2015)."""
         ksize = (3, 3, 1) if self.kind == "qru2d" else (3, 3, 3)
-        shape = ((cin, cout) if transposed else (cout, cin)) + ksize
-        fan_in = cin * int(np.prod(ksize))
-        banks = [ConvKernel(he_init(rng, shape, fan_in, dtype), np.zeros(cout, dtype=dtype))
+        std = float(np.sqrt(2.0 / float(cin * int(np.prod(ksize)))))
+        banks = [ConvKernel(rng.normal(0.0, std, bank_shape(cin, cout, transposed, ksize))
+                            .astype(np.float32), np.zeros(cout, np.float32))
                  for _ in range(bank_count(self.kind, direction))]
         return QruUnit(cin, cout, stride, transposed, direction, self.kind, banks)
 

@@ -142,14 +142,6 @@ class ConvKernel:
         return ConvKernel(self.weight.astype(dtype), self.bias.astype(dtype))
 
 
-def he_init(rng, shape, fan_in, dtype=np.float32):
-    """Weight array drawn N(0, 2/fan_in). Caller supplies the fan-in
-    (the layer's input channels times kernel volume) and pairs the result
-    with a zero bias of the length its consuming op expects."""
-    std = float(np.sqrt(2.0 / float(fan_in)))
-    return rng.normal(0.0, std, size=shape).astype(dtype)
-
-
 def _check_input(x, weight, transposed=False):
     """x as an array with 5 axes, no zero extent, and the channels a map
     consumes: c1 of the weight for a transposed map, else c2."""

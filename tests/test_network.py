@@ -1,5 +1,6 @@
 """Network tests: wiring, parameter counts, shapes, gradients, weights IO."""
 
+import functools
 import hashlib
 import struct
 import tracemalloc
@@ -185,8 +186,8 @@ class TestForwardWithoutTraces:
     def test_same_bytes_as_traced(self, kind, dtype):
         """All three directions, strided and transposed layers, N = 2; the
         caller's input is left as it was."""
-        model = build_network(standard_config(kind=kind, width_multiplier=0.5), seed=34,
-                              dtype=dtype)
+        model = build_network(standard_config(kind=kind, width_multiplier=0.5),
+                              seed=34).astype(dtype)
         x = np.random.default_rng(35).standard_normal((2, 1, 8, 8, 5)).astype(dtype)
         x_bytes = x.tobytes()
         y, traces = model.forward(x)
@@ -249,7 +250,7 @@ class TestForwardWithoutTraces:
 
 class TestBackward:
     def test_zero_grad_output(self):
-        model = build_network(desk_config(width=4), seed=7, dtype=np.float64)
+        model = build_network(desk_config(width=4), seed=7).astype(np.float64)
         x = np.random.default_rng(8).standard_normal((1, 1, 6, 6, 3))
         y, traces = model.forward(x, keep_traces=True)
         _, grads = model.backward(traces, np.zeros_like(y))
@@ -273,7 +274,7 @@ class TestBackward:
     def test_residual_adds_grad_output_to_input_grad(self):
         cfg_on = desk_config(width=4, global_residual=True)
         cfg_off = desk_config(width=4, global_residual=False)
-        m_on = build_network(cfg_on, seed=9, dtype=np.float64)
+        m_on = build_network(cfg_on, seed=9).astype(np.float64)
         m_off = Model(NetworkConfig(m_on.units, cfg_off.global_residual))
         rng = np.random.default_rng(10)
         x = rng.standard_normal((1, 1, 6, 6, 3))
@@ -286,7 +287,7 @@ class TestBackward:
 
     def test_full_net_matches_finite_differences(self):
         """Whole reduced network (skips + residual) passes FD at 1e-3."""
-        model = build_network(desk_config(width=4), seed=11, dtype=np.float64)
+        model = build_network(desk_config(width=4), seed=11).astype(np.float64)
         rng = np.random.default_rng(12)
         x = 0.5 * rng.standard_normal((1, 1, 6, 6, 4))
         y0, _ = model.forward(x)
@@ -309,7 +310,7 @@ class TestBackward:
         bit-identical."""
         import hsdenoise.qru as qru
 
-        model = build_network(desk_config(width=4), seed=14, dtype=np.float64)
+        model = build_network(desk_config(width=4), seed=14).astype(np.float64)
         rng = np.random.default_rng(15)
         x = rng.standard_normal((1, 1, 6, 6, 4))
         y, traces = model.forward(x, keep_traces=True)
@@ -523,26 +524,16 @@ class TestWeightsIO:
         with pytest.raises(WeightsError, match=f"layer {bad}"):
             load_weights(path)
 
-    def test_round_trip_bit_exact(self, tmp_path):
-        model = build_network(desk_config(), seed=14)
-        path = tmp_path / "m.q3dw"
-        save_weights(path, model)
-        loaded = load_weights(path)
-        for a, b in zip(model.param_arrays(), loaded.param_arrays()):
-            assert np.array_equal(a, b)
-        assert [l.direction for l in loaded.config.layers] == [
-            l.direction for l in model.config.layers
-        ]
-
-    def test_round_trip_standard_with_tconv(self, tmp_path):
-        model = build_network(standard_config(), seed=15)
-        path = tmp_path / "m.q3dw"
-        save_weights(path, model)
-        loaded = load_weights(path)
-        x = np.random.default_rng(16).standard_normal((1, 1, 8, 8, 5)).astype(np.float32)
-        ya, _ = model.forward(x)
-        yb, _ = loaded.forward(x)
-        np.testing.assert_array_equal(ya, yb)
+    def test_stride_1_transposed_layer_refused(self):
+        """Q3DW marks a transposed layer only by an upsampling stride, so a
+        stride-1 transposed layer would load back as an ordinary one reading
+        its banks in the other layout: building it is refused."""
+        layers = [LayerSpec(1, 4, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+                  LayerSpec(4, 3, (1, 1, 1), True, FORWARD, "qru3d"),
+                  LayerSpec(3, 4, (1, 1, 1), False, FORWARD, "qru3d"),
+                  LayerSpec(4, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d")]
+        with pytest.raises(ConfigError, match="a transposed unit must upsample"):
+            build_network(NetworkConfig(layers), 3)
 
     @pytest.mark.parametrize("config, seed, digest", [
         (lambda: desk_config(), 31,
@@ -589,6 +580,29 @@ def _record(unit):
     return (unit.cin, unit.cout, unit.stride, unit.transposed, unit.direction, unit.kind)
 
 
+def _upsampling_2x1x1_config():
+    """Four qru3d layers: the second halves H, the third, transposed at
+    stride (2, 1, 1), doubles it back."""
+    return NetworkConfig([
+        LayerSpec(1, 4, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+        LayerSpec(4, 4, (2, 1, 1), False, FORWARD, "qru3d"),
+        LayerSpec(4, 4, (2, 1, 1), True, BACKWARD, "qru3d"),
+        LayerSpec(4, 1, (1, 1, 1), False, BIDIRECTIONAL, "qru3d"),
+    ])
+
+
+# Configs a saved model must load back as: the desk preset, a (2, 1, 1)
+# upsampling layer, and standard x0.25 for every kind, schedule and residual.
+_ROUND_TRIP_CONFIGS = {"desk": desk_config, "transposed-2x1x1": _upsampling_2x1x1_config}
+_ROUND_TRIP_CONFIGS.update({
+    f"{kind}-{schedule}-{'residual' if residual else 'no-residual'}":
+        functools.partial(standard_config, kind=kind, width_multiplier=0.25,
+                          schedule=schedule, global_residual=residual)
+    for kind in ("qru3d", "qru2d", "c3d")
+    for schedule in ("alternating", "forward", "bidirectional")
+    for residual in (True, False)})
+
+
 class TestOneRecordPerLayer:
     """A unit is its own LayerSpec and a model is the NetworkConfig of its
     units, so no second list of layer facts can disagree with the units."""
@@ -603,24 +617,22 @@ class TestOneRecordPerLayer:
             assert m.units is m.config.layers
             assert [_record(u) for u in m.units] == [_record(u) for u in model.units]
 
-    @pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
-    @pytest.mark.parametrize("schedule", ["alternating", "forward", "bidirectional"])
-    @pytest.mark.parametrize("kind", ["qru3d", "qru2d", "c3d"])
-    def test_headers_round_trip_to_the_units_that_ran(self, tmp_path, kind, schedule,
-                                                      residual):
+    @pytest.mark.parametrize("name", sorted(_ROUND_TRIP_CONFIGS))
+    def test_headers_round_trip_to_the_units_that_ran(self, tmp_path, name):
         """Save, load and save again write the same bytes, and each loaded
-        unit carries the record of the unit that was saved and computes what
-        it computed."""
-        model = build_network(standard_config(kind=kind, width_multiplier=0.25,
-                                              schedule=schedule, global_residual=residual),
-                              seed=25)
+        unit carries the record of the unit that was saved, the bytes of
+        its every bank, and computes what it computed."""
+        model = build_network(_ROUND_TRIP_CONFIGS[name](), seed=25)
         first, second = tmp_path / "a.q3dw", tmp_path / "b.q3dw"
         save_weights(first, model)
         loaded = load_weights(first)
         save_weights(second, loaded)
         assert second.read_bytes() == first.read_bytes()
-        assert loaded.config.global_residual == residual
+        assert loaded.config.global_residual == model.config.global_residual
         assert [_record(u) for u in loaded.units] == [_record(u) for u in model.units]
+        for a, b in zip(model.units, loaded.units):
+            assert ([(k.weight.tobytes(), k.bias.tobytes()) for k in a.banks]
+                    == [(k.weight.tobytes(), k.bias.tobytes()) for k in b.banks])
         x = np.random.default_rng(26).standard_normal((1, 1, 8, 8, 3)).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x)[0], model.forward(x)[0])
 

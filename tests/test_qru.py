@@ -242,9 +242,8 @@ class TestUnitGradients:
         rng = np.random.default_rng(11)
         stride = (2, 2, 1) if transposed else (1, 1, 1)
         unit = make_variant(kind).build(
-            rng, cin=2, cout=3, stride=stride, direction=direction,
-            transposed=transposed, dtype=np.float64,
-        )
+            rng, cin=2, cout=3, stride=stride, direction=direction, transposed=transposed,
+        ).astype(np.float64)
         hwb = (2, 3, 4) if transposed else (5, 4, 4)
         # Mild input scale keeps FD truncation error well under the 1e-3
         # tolerance; the analytic side does not care.
@@ -299,9 +298,8 @@ class TestStackedUnit:
         rng = np.random.default_rng(19)
         stride = (2, 2, 1) if transposed else (1, 1, 1)
         unit = make_variant(kind).build(
-            rng, cin=2, cout=3, stride=stride, direction=direction,
-            transposed=transposed, dtype=np.float64,
-        )
+            rng, cin=2, cout=3, stride=stride, direction=direction, transposed=transposed,
+        ).astype(np.float64)
         hwb = (2, 3, 4) if transposed else (5, 4, 4)
         x = rng.standard_normal((1, 2) + hwb)
         y0, _ = unit.forward(x)
@@ -334,9 +332,8 @@ class TestStackedUnit:
         rng = np.random.default_rng(20)
         stride = (2, 2, 1) if transposed else (1, 1, 1)
         unit = make_variant(kind).build(
-            rng, cin=2, cout=3, stride=stride, direction=direction,
-            transposed=transposed, dtype=np.float64,
-        )
+            rng, cin=2, cout=3, stride=stride, direction=direction, transposed=transposed,
+        ).astype(np.float64)
         hwb = (2, 3, 4) if transposed else (5, 4, 4)
         x = rng.standard_normal((1, 2) + hwb)
         for p in unit.param_arrays():
@@ -387,7 +384,7 @@ class TestStackedBackward:
         Each bank's activate_grad writes into that buffer."""
         rng = np.random.default_rng(46)
         stride = (2, 2, 1) if transposed else (1, 1, 1)
-        unit = make_variant("qru3d").build(rng, 2, 3, stride, direction, transposed, dtype=dtype)
+        unit = make_variant("qru3d").build(rng, 2, 3, stride, direction, transposed).astype(dtype)
         x = rng.standard_normal((2, 2, 4, 4, 5)).astype(dtype)
         y, trace = unit.forward(x, keep_trace=True)
         grad_y = rng.standard_normal(y.shape).astype(grad_dtype)
@@ -471,8 +468,7 @@ class TestBandsFirstLayout:
         plane per band step."""
         rng = np.random.default_rng(40)
         stride = (2, 2, 1) if transposed else (1, 1, 1)
-        unit = make_variant("qru3d").build(rng, 2, 3, stride, direction, transposed,
-                                           dtype=np.float32)
+        unit = make_variant("qru3d").build(rng, 2, 3, stride, direction, transposed)
         x = rng.standard_normal((2, 2, 4, 4, 5)).astype(np.float32)
         y, trace = unit.forward(x, keep_trace=True)
         arrays = [y] + [tr.h for tr in trace[1]]
@@ -510,7 +506,7 @@ class TestUntracedForward:
         and leaves its input alone; N = 2."""
         rng = np.random.default_rng(44)
         stride = (2, 2, 1) if transposed else (1, 1, 1)
-        unit = make_variant(kind).build(rng, 2, 3, stride, direction, transposed, dtype=dtype)
+        unit = make_variant(kind).build(rng, 2, 3, stride, direction, transposed).astype(dtype)
         x = rng.standard_normal((2, 2, 4, 4, 5)).astype(dtype)
         x_bytes = x.tobytes()
         y, trace = unit.forward(x)
@@ -532,8 +528,7 @@ class TestTracedForward:
         percent. Its output and trace hold the untraced bytes and those of
         fresh gates and a fresh recurrence."""
         rng = np.random.default_rng(45)
-        unit = make_variant("qru3d").build(rng, 1, 16, (1, 1, 1), BIDIRECTIONAL,
-                                           dtype=np.float32)
+        unit = make_variant("qru3d").build(rng, 1, 16, (1, 1, 1), BIDIRECTIONAL)
         x = rng.standard_normal((1, 1, 16, 16, 64)).astype(np.float32)
         stacked_bytes = 4 * 16 * x.nbytes
         assert not tracemalloc.is_tracing()
@@ -562,8 +557,7 @@ class TestTracedForward:
         stacked conv output, two h and y). Activating into new gates
         peaked at 62.2 MiB, 1.15x."""
         rng = np.random.default_rng(46)
-        unit = make_variant("qru3d").build(rng, 1, 16, (1, 1, 1), BIDIRECTIONAL,
-                                           dtype=np.float32)
+        unit = make_variant("qru3d").build(rng, 1, 16, (1, 1, 1), BIDIRECTIONAL)
         x = rng.random((1, 1, 24, 24, 220)).astype(np.float32)
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
@@ -587,7 +581,7 @@ class TestTracedForward:
         for byte, one direction per step, and runs each direction's
         recurrence only when the consumer asks for that trace."""
         rng = np.random.default_rng(47)
-        unit = make_variant("qru3d").build(rng, 2, 3, (1, 1, 1), direction, dtype=np.float32)
+        unit = make_variant("qru3d").build(rng, 2, 3, (1, 1, 1), direction)
         x = rng.standard_normal((1, 2, 4, 4, 6)).astype(np.float32)
         _, (_, want) = unit.forward(x, keep_trace=True)
         pooled = []
@@ -651,8 +645,8 @@ class TestUnitForward:
         when any input band is perturbed."""
         rng = np.random.default_rng(15)
         fac = make_variant("qru3d")
-        u1 = fac.build(rng, 1, 2, (1, 1, 1), FORWARD, dtype=np.float64)
-        u2 = fac.build(rng, 2, 2, (1, 1, 1), BACKWARD, dtype=np.float64)
+        u1 = fac.build(rng, 1, 2, (1, 1, 1), FORWARD).astype(np.float64)
+        u2 = fac.build(rng, 2, 2, (1, 1, 1), BACKWARD).astype(np.float64)
         x = rng.standard_normal((1, 1, 4, 4, 6))
 
         def run(inp):
@@ -699,6 +693,30 @@ class TestVariants:
         with pytest.raises(ConfigError, match=f"{kind} {direction} unit needs"):
             QruUnit(2, 3, (1, 1, 1), False, direction, kind, banks)
 
+    @pytest.mark.parametrize("cin, cout, stride, transposed, wshape, n_bias, need", [
+        (4, 4, (1, 1, 1), False, (3, 2, 3, 3, 3), 3, (4, 4)),
+        (2, 3, (2, 2, 1), True, (3, 2, 3, 3, 3), 3, (2, 3)),
+        (2, 3, (1, 1, 1), False, (3, 2, 3, 3, 3), 2, (3, 2)),
+    ], ids=["other-channels", "transposed-as-ordinary", "bias-of-cin"])
+    def test_banks_must_match_the_record(self, cin, cout, stride, transposed, wshape, n_bias,
+                                         need):
+        """Every bank's weight is bank_shape(cin, cout, transposed, ksize) and
+        its bias has cout entries: banks that contradict the unit's record,
+        which Q3DW writes as its header, are refused, naming the shapes."""
+        banks = [ConvKernel(np.zeros(wshape, np.float32), np.zeros(n_bias, np.float32))]
+        with pytest.raises(ShapeError, match=rf"a {cin} -> {cout} unit needs bank weights "
+                                             rf"\({need[0]}, {need[1]}, 3, 3, 3\) and "
+                                             rf"biases \({cout},\)$"):
+            QruUnit(cin, cout, stride, transposed, FORWARD, "c3d", banks)
+
+    def test_transposed_unit_must_upsample(self):
+        """A stride-1 transposed unit is an ordinary convolution in the
+        other weight layout, which Q3DW, marking a transposed layer by its
+        upsampling stride, cannot state: it is refused, naming the rule."""
+        banks = [ConvKernel(np.zeros((2, 3, 3, 3, 3), np.float32), np.zeros(3, np.float32))]
+        with pytest.raises(ConfigError, match="a transposed unit must upsample"):
+            QruUnit(2, 3, (1, 1, 1), True, FORWARD, "c3d", banks)
+
     def test_unknown_unit_kind_rejected(self):
         banks = rand_banks(np.random.default_rng(21))
         with pytest.raises(ConfigError, match="unknown unit kind 'lstm'"):
@@ -706,7 +724,7 @@ class TestVariants:
 
     def test_c3d_is_tanh_of_conv(self):
         rng = np.random.default_rng(17)
-        unit = make_variant("c3d").build(rng, 2, 3, (1, 1, 1), FORWARD, dtype=np.float64)
+        unit = make_variant("c3d").build(rng, 2, 3, (1, 1, 1), FORWARD).astype(np.float64)
         x = rng.standard_normal((1, 2, 5, 5, 4))
         y, _ = unit.forward(x)
         np.testing.assert_allclose(

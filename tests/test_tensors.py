@@ -22,6 +22,7 @@ from hsdenoise import tensors
 from hsdenoise.hsio import gen_synthetic
 from hsdenoise.network import build_network, standard_config
 from hsdenoise.noise import synthesize_case
+from hsdenoise.qru import make_variant
 from hsdenoise.tensors import (
     ConfigError,
     ConvKernel,
@@ -30,7 +31,6 @@ from hsdenoise.tensors import (
     activate_grad,
     conv3d_backward,
     conv3d_forward,
-    he_init,
     tconv3d_backward,
     tconv3d_forward,
 )
@@ -282,15 +282,36 @@ class TestTconv:
         assert np.array_equal(tgw, gw)
 
 
-# Stacked kernels (c1, c2, kh, kw, kb) and strides of the standard network,
-# every bank of a unit concatenated along its output channels.
-NET_KERNELS = {
-    "L01": ((64, 1, 3, 3, 3), (1, 1, 1)),
-    "L03": ((64, 16, 3, 3, 3), (2, 2, 1)),
-    "L08-transposed": ((64, 64, 3, 3, 3), (2, 2, 1)),
-    "L12": ((4, 16, 3, 3, 3), (1, 1, 1)),
-    "qru2d": ((32, 16, 3, 3, 1), (1, 1, 1)),
+# Kernels checked against the im2col oracle in float64, one row each:
+# (wshape, stride, batch, (H, W, B), seed, block rows or None).
+# - The standard network's stacked kernels (c1, c2, kh, kw, kb), every bank
+#   of a unit concatenated along its output channels (NET_KERNELS).
+# - Thin kernels, T * c2 <= c1 for T kernel offsets: every offset runs in
+#   one stacked GEMM.
+# - Kernels walked in blocks of three output rows: batch 2 on 26x6xB, so
+#   stride 1 gives 26 output rows per sample (blocks 3 x 8 + 2) and stride
+#   (2, 2, 1) gives 13 (3 x 4 + 1). The band taps leave the column for the
+#   c1 side except for the 3x3x1 kernel (one band tap), a strided band axis
+#   and c1 > kh * kw * c2 (the first layer's side).
+ORACLE_KERNELS = {
+    "L01": ((64, 1, 3, 3, 3), (1, 1, 1), 2, (8, 6, 5), 21, None),
+    "L03": ((64, 16, 3, 3, 3), (2, 2, 1), 2, (8, 6, 5), 21, None),
+    "L08-transposed": ((64, 64, 3, 3, 3), (2, 2, 1), 2, (8, 6, 5), 21, None),
+    "L12": ((4, 16, 3, 3, 3), (1, 1, 1), 2, (8, 6, 5), 21, None),
+    "qru2d": ((32, 16, 3, 3, 1), (1, 1, 1), 2, (8, 6, 5), 21, None),
+    "c2=1-strided": ((64, 1, 3, 3, 3), (2, 2, 1), 2, (8, 6, 5), 22, None),
+    "qru2d-c2=1": ((32, 1, 3, 3, 1), (1, 1, 1), 2, (8, 6, 5), 22, None),
+    "transposed-64to2": ((64, 2, 3, 3, 3), (2, 2, 1), 2, (8, 6, 5), 22, None),
+    "boundary-27": ((27, 1, 3, 3, 3), (1, 1, 1), 2, (8, 6, 5), 22, None),
+    "wide-stride1": ((32, 16, 3, 3, 3), (1, 1, 1), 2, (26, 6, 5), 24, 3),
+    "wide-strided": ((64, 16, 3, 3, 3), (2, 2, 1), 2, (26, 6, 5), 24, 3),
+    "thin-strided": ((64, 1, 3, 3, 3), (2, 2, 1), 2, (26, 6, 5), 24, 3),
+    "qru2d-3x3x1": ((32, 16, 3, 3, 1), (1, 1, 1), 2, (26, 6, 5), 24, 3),
+    "band-strided": ((64, 16, 3, 3, 3), (2, 2, 2), 2, (26, 6, 6), 24, 3),
+    "thin-stride1": ((64, 1, 3, 3, 3), (1, 1, 1), 2, (26, 6, 5), 24, 3),
+    "single-band": ((64, 16, 3, 3, 3), (1, 1, 1), 2, (26, 6, 1), 24, 3),
 }
+NET_KERNELS = ("L01", "L03", "L08-transposed", "L12", "qru2d")
 
 
 class TestMemoryLayout:
@@ -326,64 +347,34 @@ def assert_rel(actual, expected, tol=1e-10):
     assert float(np.max(np.abs(actual - expected))) <= tol * scale
 
 
-@pytest.mark.parametrize("name", sorted(NET_KERNELS))
-def test_network_kernels_match_im2col_oracle(name):
-    """Both maps and all gradients of each stacked network kernel agree with
-    the im2col oracle to 1e-10 in float64; the input-side maps through
-    <conv_ref(x), y> == <x, map(y)>."""
-    wshape, stride = NET_KERNELS[name]
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_network_kernels_match_im2col_oracle(name, monkeypatch):
+    """Every kernel of ORACLE_KERNELS agrees with the im2col oracle to 1e-10
+    in float64: both maps, both gradients of each (input, weight and bias),
+    and the input-side maps through <conv_ref(x), y> == <x, map(y)>. With a
+    block budget of a few output rows, every core walks several blocks per
+    sample, the last one shorter."""
+    wshape, stride, n, hwb, seed, block_rows = ORACLE_KERNELS[name]
     c1, c2 = wshape[:2]
     ksize = wshape[2:]
     pad = tuple(k // 2 for k in ksize)
-    rng = np.random.default_rng(21)
-    x = rng.standard_normal((2, c2, 8, 6, 5))
-    w = rng.standard_normal(wshape)
-    b = rng.standard_normal(c1)
-    assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
-               conv3d_im2col(x, w, b, stride, pad))
-
-    y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
-    y = rng.standard_normal(y_ref.shape)
-    lhs = float(np.vdot(y_ref, y))
-    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), stride, y)
-    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), stride)
-    assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
-    assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
-
-    gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
-    assert_rel(gw, gw_ref)
-    # <tconv(y), x> is <conv(x), y>, so both weight gradients are gw_ref.
-    _, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), stride, x)
-    assert_rel(tgw, gw_ref)
-
-
-# Thin kernels, T * c2 <= c1 for T kernel offsets: every offset runs in one
-# stacked GEMM. (wshape, stride, batch)
-THIN_KERNELS = {
-    "c2=1-strided": ((64, 1, 3, 3, 3), (2, 2, 1), 2),
-    "qru2d-c2=1": ((32, 1, 3, 3, 1), (1, 1, 1), 2),
-    "transposed-64to2": ((64, 2, 3, 3, 3), (2, 2, 1), 2),
-    "boundary-27": ((27, 1, 3, 3, 3), (1, 1, 1), 2),
-}
-
-
-@pytest.mark.parametrize("name", sorted(THIN_KERNELS))
-def test_thin_kernels_match_im2col_oracle(name):
-    """Kernels whose offsets all stack into one GEMM agree with the im2col
-    oracle to 1e-10 in float64: both maps, both gradients of each, and the
-    input-side maps through <conv_ref(x), y> == <x, map(y)>."""
-    wshape, stride, n = THIN_KERNELS[name]
-    c1, c2 = wshape[:2]
-    ksize = wshape[2:]
-    pad = tuple(k // 2 for k in ksize)
-    rng = np.random.default_rng(22)
-    x = rng.standard_normal((n, c2, 8, 6, 5))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c2) + hwb)
     w = rng.standard_normal(wshape)
     b = rng.standard_normal(c1)
     y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
+    if block_rows:
+        ho, wo, bo = y_ref.shape[2:]
+        bands = tensors._band_taps(wshape, stride)
+        row = (int(np.prod(ksize)) // bands * c2 + bands * c1) * wo * (bo + bands - 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", block_rows * row * 8)
+        rows = [rs.stop - rs.start for _, rs, _, _, _ in
+                tensors._windows(x, wshape, stride, np.float64)]
+        assert rows == n * ([block_rows] * (ho // block_rows) + [ho % block_rows])
+        assert ho % block_rows
+
     assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
                conv3d_im2col(x, w, b, stride, pad))
-
     y = rng.standard_normal(y_ref.shape)
     lhs = float(np.vdot(y_ref, y))
     gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
@@ -394,7 +385,8 @@ def test_thin_kernels_match_im2col_oracle(name):
 
     up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), stride)
     assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
-    # tconv's input gradient is the conv of its grad_out, here x.
+    # tconv's input gradient is the conv of its grad_out, here x, and
+    # <tconv(y), x> is <conv(x), y>, so both weight gradients are gw_ref.
     tgx, tgw, tgb = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), stride, x)
     assert_rel(tgx, y_ref)
     assert_rel(tgw, gw_ref)
@@ -429,61 +421,6 @@ def test_forward_allocation_bound(c1, c2):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak} bytes > bound {bound:.0f}"
-
-
-# Kernels walked in blocks of three output rows: batch 2 on 26x6xB, so
-# stride 1 gives 26 output rows per sample (blocks 3 x 8 + 2) and stride
-# (2, 2, 1) gives 13 (3 x 4 + 1). The band taps leave the column for the
-# c1 side except for the 3x3x1 kernel (one band tap), a strided band axis
-# and c1 > kh * kw * c2 (the first layer's side). (wshape, stride, B)
-BLOCKED_KERNELS = {
-    "wide-stride1": ((32, 16, 3, 3, 3), (1, 1, 1), 5),
-    "wide-strided": ((64, 16, 3, 3, 3), (2, 2, 1), 5),
-    "thin-strided": ((64, 1, 3, 3, 3), (2, 2, 1), 5),
-    "qru2d-3x3x1": ((32, 16, 3, 3, 1), (1, 1, 1), 5),
-    "band-strided": ((64, 16, 3, 3, 3), (2, 2, 2), 6),
-    "thin-stride1": ((64, 1, 3, 3, 3), (1, 1, 1), 5),
-    "single-band": ((64, 16, 3, 3, 3), (1, 1, 1), 1),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BLOCKED_KERNELS))
-def test_blocked_cores_match_im2col_oracle(name, monkeypatch):
-    """With a block budget of three output rows, every core walks several
-    blocks per sample, the last one shorter, and still agrees with the
-    im2col oracle to 1e-10 in float64: both maps, both gradients of each,
-    and the input-side maps through <conv_ref(x), y> == <x, map(y)>."""
-    wshape, stride, n_bands = BLOCKED_KERNELS[name]
-    c1, c2 = wshape[:2]
-    ksize = wshape[2:]
-    pad = tuple(k // 2 for k in ksize)
-    rng = np.random.default_rng(24)
-    x = rng.standard_normal((2, c2, 26, 6, n_bands))
-    w = rng.standard_normal(wshape)
-    b = rng.standard_normal(c1)
-    y_ref = conv3d_im2col(x, w, np.zeros(c1), stride, pad)
-    ho, wo, bo = y_ref.shape[2:]
-    bands = tensors._band_taps(wshape, stride)
-    row = (int(np.prod(ksize)) // bands * c2 + bands * c1) * wo * (bo + bands - 1)
-    monkeypatch.setattr(tensors, "_BLOCK_BYTES", 3 * row * 8)
-    rows = [rs.stop - rs.start for _, rs, _, _, _ in
-            tensors._windows(x, wshape, stride, np.float64)]
-    assert rows == 2 * ([3] * (ho // 3) + [ho % 3]) and ho % 3
-
-    assert_rel(conv3d_forward(x, ConvKernel(w, b), stride),
-               conv3d_im2col(x, w, b, stride, pad))
-    y = rng.standard_normal(y_ref.shape)
-    lhs = float(np.vdot(y_ref, y))
-    gw_ref = conv3d_weight_grad_im2col(x, y, ksize, stride, pad)
-    gx, gw, _ = conv3d_backward(x, ConvKernel(w, b), stride, y)
-    assert abs(lhs - float(np.vdot(x, gx))) <= 1e-10 * abs(lhs)
-    assert_rel(gw, gw_ref)
-
-    up = tconv3d_forward(y, ConvKernel(w, np.zeros(c2)), stride)
-    assert abs(lhs - float(np.vdot(x, up))) <= 1e-10 * abs(lhs)
-    tgx, tgw, _ = tconv3d_backward(y, ConvKernel(w, np.zeros(c2)), stride, x)
-    assert_rel(tgx, y_ref)
-    assert_rel(tgw, gw_ref)
 
 
 def test_forward_allocation_within_block_budget():
@@ -626,7 +563,7 @@ def test_float32_cores_within_contract_of_im2col_oracle(name):
     """On float32 operands both maps and both gradients of each come out
     float32 and within RTOL_FLOAT32 of the float64 im2col oracles evaluated
     on the same float32 values."""
-    wshape, stride = NET_KERNELS[name]
+    wshape, stride = ORACLE_KERNELS[name][:2]
     c1, c2 = wshape[:2]
     ksize = wshape[2:]
     pad = tuple(k // 2 for k in ksize)
@@ -658,7 +595,7 @@ def test_mixed_dtypes_follow_contract(name, x_dtype, w_dtype):
     bytes cast to its documented dtype: the operands' result dtype for the
     forward maps, the input's for input gradients, and the kernel's for
     weight and bias gradients."""
-    wshape, stride = NET_KERNELS[name]
+    wshape, stride = ORACLE_KERNELS[name][:2]
     c1, c2 = wshape[:2]
     rng = np.random.default_rng(28)
     x, w = (rng.standard_normal(s).astype(np.float32) for s in ((2, c2, 8, 6, 5), wshape))
@@ -789,7 +726,7 @@ def test_float64_model_stays_float64():
     """A float64 model computes in float64 end to end: its output, input
     gradient and all 56 parameter gradients come out float64, and their
     norms match values pinned from the float64 cores to 1e-12."""
-    model = build_network(standard_config(width_multiplier=0.25), seed=43, dtype=np.float64)
+    model = build_network(standard_config(width_multiplier=0.25), seed=43).astype(np.float64)
     rng = np.random.default_rng(44)
     x = rng.standard_normal((2, 1, 8, 8, 6))
     y, traces = model.forward(x, keep_traces=True)
@@ -798,7 +735,7 @@ def test_float64_model_stays_float64():
     assert {a.dtype for a in [y, gx] + grads} == {np.dtype(np.float64)}
     norms = [np.linalg.norm(y), np.linalg.norm(gx), np.sqrt(sum(np.vdot(g, g) for g in grads))]
     assert norms == pytest.approx(
-        [29.97562182405061, 33.372515258698265, 209.98073833138682], rel=1e-12)
+        [29.975621855349956, 33.37251536802372, 209.98073808112798], rel=1e-12)
 
 
 class TestActivations:
@@ -916,13 +853,19 @@ class TestActivations:
 
 class TestHeInit:
     def test_deterministic_and_scaled(self):
-        w1 = he_init(np.random.default_rng(42), (16, 8, 3, 3, 3), 8 * 27)
-        w2 = he_init(np.random.default_rng(42), (16, 8, 3, 3, 3), 8 * 27)
-        assert np.array_equal(w1, w2)
-        assert w1.dtype == np.float32
-        std = float(w1.std())
-        expect = np.sqrt(2.0 / (8 * 27))
-        assert abs(std - expect) / expect < 0.1
+        """A built unit's banks are float32, the same for the same rng, drawn
+        with std within 10% of sqrt(2 / fan_in), fan_in = cin x kernel
+        volume (transposed too), and have zero biases."""
+        for kind, stride, transposed, fan_in in (("qru3d", (1, 1, 1), False, 8 * 27),
+                                                 ("qru2d", (2, 2, 1), True, 8 * 9)):
+            u1, u2 = (make_variant(kind).build(np.random.default_rng(42), 8, 16, stride,
+                                               "bidirectional", transposed) for _ in range(2))
+            expect = np.sqrt(2.0 / fan_in)
+            for k1, k2 in zip(u1.banks, u2.banks):
+                assert k1.weight.tobytes() == k2.weight.tobytes()
+                assert k1.weight.dtype == k1.bias.dtype == np.float32
+                assert abs(float(k1.weight.std()) - expect) / expect < 0.1
+                assert not k1.bias.any()
 
 
 @settings(max_examples=40, deadline=None)
