@@ -442,6 +442,16 @@ class TestWeightsIO:
             assert (a.stride, a.banks[0].ksize) == (b.stride, b.banks[0].ksize)
             assert a.transposed == b.transposed
 
+    def test_round_trip_standard_with_tconv(self, tmp_path):
+        model = build_network(standard_config(), seed=15)
+        path = tmp_path / "m.q3dw"
+        save_weights(path, model)
+        loaded = load_weights(path)
+        x = np.random.default_rng(16).standard_normal((1, 1, 8, 8, 5)).astype(np.float32)
+        ya, _ = model.forward(x)
+        yb, _ = loaded.forward(x)
+        np.testing.assert_array_equal(ya, yb)
+
     @pytest.mark.parametrize("schedule", ["alternating", "forward", "bidirectional"])
     @pytest.mark.parametrize("kind", ["qru3d", "qru2d", "c3d"])
     def test_layer_tags_hold_documented_values(self, tmp_path, kind, schedule):
