@@ -175,10 +175,12 @@ class Model:
         """Run the network; returns (output, traces or None).
 
         Traces hold each unit's own trace, all that backward() and the
-        spectral-dependency diagnostics read, plus every layer output. Without
-        traces a pass holds only what a later step reads: the current
-        activation, and a layer output read by a skip until that skip adds
-        it; units then run their recurrence in place.
+        spectral-dependency diagnostics read, plus every layer output. They
+        are single-use: backward() frees them layer by layer as it goes, so
+        each backward needs its own traced forward. Without traces a pass
+        holds only what a later step reads: the current activation, and a
+        layer output read by a skip until that skip adds it; units then run
+        their recurrence in place.
         """
         cur, outputs, unit_traces = self._walk(x, len(self.units), keep_traces)
         if self.config.global_residual:
@@ -240,9 +242,18 @@ class Model:
     def backward(self, traces, grad_y, input_grad=True):
         """Reverse pass through skips and residual; returns (grad_input,
         per-parameter grads in param_arrays() order). With input_grad
-        false, layer 1 skips its input gradient and grad_input is None."""
+        false, layer 1 skips its input gradient and grad_input is None.
+
+        The traces are consumed: once unit j's backward has read its trace,
+        that trace and layer j's output are set to None in the lists, so
+        each unit's input, gates and hidden states are freed as the pass
+        moves down the net. A second backward needs a second traced forward.
+        """
         if traces is None:
             raise ValueError("backward needs traces from forward(keep_traces=True)")
+        if any(t is None for t in traces["units"]):
+            raise ValueError("traces were consumed by an earlier backward; "
+                             "run forward(keep_traces=True) again")
         n = len(self.units)
         skips = self.config.skips
         # pending[j] accumulates the gradient w.r.t. layer j's output
@@ -254,7 +265,7 @@ class Model:
         for j in range(n - 1, -1, -1):
             gx, param_grads[j] = self.units[j].backward(
                 traces["units"][j], pending[j + 1], input_grad or j > 0)
-            pending[j + 1] = None
+            traces["units"][j] = traces["outputs"][j] = pending[j + 1] = None
             slots = (j, skips[j] + 1) if j in skips else (j,)
             for s in slots:
                 pending[s] = gx if pending[s] is None else pending[s] + gx

@@ -561,7 +561,7 @@ class TestGcsCommand:
     def test_last_layer_peaks_no_higher_than_first(self, tmp_path):
         """Only the analysed unit keeps traces: on a 24x24x220 case-5 cube
         with the standard net, --layer last peaks under tracemalloc no
-        higher than --layer first (57.1 and 79.7 MiB; 232.7 MiB for --layer
+        higher than --layer first (46.5 and 62.7 MiB; 232.7 MiB for --layer
         last when every earlier layer kept its traces)."""
         weights = str(tmp_path / "net.q3dw")
         save_weights(weights, build_network(standard_config(), seed=7))
