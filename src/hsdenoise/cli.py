@@ -5,7 +5,8 @@ gradcheck, gen-synthetic.  Every command is deterministic given its flags
 and seeds; artifacts embed the resolved settings (text artifacts as leading
 comment lines, binary artifacts via a .meta sidecar) and never carry
 timestamps.  `_write_outputs` writes every file a command makes, so that
-header is written in one place, and removes them all when one fails.
+header is written in one place, and removes them all when one fails. Only
+train's weights and optimizer states, its result, stay if its log fails.
 """
 
 import argparse
@@ -57,7 +58,7 @@ CONFIG_KEYS = {
     "residual": (_bool_key, True),
     "seed": (_non_negative_int, 0),
     "epochs": (int, 100),
-    "policy": (_choice_key("schedule", "fixed"), "schedule"),
+    "policy": (_choice_key(*training.POLICIES), "schedule"),
     "lr": (float, 1e-3),
     "batch-size": (int, 16),
     "sigma": (float, 50.0),
@@ -107,7 +108,8 @@ def _write_outputs(command, settings, files):
     """Write a command's files in order, path -> content: a cube through
     hsio.write_hsi, bytes as they are, text after `# command:` and the
     settings as sorted `# key: value` lines. If one cannot be written, the
-    files written before it are removed: a command leaves all or none."""
+    files written before it are removed: a command leaves all or none of
+    those (train passes only its log, so its weights and states stay)."""
     lines = [f"# command: {command}"] + [f"# {key}: {settings[key]}" for key in sorted(settings)]
     header = "\n".join(lines) + "\n"
     written = []
@@ -134,23 +136,8 @@ def cmd_gen_synthetic(args):
     return 0
 
 
-def _read_cube(path):
-    """The cube at path, refused if it holds NaN or Inf: one such sample
-    would spread through every layer to the whole output, or into every
-    metric, or hide under the noise that add-noise lays over it."""
-    cube = hsio.read_hsi(path)
-    bad = ~np.isfinite(cube)
-    if bad.any():
-        bands = [str(j + 1) for j in np.flatnonzero(bad.any(axis=(0, 1)))]
-        more = f" and {len(bands) - 10} more" if len(bands) > 10 else ""
-        raise ValueError(
-            f"{path}: {int(bad.sum())} non-finite samples (NaN or Inf) in band(s) "
-            f"{', '.join(bands[:10])}{more}; cubes must be finite")
-    return cube
-
-
 def cmd_add_noise(args):
-    cube = _read_cube(args.input)
+    cube = hsio.read_hsi(args.input)
     meta = {"input": args.input, "output": args.output, "seed": args.seed}
     if args.case is not None:
         noisy, report = noise.synthesize_case(cube, args.case, args.seed)
@@ -168,7 +155,7 @@ def cmd_add_noise(args):
 
 def cmd_denoise(args):
     model = network.load_weights(args.weights)
-    cube = _read_cube(args.input)
+    cube = hsio.read_hsi(args.input)
     _write_outputs("denoise", {
         "weights": args.weights, "input": args.input, "output": args.output},
         {args.output: model.denoise(cube), args.output + ".meta": ""})
@@ -177,10 +164,10 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    clean = _read_cube(args.clean).astype("float64")
+    clean = hsio.read_hsi(args.clean).astype("float64")
     cubes = []
     for path in args.inputs:
-        cube = _read_cube(path).astype("float64")
+        cube = hsio.read_hsi(path).astype("float64")
         if cube.shape != clean.shape:
             raise ValueError(
                 f"{path} shape {cube.shape} does not match clean {clean.shape}")
@@ -223,7 +210,7 @@ def cmd_gcs(args):
         raise ValueError(f"--out-prefix {args.out_prefix!r} names a directory, not a file prefix")
     model = network.load_weights(args.weights)
     layer = _layer_index(args.layer, len(model.units))
-    matrices = gcs.layer_matrices(model, _read_cube(args.input), layer, args.eps)
+    matrices = gcs.layer_matrices(model, hsio.read_hsi(args.input), layer, args.eps)
     parent = os.path.dirname(args.out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -296,7 +283,7 @@ def _load_patch_arrays(paths, size, stride, augment):
     arrays = []
     bands = None
     for path in paths:
-        cube = _read_cube(path)
+        cube = hsio.read_hsi(path)
         if bands is None:
             bands = cube.shape[2]
         elif cube.shape[2] != bands:

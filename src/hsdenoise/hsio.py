@@ -11,14 +11,17 @@ The on-disk container ("HSI1") is deliberately minimal and fully pinned:
            fastest (C order of an (H, W, B) array)
 
 so a 2x2x1 cube occupies 4 + 2 + 12 + 16 = 34 bytes, and read(write(c))
-is bit-exact on every host.  External datasets are not parsed here; the
-README's "File formats" section has the conversion recipe.
+is bit-exact on every host for a finite cube.  External datasets are not
+parsed here; the README's "File formats" section has the conversion recipe.
 
 BlobReader is the one bounds-checked reader behind the HSI1, Q3DW and Q3DA
 parsers: all three start with a 4-byte magic and a u16 version, and every
 read names the byte offset where a short or malformed file went wrong. It
-hands out views of the file's bytes, so reading a cube holds the file and
-the returned array, and writing one holds nothing beside the cube.
+refuses a NaN or Inf in any payload (samples, weights, moments), which would
+spread to a whole output, metric or loss, naming the file, field, count and
+first index. It hands out views of the file's bytes, so reading a cube holds
+the file and the returned array, and writing one holds nothing beside the
+cube.
 """
 
 import math
@@ -52,9 +55,10 @@ class BlobReader:
     @classmethod
     def open(cls, path, error, magic, *versions):
         """Read `path`, then check its magic and that its u16 version is one
-        of `versions`; the reader keeps that value as `version`."""
+        of `versions`; the reader keeps `path`, and that value as `version`."""
         with open(path, "rb") as fh:
             reader = cls(fh.read(), error)
+        reader.path = path
         got = reader.take(4, "magic")
         if got != magic:
             raise error(f"bad magic {bytes(got)!r} at byte 0, expected {magic!r}")
@@ -77,11 +81,21 @@ class BlobReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype, shape, what):
-        """A fresh array of `shape` read from the next bytes."""
+        """A fresh array of `shape` from the next bytes, refused if not finite."""
         dtype = np.dtype(dtype)
         # Python ints: header extents from a corrupt file must not wrap.
         raw = self.take(math.prod(shape) * dtype.itemsize, what)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        a = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        # min and max are NaN or infinite exactly when some element is: no mask.
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            self.refuse(what, ~np.isfinite(a), "non-finite values (NaN or Inf)")
+        return a
+
+    def refuse(self, what, bad, values):
+        """Raise the format's error naming the count and first index of `bad`."""
+        first = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise self.error(f"{self.path}: {what}: {np.count_nonzero(bad)} {values}, "
+                         f"the first at index {first}")
 
     def finish(self):
         """Reject anything after the last field."""

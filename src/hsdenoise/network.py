@@ -347,12 +347,6 @@ def load_weights(path):
         banks = [ConvKernel(reader.array("<f4", wshape, f"layer {j + 1} weights"),
                             reader.array("<f4", (cout,), f"layer {j + 1} bias"))
                  for _ in range(bank_count(kind, direction))]
-        for bank in banks:
-            for part, a in (("weights", bank.weight), ("bias", bank.bias)):
-                bad = int(np.count_nonzero(~np.isfinite(a)))
-                if bad:
-                    raise WeightsError(f"layer {j + 1} {part}: {bad} non-finite values "
-                                       f"(NaN or Inf); weights must be finite")
         units.append(QruUnit(cin, cout, stride, transposed, direction, kind, banks))
     reader.finish()
     return Model(NetworkConfig(units, reader.version == RESIDUAL_ON))

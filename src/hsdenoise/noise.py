@@ -153,15 +153,13 @@ def _stripe_band(y, band, rng, report):
     cols = _columns(rng, y.shape[1])
     mags = rng.uniform(0.05, 0.15, size=len(cols))
     signs = np.where(rng.random(len(cols)) < 0.5, -1.0, 1.0)
-    for col, mag, sign in zip(cols, mags, signs):
-        y[:, col, band] += np.asarray(sign * mag, dtype=y.dtype)
+    y[:, cols, band] += (signs * mags).astype(y.dtype)
     report.stripes[band + 1] = cols
 
 
 def _deadline_band(y, band, rng, report):
     cols = _columns(rng, y.shape[1])
-    for col in cols:
-        y[:, col, band] = 0.0
+    y[:, cols, band] = 0.0
     report.deadlines[band + 1] = cols
 
 

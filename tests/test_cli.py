@@ -174,15 +174,15 @@ class TestAddNoise:
         assert not out.exists()
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
-        """A NaN sample exits 2 naming its count and band, with no cube or
+        """A NaN sample exits 2 naming its count and index, with no cube or
         report: case 5 could overwrite it and hide the bad source."""
         src, cube = make_cube(tmp_path, "clean.hsi", shape=(8, 8, 6), seed=1)
         cube[2, 3, 4] = np.nan
         write_hsi(src, cube)
         out = tmp_path / "noisy.hsi"
         assert run_cli("add-noise", src, str(out), "--case", 5, "--seed", 0) == 2
-        err = capsys.readouterr().err
-        assert f"{src}: 1 non-finite samples" in err and "band(s) 5;" in err
+        assert capsys.readouterr().err == (f"error: {src}: samples: 1 non-finite values "
+                                           f"(NaN or Inf), the first at index (2, 3, 4)\n")
         assert not out.exists()
         assert not (tmp_path / "noisy.hsi.report.txt").exists()
 
@@ -264,7 +264,8 @@ class TestDenoise:
         assert not (tmp_path / "flag.hsi").exists()
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
-        """A NaN or Inf sample fails with its count and bands, no output."""
+        """A NaN or Inf sample fails with the count and the first index in
+        C order, no output."""
         weights = make_weights(tmp_path)
         src, cube = make_cube(tmp_path, "in.hsi", shape=(16, 16, 8), seed=5)
         cube[3, 4, 1] = np.nan
@@ -273,8 +274,8 @@ class TestDenoise:
         write_hsi(src, cube)
         out = tmp_path / "out.hsi"
         assert run_cli("denoise", src, str(out), "--weights", weights) == 2
-        err = capsys.readouterr().err
-        assert "3 non-finite samples" in err and "band(s) 2, 7;" in err
+        assert capsys.readouterr().err == (f"error: {src}: samples: 3 non-finite values "
+                                           f"(NaN or Inf), the first at index (0, 0, 6)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("part", ["weights", "bias"])
@@ -335,7 +336,7 @@ class TestEval:
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         """A NaN sample in an input or in the clean cube fails with its count
-        and band, and no metrics file, instead of scoring a perfect match."""
+        and index, and no metrics file, instead of scoring a perfect match."""
         clean, cube = make_cube(tmp_path, "clean.hsi", shape=(16, 16, 4), seed=7)
         bad = str(tmp_path / "bad.hsi")
         cube[5, 6, 2] = np.nan
@@ -343,8 +344,9 @@ class TestEval:
         out = tmp_path / "metrics.csv"
         for inputs, cleaned in (([clean, bad], clean), ([clean], bad)):
             assert run_cli("eval", *inputs, "--clean", cleaned, "--out", out) == 2
-            err = capsys.readouterr().err
-            assert f"{bad}: 1 non-finite samples" in err and "band(s) 3;" in err
+            assert capsys.readouterr().err == (
+                f"error: {bad}: samples: 1 non-finite values (NaN or Inf), "
+                f"the first at index (5, 6, 2)\n")
             assert not out.exists()
 
     def test_too_small_cube_rejected(self, tmp_path, capsys):
@@ -447,7 +449,7 @@ class TestGcsCommand:
         assert not out_dir.exists()
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
-        """A NaN sample fails with its count and band, no artifacts."""
+        """A NaN sample fails with its count and index, no artifacts."""
         weights = make_weights(tmp_path)
         src, cube = make_cube(tmp_path, "in.hsi", shape=(8, 8, 4), seed=8)
         cube[5, 1, 3] = np.nan
@@ -455,8 +457,8 @@ class TestGcsCommand:
         out_dir = tmp_path / "out"
         code = run_cli("gcs", src, "--weights", weights, "--out-prefix", str(out_dir / "g"))
         assert code == 2
-        err = capsys.readouterr().err
-        assert "1 non-finite samples" in err and "band(s) 4;" in err
+        assert capsys.readouterr().err == (f"error: {src}: samples: 1 non-finite values "
+                                           f"(NaN or Inf), the first at index (5, 1, 3)\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("layer, h_numel", [("first", 16 * 66 * 64), ("3", 32 * 33 * 32)],
@@ -789,6 +791,22 @@ class TestTrainCommand:
         assert "epoch,stage,lr,batch_size,loss,val_psnr" in log
         assert "seconds" not in log
 
+    def test_unwritable_log_keeps_final_weights_and_state(self, tmp_path, capsys):
+        """The final weights and optimizer state are the run's result and are
+        written before the log: when the log cannot be written, train exits 2
+        with one error line and both files stay, and load."""
+        src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=9)
+        out_dir = tmp_path / "run"
+        (out_dir / "trainlog.csv").mkdir(parents=True)
+        code = run_cli("train", "--data", src, "--out-dir", out_dir, "--policy", "fixed",
+                       "--epochs", 1, "--width", 4, "--batch-size", 2, "--patch-size", 8)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "trainlog.csv" in err
+        model = load_weights(str(out_dir / "weights_final.q3dw"))
+        load_optimizer_state(str(out_dir / "optim_final.q3da")).check_params(
+            model.param_arrays())
+
     def test_log_names_inputs(self, tmp_path):
         """Runs that differ only in --max-steps-per-epoch train different
         weights, so each log names that flag's value and the --data and
@@ -931,7 +949,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag", ["--data", "--val"])
     def test_non_finite_cube_rejected(self, tmp_path, capsys, monkeypatch, flag):
         """A NaN sample in a --data or --val cube exits 2, naming the file,
-        count and band, before any step and without outputs."""
+        count and index, before any step and without outputs."""
         import hsdenoise.training as training
 
         def no_train(*args, **kwargs):
@@ -947,8 +965,8 @@ class TestTrainCommand:
         code = run_cli("train", *cubes, "--out-dir", str(out_dir), "--policy", "fixed",
                        "--epochs", 1, "--width", 2, "--batch-size", 2, "--patch-size", 8)
         assert code == 2
-        err = capsys.readouterr().err
-        assert f"{bad}: 1 non-finite samples" in err and "band(s) 3;" in err
+        assert capsys.readouterr().err == (f"error: {bad}: samples: 1 non-finite values "
+                                           f"(NaN or Inf), the first at index (5, 6, 2)\n")
         assert not out_dir.exists()
 
     def test_val_without_paths_rejected(self, tmp_path, capsys):
@@ -1036,8 +1054,9 @@ class TestTrainCommand:
 
     def test_nan_moment_state_fails_before_out_dir(self, tmp_path, capsys):
         """A state file holding a NaN first moment, given with its weights,
-        exits 2 with one error line naming the array, before --out-dir is
-        created, instead of training on NaN losses."""
+        exits 2 with one error line naming the file, the array and the
+        index, before --out-dir is created, instead of training on NaN
+        losses."""
         src, _ = make_cube(tmp_path, "train.hsi", shape=(16, 16, 4), seed=10)
         common = ["--data", src, "--policy", "fixed", "--width", 4,
                   "--batch-size", 2, "--patch-size", 8]
@@ -1052,7 +1071,8 @@ class TestTrainCommand:
         code = run_cli("train", *common, "--epochs", 2, "--out-dir", out_dir,
                        "--resume-weights", first / "weights_final.q3dw", "--resume-state", bad)
         assert code == 2
-        assert capsys.readouterr().err == "error: array 0 m: 1 values not finite\n"
+        assert capsys.readouterr().err == (f"error: {bad}: array 0 m: 1 non-finite values "
+                                           f"(NaN or Inf), the first at index (0, 0, 0, 0, 0)\n")
         assert not out_dir.exists()
 
     def test_resumed_log_names_weights_not_architecture(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the cube container, patch extraction, and synthetic data."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,9 @@ from hsdenoise.hsio import (
     read_hsi,
     write_hsi,
 )
+from hsdenoise.network import WeightsError, build_network, desk_config, load_weights, save_weights
 from hsdenoise.tensors import ConfigError, ShapeError
+from hsdenoise.training import AdamState, load_optimizer_state, save_optimizer_state
 
 
 class TestContainer:
@@ -123,6 +126,44 @@ class TestContainer:
         assert peaks[0] <= 0.1 * cube.nbytes, f"write peak {peaks[0] / cube.nbytes:.2f} x cube"
         assert peaks[1] <= 2.1 * cube.nbytes, f"read peak {peaks[1] / cube.nbytes:.2f} x cube"
         assert np.array_equal(read_hsi(path), cube)
+
+
+def _poisoned_file(tmp_path, field, value):
+    """(path, reader, error class, field name, first index) of a file of
+    `field`'s format holding `value` at one element of that field."""
+    if field == "samples":
+        cube = np.zeros((3, 4, 2), dtype=np.float32)
+        cube[1, 2, 1] = value
+        path = str(tmp_path / "c.hsi")
+        write_hsi(path, cube)
+        return path, read_hsi, HsiError, "samples", (1, 2, 1)
+    if field in ("weights", "bias"):
+        model = build_network(desk_config(width=2, n_layers=3), seed=0)
+        bank = model.units[1].banks[1]
+        part = bank.weight if field == "weights" else bank.bias
+        part.flat[1] = value
+        path = str(tmp_path / "w.q3dw")
+        save_weights(path, model)
+        first = np.unravel_index(1, part.shape)
+        return path, load_weights, WeightsError, f"layer 2 {field}", first
+    state = AdamState([np.zeros((2, 3), dtype=np.float32), np.zeros(4, dtype=np.float32)])
+    getattr(state, field)[0][1, 2] = value
+    path = str(tmp_path / "s.q3da")
+    save_optimizer_state(path, state)
+    return path, load_optimizer_state, WeightsError, f"array 0 {field}", (1, 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["samples", "weights", "bias", "m", "v"])
+def test_reader_refuses_non_finite_payload(tmp_path, field, value):
+    """One NaN or Inf in an HSI1 sample, a Q3DW weight or bias, or a Q3DA
+    moment is refused by the shared reader with the format's own error,
+    naming the file, the field, the count and the first index."""
+    path, read, error, what, first = _poisoned_file(tmp_path, field, value)
+    first = tuple(int(i) for i in first)
+    message = f"{path}: {what}: 1 non-finite values (NaN or Inf), the first at index {first}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(path)
 
 
 class TestPatches:

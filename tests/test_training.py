@@ -1,6 +1,8 @@
 """Tests for the loss, optimizer, epoch schedule, training loop, and the
 finite-difference gradient checker."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -453,21 +455,22 @@ class TestOptimizerStateIO:
         save_optimizer_state(path, state)
         return path
 
-    @pytest.mark.parametrize("part, idx, value, rule", [
-        ("m", 1, np.nan, "finite"),
-        ("m", 0, -np.inf, "finite"),
-        ("v", 1, np.nan, "finite and non-negative"),
-        ("v", 0, -1e-12, "finite and non-negative"),
+    @pytest.mark.parametrize("part, idx, value, values, first", [
+        ("m", 1, np.nan, "non-finite values (NaN or Inf)", (1,)),
+        ("m", 0, -np.inf, "non-finite values (NaN or Inf)", (0, 1)),
+        ("v", 1, np.nan, "non-finite values (NaN or Inf)", (1,)),
+        ("v", 0, -1e-12, "negative values", (0, 1)),
     ], ids=["m-nan", "m-inf", "v-nan", "v-negative"])
-    def test_unusable_moment_rejected(self, tmp_path, part, idx, value, rule):
+    def test_unusable_moment_rejected(self, tmp_path, part, idx, value, values, first):
         """A moment that is not finite, or a negative second moment, would
-        make every later loss NaN: the reader refuses it, naming the array
-        and the part."""
+        make every later loss NaN: the reader refuses it, naming the file,
+        the array, the part, the count and the first index."""
         def poison(state):
             getattr(state, part)[idx].flat[1] = value
 
         path = self.saved_state(tmp_path, poison)
-        with pytest.raises(WeightsError, match=f"^array {idx} {part}: 1 values not {rule}$"):
+        message = f"{path}: array {idx} {part}: 1 {values}, the first at index {first}"
+        with pytest.raises(WeightsError, match=f"^{re.escape(message)}$"):
             load_optimizer_state(path)
 
     @pytest.mark.parametrize("name, value", [
